@@ -1,81 +1,18 @@
-"""Hot numeric kernels: numba-jitted fast paths with pure-numpy fallbacks.
+"""Hot numeric kernels, vectorised with numpy.
 
-The backend is selected once at import time from the FPVANISH_BACKEND
-environment variable: "numba", "numpy", or "auto" (default; numba when
-importable).  `set_backend` allows tests and benchmarks to switch at runtime.
-
-All kernels operate on dense coefficient tables indexed by the canonical
-mixed-radix encoding of F_p^n (coordinate 0 most significant), so that
-"subtract the constant vector v" is a fixed index permutation, equal to
-np.roll by v along every axis of the (p,)*n view.
+Group-ring kernels operate on dense coefficient tables indexed by the
+canonical mixed-radix encoding of F_p^n (coordinate 0 most significant), so
+that "subtract the constant vector v" is np.roll by v along every axis of
+the (p,)*n view.  The arithmetic-set kernels check subset masks of F_p
+against the verifier's progression conditions, one mask or a batch at once.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
+from itertools import combinations, islice
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    _NUMBA_OK = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _NUMBA_OK = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-_backend = "numpy"
-
-
-def set_backend(name: str) -> None:
-    """Select "numba" or "numpy"; "auto" picks numba when available."""
-    global _backend
-    if name == "auto":
-        name = "numba" if _NUMBA_OK else "numpy"
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _NUMBA_OK:
-        raise ValueError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-def active_backend() -> str:
-    return _backend
-
-
-set_backend(os.environ.get("FPVANISH_BACKEND", "auto"))
-
-
-_PERM_CACHE: dict[tuple, np.ndarray] = {}
-_PERM_CACHE_ENTRY_LIMIT = 65536  # cache only small tables; cap total entries
-_PERM_CACHE_MAX = 8192
-
-
-def subtract_perm(dims: tuple[int, ...], v: tuple[int, ...]) -> np.ndarray:
-    """Permutation perm with perm[y] = index(y - v) on the flat table."""
-    v = tuple(int(c) for c in v)
-    key = (dims, v)
-    cached = _PERM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    size = 1
-    for d in dims:
-        size *= d
-    idx = np.arange(size, dtype=np.int64)
-    if dims:
-        idx = np.roll(idx.reshape(dims), shift=v, axis=tuple(range(len(dims)))).reshape(-1)
-    idx.flags.writeable = False
-    if size <= _PERM_CACHE_ENTRY_LIMIT:
-        if len(_PERM_CACHE) >= _PERM_CACHE_MAX:
-            _PERM_CACHE.clear()
-        _PERM_CACHE[key] = idx
-    return idx
 
 
 def _rolled(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...]) -> np.ndarray:
@@ -91,30 +28,12 @@ def _rolled(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...]) -> np.
 # F_p group-ring binomial multiply: table <- (table - shift_v(table))^r mod p
 
 
-@njit(cache=True)
-def _fp_binomial_power_nb(table, perm, r, p):  # pragma: no cover - jitted
-    n = table.shape[0]
-    cur = table
-    for _ in range(r):
-        out = np.empty(n, dtype=np.int64)
-        for y in range(n):
-            out[y] = (cur[y] - cur[perm[y]]) % p
-        cur = out
-    return cur
-
-
-def _fp_binomial_power_np(table, dims, v, r, p):
+def fp_binomial_power(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...], r: int, p: int) -> np.ndarray:
+    """Multiply a dense F_p[F_p^n] table by (1 - g^v)^r. Returns a new table."""
     cur = table
     for _ in range(r):
         cur = (cur - _rolled(cur, dims, v)) % p
     return cur
-
-
-def fp_binomial_power(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...], r: int, p: int) -> np.ndarray:
-    """Multiply a dense F_p[F_p^n] table by (1 - g^v)^r. Returns a new table."""
-    if _backend == "numba":
-        return _fp_binomial_power_nb(table, subtract_perm(dims, v), r, p)
-    return _fp_binomial_power_np(table, dims, v, r, p)
 
 
 # ---------------------------------------------------------------------------
@@ -139,44 +58,14 @@ def lambda_shift_rows(rows: np.ndarray, t: int, p: int) -> np.ndarray:
     return padded[..., src] - padded[..., top : top + 1]
 
 
-@njit(cache=True)
-def _cyc_binomial_power_nb(table, perm, t, r, p):  # pragma: no cover - jitted
-    n, m = table.shape
-    cur = table
-    for _ in range(r):
-        out = np.empty((n, m), dtype=np.int64)
-        for y in range(n):
-            z = perm[y]
-            # shifted row = w^t * cur[z], reduced into the power basis
-            for j in range(m):
-                jj = j - t
-                if jj < 0:
-                    jj += p
-                sh = cur[z, jj] if jj < m else 0
-                top = m - t
-                if top < 0:
-                    top += p
-                tv = cur[z, top] if top < m else 0
-                out[y, j] = cur[y, j] - (sh - tv)
-        cur = out
-    return cur
-
-
-def _cyc_binomial_power_np(table, dims, v, t, r, p):
-    cur = table
-    for _ in range(r):
-        cur = cur - lambda_shift_rows(_rolled(cur, dims, v), t, p)
-    return cur
-
-
 def cyc_binomial_power(
     table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...], t: int, r: int, p: int
 ) -> np.ndarray:
     """Multiply a dense Z[w][F_p^n] table by (1 - w^t g^v)^r."""
-    t = t % p
-    if _backend == "numba" and table.dtype == np.int64:
-        return _cyc_binomial_power_nb(table, subtract_perm(dims, v), t, r, p)
-    return _cyc_binomial_power_np(table, dims, v, t, r, p)
+    cur = table
+    for _ in range(r):
+        cur = cur - lambda_shift_rows(_rolled(cur, dims, v), t, p)
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -184,55 +73,17 @@ def cyc_binomial_power(
 # new[y] = OR over e in [-r, r] of reach[y - e*step].
 
 
-@njit(cache=True)
-def _reach_expand_nb(reach, perm_plus, perm_minus, r):  # pragma: no cover
-    n = reach.shape[0]
-    acc = reach.copy()
-    cur = reach.copy()
-    for _ in range(r):
-        nxt = np.empty(n, dtype=np.uint8)
-        for y in range(n):
-            nxt[y] = cur[perm_plus[y]]
-        for y in range(n):
-            if nxt[y]:
-                acc[y] = 1
-        cur = nxt
-    cur = reach.copy()
-    for _ in range(r):
-        nxt = np.empty(n, dtype=np.uint8)
-        for y in range(n):
-            nxt[y] = cur[perm_minus[y]]
-        for y in range(n):
-            if nxt[y]:
-                acc[y] = 1
-        cur = nxt
-    return acc
-
-
-def _reach_expand_np(reach, dims, step, r, p):
-    acc = reach.copy()
-    neg = tuple((-c) % p for c in step)
-    cur = reach
-    for _ in range(r):
-        cur = _rolled(cur, dims, step)
-        acc |= cur
-    cur = reach
-    for _ in range(r):
-        cur = _rolled(cur, dims, neg)
-        acc |= cur
-    return acc
-
-
 def reach_expand(
     reach: np.ndarray, dims: tuple[int, ...], step: tuple[int, ...], r: int, p: int
 ) -> np.ndarray:
     """Expand a uint8 reachability table by all multiples e*step, |e| <= r."""
-    if _backend == "numba":
-        neg = tuple((-c) % p for c in step)
-        return _reach_expand_nb(
-            reach, subtract_perm(dims, step), subtract_perm(dims, neg), r
-        )
-    return _reach_expand_np(reach, dims, step, r, p)
+    acc = reach.copy()
+    for shift in (step, tuple((-c) % p for c in step)):
+        cur = reach
+        for _ in range(r):
+            cur = _rolled(cur, dims, shift)
+            acc |= cur
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -243,95 +94,49 @@ def reach_expand(
 #   every a without:      some b != 0 has mask[(a+i*b) % p] for all 1 <= i <= r.
 
 
-@njit(cache=True)
-def _masks_arithmetic_ok_nb(masks, r, p):  # pragma: no cover - jitted
-    nb = masks.shape[0]
-    out = np.zeros(nb, dtype=np.uint8)
-    for s in range(nb):
-        good_set = True
-        for a in range(p):
-            found = False
-            if masks[s, a]:
-                for b in range(1, p):
-                    ok = True
-                    for i in range(-r, r + 1):
-                        if not masks[s, (a + i * b) % p]:
-                            ok = False
-                            break
-                    if ok:
-                        found = True
-                        break
-            else:
-                for b in range(1, p):
-                    ok = True
-                    for i in range(1, r + 1):
-                        if not masks[s, (a + i * b) % p]:
-                            ok = False
-                            break
-                    if ok:
-                        found = True
-                        break
-            if not found:
-                good_set = False
-                break
-        if good_set:
-            out[s] = 1
-    return out
+@lru_cache(maxsize=2)
+def _progression_indices(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tensors (a + i*b) % p over (a, b != 0, i), for |i| <= r and 1 <= i <= r.
 
-
-def _masks_arithmetic_ok_np(masks, r, p):
+    A search verifies many masks for one (p, r); the cache holds only the
+    latest few, since a table at p = 199 takes 1.3 MB.
+    """
     a = np.arange(p).reshape(p, 1, 1)
     b = np.arange(1, p).reshape(1, p - 1, 1)
-    i_full = np.arange(-r, r + 1).reshape(1, 1, 2 * r + 1)
-    i_pos = np.arange(1, r + 1).reshape(1, 1, r)
-    idx_full = (a + i_full * b) % p
-    idx_pos = (a + i_pos * b) % p
-    vals = masks[:, idx_full]  # (B, p, p-1, 2r+1)
-    in_ok = vals.all(axis=3).any(axis=2)
-    vals = masks[:, idx_pos]
-    out_ok = vals.all(axis=3).any(axis=2)
-    cond = np.where(masks.astype(bool), in_ok, out_ok)
-    return cond.all(axis=1).astype(np.uint8)
+    full = (a + np.arange(-r, r + 1).reshape(1, 1, 2 * r + 1) * b) % p
+    pos = (a + np.arange(1, r + 1).reshape(1, 1, r) * b) % p
+    full.flags.writeable = False
+    pos.flags.writeable = False
+    return full, pos
+
+
+def _element_ok(masks: np.ndarray, r: int, p: int) -> np.ndarray:
+    """Per-element verdicts for a bool mask of shape (p,) or a batch (B, p).
+
+    Entry a (or [a, s] for batch row s) is True iff element a has a valid
+    difference in that mask; the mask passes iff every entry is True.  The
+    index tensors are built once per (p, r).
+    """
+    full, pos = _progression_indices(p, r)
+    cols = masks.T
+    in_ok = cols[full].all(axis=2).any(axis=1)
+    out_ok = cols[pos].all(axis=2).any(axis=1)
+    return np.where(cols, in_ok, out_ok)
 
 
 def masks_arithmetic_ok(masks: np.ndarray, r: int, p: int) -> np.ndarray:
     """Batch verdicts (uint8) for candidate subset masks of shape (B, p)."""
-    if _backend == "numba":
-        return _masks_arithmetic_ok_nb(np.ascontiguousarray(masks, dtype=np.uint8), r, p)
-    return _masks_arithmetic_ok_np(masks.astype(bool), r, p)
+    return _element_ok(masks.astype(bool), r, p).all(axis=0).astype(np.uint8)
 
 
-@njit(cache=True)
-def _scan_combinations_nb(p, r, k):  # pragma: no cover - jitted
-    comb = np.arange(k, dtype=np.int64)
-    mask = np.zeros(p, dtype=np.uint8)
-    one = np.empty((1, p), dtype=np.uint8)
-    while True:
-        for j in range(p):
-            mask[j] = 0
-        for j in range(k):
-            mask[comb[j]] = 1
-        for j in range(p):
-            one[0, j] = mask[j]
-        if _masks_arithmetic_ok_nb(one, r, p)[0]:
-            return comb.copy()
-        # advance to the next lexicographic combination
-        i = k - 1
-        while i >= 0 and comb[i] == p - k + i:
-            i -= 1
-        if i < 0:
-            return np.empty(0, dtype=np.int64)
-        comb[i] += 1
-        for j in range(i + 1, k):
-            comb[j] = comb[j - 1] + 1
+_SCAN_BATCH = 2048
 
 
-def _scan_combinations_np(p, r, k, batch=2048):
-    from itertools import combinations, islice
-
+def scan_combinations(p: int, r: int, k: int):
+    """First size-k subset of F_p (lexicographic) passing the verifier, or None."""
     gen = combinations(range(p), k)
     while True:
-        block = list(islice(gen, batch))
+        block = list(islice(gen, _SCAN_BATCH))
         if not block:
             return None
         arr = np.array(block, dtype=np.int64)
@@ -341,11 +146,3 @@ def _scan_combinations_np(p, r, k, batch=2048):
         hits = np.nonzero(ok)[0]
         if hits.size:
             return arr[hits[0]]
-
-
-def scan_combinations(p: int, r: int, k: int):
-    """First size-k subset of F_p (lexicographic) passing the verifier, or None."""
-    if _backend == "numba":
-        res = _scan_combinations_nb(p, r, k)
-        return None if res.size == 0 else res
-    return _scan_combinations_np(p, r, k)

@@ -19,7 +19,7 @@ from . import covers as cv
 from . import decomposition as dc
 from . import group_ring as gr
 from . import linear_maps as lm
-from .errors import SearchBudgetExceededError
+from .errors import InvariantViolationError, SearchBudgetExceededError
 from .fp_core import FpMultiset, FpVector, enumerate_vectors, span_dimension
 
 DEFAULT_SEED = 20260810
@@ -138,7 +138,7 @@ def _oracle_min_arithmetic_size(p: int, r: int = 1) -> int:
         for subset in combinations(range(p), k):
             if ok(subset):
                 return k
-    raise AssertionError("unreachable")
+    raise InvariantViolationError("unreachable: the whole field is always r-arithmetic")
 
 
 def criterion_4_min_arithmetic(seed: int = DEFAULT_SEED) -> CriterionResult:

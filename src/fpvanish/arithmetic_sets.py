@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels, config
-from .errors import CapExceededError, SearchBudgetExceededError
+from .errors import CapExceededError, InvariantViolationError, SearchBudgetExceededError
 from .fp_core import _as_prime
 
 
@@ -185,7 +185,7 @@ def min_arithmetic_set(p: int, r: int = 1, p_cap: Optional[int] = None) -> Arith
         hit = _kernels.scan_combinations(p, r, k)
         if hit is not None:
             return ArithmeticSet.verified([int(x) for x in hit], r, p)
-    raise AssertionError("unreachable: the whole field is always r-arithmetic")
+    raise InvariantViolationError("unreachable: the whole field is always r-arithmetic")
 
 
 _SMALLEST_SIZE_CACHE: dict[tuple[int, int], int] = {}
@@ -211,21 +211,6 @@ def smallest_arithmetic_size(p: int, r: int = 1) -> int:
 
 # ---------------------------------------------------------------------------
 # Randomized search for small arithmetic sets (r = 1)
-
-
-def _violation_tensors(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    a = np.arange(p).reshape(p, 1, 1)
-    b = np.arange(1, p).reshape(1, p - 1, 1)
-    i_full = np.arange(-r, r + 1).reshape(1, 1, 2 * r + 1)
-    i_pos = np.arange(1, r + 1).reshape(1, 1, r)
-    return (a + i_full * b) % p, (a + i_pos * b) % p
-
-
-def _violations(mask: np.ndarray, idx_full: np.ndarray, idx_pos: np.ndarray) -> np.ndarray:
-    in_ok = mask[idx_full].all(axis=2).any(axis=1)
-    out_ok = mask[idx_pos].all(axis=2).any(axis=1)
-    ok = np.where(mask, in_ok, out_ok)
-    return np.nonzero(~ok)[0]
 
 
 def _doubling_seed(p: int, c: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -289,7 +274,6 @@ def find_small_arithmetic_set(
         )
 
     rng = np.random.default_rng(seed)
-    idx_full, idx_pos = _violation_tensors(p, r)
     calls = 0
     best = p + 1
 
@@ -304,7 +288,7 @@ def find_small_arithmetic_set(
         mask = np.zeros(p, dtype=bool)
         mask[members] = True
 
-        bad = _violations(mask, idx_full, idx_pos)
+        bad = np.nonzero(~_kernels._element_ok(mask, r, p))[0]
         calls += 1
         stall = 0
         while bad.size and calls < budget and stall < 6 * p:
@@ -321,7 +305,7 @@ def find_small_arithmetic_set(
                 new_elt = int(cand[rng.integers(cand.size)])
                 mask[a], mask[new_elt] = False, True
                 swapped = (new_elt, a)
-            new_bad = _violations(mask, idx_full, idx_pos)
+            new_bad = np.nonzero(~_kernels._element_ok(mask, r, p))[0]
             calls += 1
             if new_bad.size <= bad.size:
                 stall = 0 if new_bad.size < bad.size else stall + 1

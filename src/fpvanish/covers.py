@@ -13,8 +13,17 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import config
 from .arithmetic_sets import smallest_arithmetic_size
-from .errors import CapExceededError, PreconditionError
-from .fp_core import FpMultiset, FpVector, is_prime, span_dimension
+from .errors import CapExceededError, InvariantViolationError, PreconditionError
+from .fp_core import (
+    FpMultiset,
+    FpVector,
+    enumerate_vectors,
+    hyperplane_masks,
+    is_irredundant_mask_cover,
+    is_prime,
+    shrink_mask_cover,
+    span_dimension,
+)
 from .group_ring import TwistAssignment, normalize_twists
 
 
@@ -310,37 +319,16 @@ def is_cover(C: CosetCover) -> bool:
 
 def is_irredundant_cover(C: CosetCover) -> bool:
     """A cover in which every coset keeps a privately covered element."""
-    masks = C.masks()
-    union = 0
-    for m in masks:
-        union |= m
-    if union != _full_mask(C.group):
-        return False
-    for i, m in enumerate(masks):
-        others = 0
-        for j, mj in enumerate(masks):
-            if j != i:
-                others |= mj
-        if not (m & ~others):
-            return False
-    return True
+    return is_irredundant_mask_cover(C.masks(), _full_mask(C.group))
 
 
 def shrink_to_irredundant(C: CosetCover) -> CosetCover:
     """Greedy one-pass removal in canonical coset order; preserves covering."""
     if not is_cover(C):
         raise PreconditionError("input family is not a cover")
-    order = sorted(range(C.size), key=lambda i: C.canonical_keys()[i])
-    masks = C.masks()
-    kept = list(range(C.size))
-    full = _full_mask(C.group)
-    for i in order:
-        trial = [j for j in kept if j != i]
-        union = 0
-        for j in trial:
-            union |= masks[j]
-        if union == full:
-            kept = trial
+    keys = C.canonical_keys()
+    order = sorted(range(C.size), key=keys.__getitem__)
+    kept = shrink_mask_cover(C.masks(), _full_mask(C.group), order)
     return CosetCover(C.group, tuple(C.cosets[j] for j in kept))
 
 
@@ -502,7 +490,9 @@ def _phi_search(
     group: AbelianGroup,
     subgroup_pool: Sequence[Subgroup],
     cap: int,
-) -> tuple[int, CosetCover]:
+) -> Optional[tuple[int, CosetCover]]:
+    """Smallest irredundant cover from the pool with trivial intersection, or
+    None when no family of cosets from the pool qualifies."""
     if group.order > cap:
         raise CapExceededError(f"group order {group.order} exceeds cap {cap}")
     cosets = _all_cosets(group, subgroup_pool)
@@ -519,7 +509,7 @@ def _phi_search(
         for chosen in _cover_dfs(masks, full, k, accept, True):
             cover = CosetCover(group, tuple((cosets[i][0], cosets[i][1]) for i in chosen))
             return len(chosen), cover
-    raise AssertionError("unreachable: singleton cosets always give a valid family")
+    return None
 
 
 def phi_exact(group: AbelianGroup, cap: Optional[int] = None) -> tuple[int, CosetCover]:
@@ -530,7 +520,10 @@ def phi_exact(group: AbelianGroup, cap: Optional[int] = None) -> tuple[int, Cose
     coset order.
     """
     cap = config.GROUP_ORDER_CAP if cap is None else cap
-    return _phi_search(group, group.subgroups(), cap)
+    found = _phi_search(group, group.subgroups(), cap)
+    if found is None:
+        raise InvariantViolationError("unreachable: singleton cosets always give a valid family")
+    return found
 
 
 def phi_pn_maximal(p: int, n: int, cap: Optional[int] = None) -> tuple[int, CosetCover]:
@@ -543,10 +536,13 @@ def phi_pn_maximal(p: int, n: int, cap: Optional[int] = None) -> tuple[int, Cose
         raise ValueError(f"p must be prime, got {p}")
     group = AbelianGroup((p,) * n)
     cap = config.GROUP_ORDER_CAP if cap is None else cap
-    k, cover = _phi_search(group, group.maximal_subgroups(), cap)
+    found = _phi_search(group, group.maximal_subgroups(), cap)
+    if found is None:
+        raise InvariantViolationError(f"F_{p}^{n} has no efficient cover")
+    k, cover = found
     s = smallest_arithmetic_size(p)
     if s**k < p**n:
-        raise AssertionError(
+        raise InvariantViolationError(
             f"efficient cover of size {k} violates the arithmetic lower bound"
         )
     return k, cover
@@ -559,11 +555,8 @@ def find_efficient_cover(group: AbelianGroup, cap: Optional[int] = None) -> Opti
         raise CapExceededError(f"group order {group.order} exceeds cap {cap}")
     if group.order == 1:
         return None
-    try:
-        k, cover = _phi_search(group, group.maximal_subgroups(), cap)
-    except AssertionError:
-        return None
-    return cover
+    found = _phi_search(group, group.maximal_subgroups(), cap)
+    return None if found is None else found[1]
 
 
 # ---------------------------------------------------------------------------
@@ -599,63 +592,33 @@ class HyperplaneCoverInstance:
     def size(self) -> int:
         return len(self.normals)
 
-    def hyperplane_mask(self, i: int) -> int:
-        from .fp_core import coords_matrix
-        import numpy as np
-
-        cm = coords_matrix(self.p, self.n)
-        vals = (cm @ np.array(self.normals[i].coords, dtype=np.int64)) % self.p
-        want = (-self.offsets[i]) % self.p
-        mask = 0
-        for idx in np.nonzero(vals == want)[0]:
-            mask |= 1 << int(idx)
-        return mask
-
     def masks(self) -> list[int]:
-        return [self.hyperplane_mask(i) for i in range(self.size)]
+        normals = [v.coords for v in self.normals]
+        return hyperplane_masks(self.p, self.n, normals, [-t for t in self.offsets])
+
+    def _full(self) -> int:
+        return (1 << self.p**self.n) - 1
 
     def is_cover(self) -> bool:
         union = 0
         for m in self.masks():
             union |= m
-        return union == (1 << self.p**self.n) - 1
+        return union == self._full()
 
     def is_irredundant_cover(self) -> bool:
-        masks = self.masks()
-        union = 0
-        for m in masks:
-            union |= m
-        if union != (1 << self.p**self.n) - 1:
-            return False
-        for i, m in enumerate(masks):
-            others = 0
-            for j, mj in enumerate(masks):
-                if j != i:
-                    others |= mj
-            if not (m & ~others):
-                return False
-        return True
+        return is_irredundant_mask_cover(self.masks(), self._full())
 
-    def without(self, i: int) -> "HyperplaneCoverInstance":
+    def shrink_to_irredundant(self) -> "HyperplaneCoverInstance":
+        """Greedy one-pass removal in entry order; preserves covering."""
+        if not self.is_cover():
+            raise PreconditionError("hyperplane family is not a cover")
+        kept = shrink_mask_cover(self.masks(), self._full(), range(self.size))
         return HyperplaneCoverInstance(
             self.p,
             self.n,
-            self.normals[:i] + self.normals[i + 1 :],
-            self.offsets[:i] + self.offsets[i + 1 :],
+            tuple(self.normals[i] for i in kept),
+            tuple(self.offsets[i] for i in kept),
         )
-
-    def shrink_to_irredundant(self) -> "HyperplaneCoverInstance":
-        if not self.is_cover():
-            raise PreconditionError("hyperplane family is not a cover")
-        inst = self
-        i = 0
-        while i < inst.size:
-            trial = inst.without(i)
-            if trial.is_cover():
-                inst = trial
-            else:
-                i += 1
-        return inst
 
     def codimension(self) -> int:
         V = FpMultiset(self.p, self.n, self.normals)
@@ -697,8 +660,6 @@ def enumerate_irredundant_hyperplane_covers(
     Normals are normalized projectively (first nonzero coordinate 1), so
     each geometric hyperplane appears once in the pool.
     """
-    from .fp_core import enumerate_vectors
-
     normals = []
     for v in enumerate_vectors(p, n):
         if v.is_zero():
@@ -706,14 +667,8 @@ def enumerate_irredundant_hyperplane_covers(
         lead = next(c for c in v.coords if c != 0)
         if lead == 1:
             normals.append(v)
-    pool: list[tuple[FpVector, int]] = []
-    for v in normals:
-        for t in range(p):
-            pool.append((v, t))
-    insts = [
-        HyperplaneCoverInstance(p, n, (v,), (t,)) for v, t in pool
-    ]
-    masks = [inst.hyperplane_mask(0) for inst in insts]
+    pool = [(v, t) for v in normals for t in range(p)]
+    masks = hyperplane_masks(p, n, [v.coords for v, _ in pool], [-t for _, t in pool])
     full = (1 << p**n) - 1
     cap = max_size if max_size is not None else len(pool)
     for chosen in _cover_dfs(masks, full, cap, None, False):

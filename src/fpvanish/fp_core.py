@@ -268,40 +268,19 @@ def solve_combination(vectors: Sequence[FpVector], x: FpVector) -> Optional[list
     n = x.n
     if not vectors:
         return [] if x.is_zero() else None
-    # Solve M^T c = x where columns of M^T are the vectors.
-    aug = np.zeros((n, len(vectors) + 1), dtype=np.int64)
+    # Solve M^T c = x where columns of M^T are the vectors, on [M^T | x].
+    m = len(vectors)
+    aug = np.zeros((n, m + 1), dtype=np.int64)
     for j, v in enumerate(vectors):
         aug[:, j] = v.coords
-    aug[:, len(vectors)] = x.coords
-    m = aug % p
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(len(vectors)):
-        sel = None
-        for row in range(rank, n):
-            if m[row, col] % p != 0:
-                sel = row
-                break
-        if sel is None:
-            continue
-        if sel != rank:
-            m[[rank, sel]] = m[[sel, rank]]
-        inv = pow(int(m[rank, col]), -1, p)
-        m[rank] = (m[rank] * inv) % p
-        for row in range(n):
-            if row != rank and m[row, col] % p != 0:
-                m[row] = (m[row] - m[row, col] * m[rank]) % p
-        pivots.append((rank, col))
-        rank += 1
-        if rank == n:
-            break
-    # Inconsistency: a zero row with nonzero rhs.
-    for row in range(rank, n):
-        if m[row, len(vectors)] % p != 0:
-            return None
-    coeffs = [0] * len(vectors)
-    for row, col in pivots:
-        coeffs[col] = int(m[row, len(vectors)]) % p
+    aug[:, m] = x.coords
+    rref, pivots = rref_mod_p(aug, p)
+    # A pivot in the right-hand column: x is not in the span.
+    if pivots and pivots[-1] == m:
+        return None
+    coeffs = [0] * m
+    for row, col in enumerate(pivots):
+        coeffs[col] = int(rref[row, m])
     # Re-verify (cheap, and guards elimination bugs).
     acc = FpVector(p, (0,) * n)
     for c, v in zip(coeffs, vectors):
@@ -420,3 +399,48 @@ def coords_matrix(p: int, n: int, cap: Optional[int] = None) -> np.ndarray:
     dims = (p,) * n
     unr = np.unravel_index(np.arange(size), dims)
     return np.stack(unr, axis=1).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Bitmask covers: bit i of a mask is the point with canonical index i.
+
+
+def hyperplane_masks(p: int, n: int, normals: Sequence[Sequence[int]], values: Sequence[int]) -> list[int]:
+    """Bitmask of each affine hyperplane {x in F_p^n : <x, normals[i]> = values[i]}."""
+    normals = np.asarray(normals, dtype=np.int64).reshape(len(values), n)
+    hits = (coords_matrix(p, n) @ normals.T) % p == np.asarray(values, dtype=np.int64) % p
+    packed = np.packbits(hits.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def is_irredundant_mask_cover(masks: Sequence[int], full: int) -> bool:
+    """The masks cover `full` and each one covers a bit no other mask covers.
+
+    One pass collects the bits seen at least once and at least twice; a
+    mask's private bits are those outside the seen-twice set.
+    """
+    seen = twice = 0
+    for m in masks:
+        twice |= seen & m
+        seen |= m
+    return seen == full and all(m & ~twice for m in masks)
+
+
+def shrink_mask_cover(masks: Sequence[int], full: int, order: Sequence[int]) -> list[int]:
+    """Kept indices, ascending, of a one-pass greedy shrink of a cover.
+
+    Visiting indices in `order`, each mask is dropped when the others still
+    cover `full`.  At each visit the masks still to come are all kept, so
+    the union of the others is the kept union so far OR the suffix union of
+    what follows.
+    """
+    suffix = [0] * (len(order) + 1)
+    for pos in range(len(order) - 1, -1, -1):
+        suffix[pos] = suffix[pos + 1] | masks[order[pos]]
+    kept = []
+    before = 0
+    for pos, i in enumerate(order):
+        if before | suffix[pos + 1] != full:
+            kept.append(i)
+            before |= masks[i]
+    return sorted(kept)

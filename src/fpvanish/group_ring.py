@@ -13,18 +13,21 @@ V costs O(|V| r p^n) instead of general convolution.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _kernels, config
-from .errors import CapExceededError, PreconditionError
+from .errors import CapExceededError, InvariantViolationError, PreconditionError
 from .fp_core import (
     FpMultiset,
     FpVector,
     check_ring_cap,
     coords_array,
     coords_matrix,
+    hyperplane_masks,
+    is_irredundant_mask_cover,
 )
 
 TwistAssignment = tuple[int, ...]
@@ -511,6 +514,12 @@ def product_twist_verdicts(V: FpMultiset, r: int = 1, cap: Optional[int] = None)
     size = check_ring_cap(p, n)
     if m == 0:
         return np.zeros(1, dtype=bool)
+    cells = total * size * (p - 1)
+    if cells > config.RING_SIZE_CAP:
+        raise CapExceededError(
+            f"batched product tables p^|V| * p^n * (p-1) = {total} * {size} * {p - 1} = {cells} "
+            f"cells exceed cap {config.RING_SIZE_CAP}"
+        )
     # Batched tables, one per twist assignment.
     tables = np.zeros((total, size, p - 1), dtype=np.int64)
     tables[:, 0, 0] = 1
@@ -567,14 +576,14 @@ def is_c_vanishing(
         verdicts = cover_twist_verdicts(V, cap)
         via_product = product_twist_verdicts(V, r, cap)
         if not np.array_equal(verdicts, via_product):
-            raise AssertionError("cover oracle and exact products disagree")
+            raise InvariantViolationError("cover oracle and exact products disagree")
     hits = np.nonzero(verdicts)[0]
     if hits.size == 0:
         return None
     witness = twist_from_index(V.p, V.size, int(hits[0]))
     if method == "verified":
         if not binomial_product_cyc(V, witness, r, cap).is_zero():
-            raise AssertionError("cover-oracle witness failed exact-product certification")
+            raise InvariantViolationError("cover-oracle witness failed exact-product certification")
     return witness
 
 
@@ -588,19 +597,13 @@ def is_c_irredundant(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> Op
     p, n, m = V.p, V.n, V.size
     if m == 0:
         return None
-    total = _check_twist_cap(p, m, cap)
-    size = check_ring_cap(p, n)
-    cm = coords_matrix(p, n)
-    ips = (cm @ coords_array(V).T) % p
-    for idx in range(total):
-        t = twist_from_index(p, m, idx)
-        masks = [ips[:, i] == ((-t[i]) % p) for i in range(m)]
-        counts = np.zeros(size, dtype=np.int64)
-        for mk in masks:
-            counts += mk
-        if counts.min() == 0:
-            continue
-        if all((mk & (counts == 1)).any() for mk in masks):
+    _check_twist_cap(p, m, cap)
+    # by_value[i][u]: the points x with <x, v_i> = u; twist t_i selects u = -t_i.
+    masks = hyperplane_masks(p, n, np.repeat(coords_array(V), p, axis=0), list(range(p)) * m)
+    by_value = [masks[i * p : (i + 1) * p] for i in range(m)]
+    full = (1 << p**n) - 1
+    for t in product(range(p), repeat=m):
+        if is_irredundant_mask_cover([by_value[i][-ti] for i, ti in enumerate(t)], full):
             return t
     return None
 

@@ -17,14 +17,16 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .covers import HyperplaneCoverInstance
-from .errors import PreconditionError
+from .errors import InvariantViolationError, PreconditionError
 from .fp_core import (
     FpMultiset,
     FpVector,
     _as_prime,
     check_ring_cap,
     coords_matrix,
+    hyperplane_masks,
     rref_mod_p,
+    shrink_mask_cover,
     span_dimension,
 )
 
@@ -113,7 +115,7 @@ def find_witness(S: ChoiceSystem, cap: Optional[int] = None) -> Optional[FpVecto
         return None
     x = FpVector.from_index(p, n, int(hits[0]))
     if not S.satisfies(x):
-        raise AssertionError("witness failed re-verification")
+        raise InvariantViolationError("witness failed re-verification")
     return x
 
 
@@ -162,28 +164,14 @@ def failure_certificate(S: ChoiceSystem, cap: Optional[int] = None) -> CoverCert
                 if t not in S.choice_sets[i][j]:
                     triples.append((i, j, t))
     triples.sort()
-    cm = coords_matrix(p, n)
-    size = cm.shape[0]
-
-    def mask_of(tr: tuple[int, int, int]) -> np.ndarray:
-        i, j, t = tr
-        vals = (cm @ S.matrices[i][j]) % p
-        return vals == t
-
-    masks = {tr: mask_of(tr) for tr in triples}
-    union = np.zeros(size, dtype=bool)
-    for tr in triples:
-        union |= masks[tr]
-    if not union.all():
-        raise AssertionError("forbidden hyperplanes fail to cover despite no witness")
-    kept = list(triples)
-    for tr in triples:
-        trial = [u for u in kept if u != tr]
-        cover = np.zeros(size, dtype=bool)
-        for u in trial:
-            cover |= masks[u]
-        if cover.all():
-            kept = trial
+    masks = hyperplane_masks(p, n, [S.matrices[i][j] for i, j, _ in triples], [t for _, _, t in triples])
+    full = (1 << p**n) - 1
+    union = 0
+    for m in masks:
+        union |= m
+    if union != full:
+        raise InvariantViolationError("forbidden hyperplanes fail to cover despite no witness")
+    kept = [triples[u] for u in shrink_mask_cover(masks, full, range(len(triples)))]
     instance = HyperplaneCoverInstance(
         p,
         n,

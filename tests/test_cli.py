@@ -74,6 +74,18 @@ class TestVanishingCommands:
         payload = json.loads(out)
         assert payload["kept_size"] == 3
 
+    def test_failed_certification_exits_1(self, capsys, monkeypatch):
+        from fpvanish import group_ring as gr
+
+        # a product that does not vanish for the cover oracle's witness
+        monkeypatch.setattr(gr, "binomial_product_cyc", lambda V, t, r=1, cap=None: gr.GroupRingCyc.unit(V.p, V.n))
+        code, out, err = run_cli(
+            capsys, "vanishing", "--field", "c", "--p", "3", "--n", "1", "--vectors", "[[1],[1],[1]]"
+        )
+        assert code == 1
+        assert out == ""
+        assert "invariant violation" in err and "Traceback" not in err
+
     def test_cap_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -6,7 +6,7 @@ from fpvanish import covers as cv
 from fpvanish import group_ring as gr
 from fpvanish.arithmetic_sets import smallest_arithmetic_size
 from fpvanish.errors import CapExceededError, PreconditionError
-from fpvanish.fp_core import FpMultiset, FpVector
+from fpvanish.fp_core import FpMultiset, FpVector, enumerate_vectors
 
 from conftest import random_multiset
 
@@ -236,6 +236,42 @@ class TestHyperplaneInstances:
         shrunk = H.shrink_to_irredundant()
         assert shrunk.is_irredundant_cover()
         assert shrunk.size == 3
+
+    def test_shrink_matches_coset_shrink(self, rng):
+        # a hyperplane of F_p^n is a coset of the kernel of its normal
+        for p, n in ((2, 2), (3, 2), (2, 3)):
+            group = cv.AbelianGroup((p,) * n)
+            points = list(enumerate_vectors(p, n))
+            for _ in range(10):
+                normals, offsets = [], []
+                for _ in range(int(rng.integers(1, 7))):
+                    v = FpVector(p, tuple(int(c) for c in rng.integers(0, p, size=n)))
+                    if not v.is_zero():
+                        normals.append(v)
+                        offsets.append(int(rng.integers(0, p)))
+                axis = FpVector(p, (1,) + (0,) * (n - 1))
+                normals += [axis] * p
+                offsets += list(range(p))
+
+                cosets = []
+                for v, t in zip(normals, offsets):
+                    kernel = frozenset(x.index for x in points if x.dot(v) == 0)
+                    rep = next(x.index for x in points if x.dot(v) == (-t) % p)
+                    cosets.append((cv.Subgroup(group, kernel), rep))
+                # put the family in canonical coset order so both shrinks visit it alike
+                keys = cv.CosetCover(group, tuple(cosets)).canonical_keys()
+                order = sorted(range(len(cosets)), key=keys.__getitem__)
+                C = cv.CosetCover(group, tuple(cosets[i] for i in order))
+                H = cv.HyperplaneCoverInstance(
+                    p, n, tuple(normals[i] for i in order), tuple(offsets[i] for i in order)
+                )
+                assert H.is_irredundant_cover() == cv.is_irredundant_cover(C)
+                shrunk = H.shrink_to_irredundant()
+                want = cv.shrink_to_irredundant(C)
+                assert [sorted(K.coset_elements(x)) for K, x in want.cosets] == [
+                    sorted(x.index for x in points if x.dot(v) == (-t) % p)
+                    for v, t in zip(shrunk.normals, shrunk.offsets)
+                ]
 
 
 class TestSerialization:

@@ -182,3 +182,56 @@ class TestSolveCombination:
             for c, v in zip(got, V.entries):
                 acc = acc + v.scale(c)
             assert acc == x
+
+
+class TestBitmaskCovers:
+    @staticmethod
+    def _random_family(rng, bits):
+        full = (1 << bits) - 1
+        masks = [int(x) for x in rng.integers(0, 2**bits, size=int(rng.integers(1, 8)))]
+        if rng.random() < 0.7:
+            masks.append(full & ~(masks[0] if masks else 0))  # complete the cover
+        if rng.random() < 0.3:
+            masks.append(masks[int(rng.integers(len(masks)))])  # a duplicate
+        return masks, full
+
+    def test_irredundance_matches_definition(self, rng):
+        for _ in range(300):
+            masks, full = self._random_family(rng, int(rng.integers(1, 10)))
+            private = [m & ~_union(masks[:i] + masks[i + 1 :]) for i, m in enumerate(masks)]
+            want = _union(masks) == full and all(private)
+            assert fc.is_irredundant_mask_cover(masks, full) == want
+
+    def test_shrink_matches_plain_greedy(self, rng):
+        for _ in range(300):
+            masks, full = self._random_family(rng, int(rng.integers(1, 10)))
+            if _union(masks) != full:
+                continue
+            order = [int(i) for i in rng.permutation(len(masks))]
+            kept = list(range(len(masks)))
+            for i in order:
+                trial = [j for j in kept if j != i]
+                if _union([masks[j] for j in trial]) == full:
+                    kept = trial
+            got = fc.shrink_mask_cover(masks, full, order)
+            assert got == kept
+            assert fc.is_irredundant_mask_cover([masks[j] for j in got], full)
+
+    def test_hyperplane_masks_match_point_sets(self, rng):
+        p, n = 3, 2
+        normals = [tuple(int(c) for c in rng.integers(0, p, size=n)) for _ in range(6)]
+        values = [int(v) for v in rng.integers(-p, p, size=6)]
+        masks = fc.hyperplane_masks(p, n, normals, values)
+        for v, u, mask in zip(normals, values, masks):
+            want = sum(
+                1 << x.index for x in fc.enumerate_vectors(p, n) if x.dot(fc.FpVector(p, v)) == u % p
+            )
+            assert mask == want
+        assert fc.hyperplane_masks(p, n, [], []) == []
+
+
+def _union(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out

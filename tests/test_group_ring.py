@@ -323,3 +323,57 @@ class TestDebugDump:
         cyc = gr.binomial_product_cyc(V, (1,))
         dumped = cyc.dump()["coeffs"]
         assert all(isinstance(v, list) for v in dumped.values())
+
+
+def _irredundant_twist_reference(V: FpMultiset):
+    """The per-twist numpy loop is_c_irredundant used before its bitmask form."""
+    from fpvanish.fp_core import coords_array, coords_matrix
+
+    p, n, m = V.p, V.n, V.size
+    if m == 0:
+        return None
+    size = p**n
+    ips = (coords_matrix(p, n) @ coords_array(V).T) % p
+    for idx in range(p**m):
+        t = gr.twist_from_index(p, m, idx)
+        masks = [ips[:, i] == ((-t[i]) % p) for i in range(m)]
+        counts = np.zeros(size, dtype=np.int64)
+        for mk in masks:
+            counts += mk
+        if counts.min() == 0:
+            continue
+        if all((mk & (counts == 1)).any() for mk in masks):
+            return t
+    return None
+
+
+class TestComplexIrredundanceReference:
+    def test_matches_per_twist_loop(self, rng):
+        witnesses = 0
+        for _ in range(150):
+            p = int(rng.choice([2, 3, 5]))
+            n = int(rng.integers(1, 3))
+            m = int(rng.integers(1, 6 if p < 5 else 5))
+            rows = [tuple(int(c) for c in rng.integers(0, p, size=n)) for _ in range(m)]
+            if m >= 2 and rng.random() < 0.6:
+                # shared directions: parallel hyperplanes are what make covers
+                for k in range(1, m):
+                    if rng.random() < 0.7:
+                        a = int(rng.integers(1, p))
+                        rows[k] = tuple((a * c) % p for c in rows[0])
+            V = FpMultiset.from_coords(p, rows, n=n)
+            want = _irredundant_twist_reference(V)
+            assert gr.is_c_irredundant(V) == want
+            witnesses += want is not None
+        assert witnesses >= 10
+
+
+class TestProductTableCap:
+    def test_batched_tables_capped_as_a_whole(self, monkeypatch):
+        # 3^2 twists x 3 points x 2 coefficients = 54 cells
+        V = FpMultiset.from_coords(3, [[1], [1]])
+        monkeypatch.setattr(config, "RING_SIZE_CAP", 54)
+        assert gr.product_twist_verdicts(V).shape == (9,)
+        monkeypatch.setattr(config, "RING_SIZE_CAP", 53)
+        with pytest.raises(CapExceededError, match="54"):
+            gr.product_twist_verdicts(V)

@@ -1,76 +1,49 @@
-"""Backend parity: every kernel must agree between numba and pure numpy."""
+"""Kernels against plain reference code: ring products, loops and the verifier."""
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from fpvanish import _kernels as K
-from fpvanish.group_ring import CyclotomicInt
-
-HAVE_NUMBA = K._NUMBA_OK
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
+from fpvanish.arithmetic_sets import is_r_arithmetic
+from fpvanish.fp_core import FpVector
+from fpvanish.group_ring import CyclotomicInt, GroupRingCyc, GroupRingFp
 
 
-@pytest.fixture
-def both_backends():
-    saved = K.active_backend()
-    yield
-    K.set_backend(saved)
+def _random_vector(rng, p, n) -> FpVector:
+    return FpVector(p, tuple(int(c) for c in rng.integers(0, p, size=n)))
 
 
-def _run_both(fn, *args):
-    K.set_backend("numba")
-    a = fn(*args)
-    K.set_backend("numpy")
-    b = fn(*args)
-    return a, b
-
-
-class TestBackendSelection:
-    def test_set_and_query(self, both_backends):
-        K.set_backend("numpy")
-        assert K.active_backend() == "numpy"
-        K.set_backend("auto")
-        assert K.active_backend() == "numba"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            K.set_backend("cuda")
-
-
-class TestSubtractPerm:
-    def test_matches_manual_index_arithmetic(self):
-        p, n = 3, 2
-        dims = (p,) * n
-        v = (1, 2)
-        perm = K.subtract_perm(dims, v)
-        for y in range(p**n):
-            yc = divmod(y, p)
-            expected = ((yc[0] - v[0]) % p) * p + (yc[1] - v[1]) % p
-            assert perm[y] == expected
-
-    def test_scalar_case(self):
-        assert list(K.subtract_perm((), ())) == [0]
-
-
-class TestFpBinomialPower(object):
+class TestFpBinomialPower:
     @pytest.mark.parametrize("p,n,r", [(2, 2, 1), (3, 2, 2), (5, 1, 1), (5, 2, 3)])
-    def test_parity(self, both_backends, rng, p, n, r):
-        table = rng.integers(0, p, size=p**n).astype(np.int64)
-        v = tuple(int(c) for c in rng.integers(0, p, size=n))
-        a, b = _run_both(K.fp_binomial_power, table, (p,) * n, v, r, p)
-        assert np.array_equal(a, b)
+    def test_matches_ring_product(self, rng, p, n, r):
+        a = GroupRingFp(p, n, rng.integers(0, p, size=p**n))
+        v = _random_vector(rng, p, n)
+        factor = GroupRingFp.unit(p, n) - GroupRingFp.monomial(v)
+        want = a
+        for _ in range(r):
+            want = want * factor
+        got = K.fp_binomial_power(a.coeffs, (p,) * n, v.coords, r, p)
+        assert np.array_equal(got, want.coeffs)
 
 
 class TestCycBinomialPower:
-    @pytest.mark.parametrize("p,n,t,r", [(2, 1, 1, 1), (3, 2, 2, 1), (5, 2, 3, 2)])
-    def test_parity(self, both_backends, rng, p, n, t, r):
-        table = rng.integers(-4, 5, size=(p**n, p - 1)).astype(np.int64)
-        v = tuple(int(c) for c in rng.integers(0, p, size=n))
-        a, b = _run_both(K.cyc_binomial_power, table, (p,) * n, v, t, r, p)
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("p,n,t,r", [(2, 1, 1, 1), (3, 2, 2, 1), (5, 2, 3, 2), (3, 1, 0, 2)])
+    def test_matches_ring_product(self, rng, p, n, t, r):
+        a = GroupRingCyc(p, n, rng.integers(-4, 5, size=(p**n, p - 1)))
+        v = _random_vector(rng, p, n)
+        table = np.zeros((p**n, p - 1), dtype=np.int64)
+        table[0, 0] = 1
+        table[v.index] -= CyclotomicInt.root_power(p, t).coeffs
+        factor = GroupRingCyc(p, n, table)
+        want = a
+        for _ in range(r):
+            want = want * factor
+        got = K.cyc_binomial_power(a.table, (p,) * n, v.coords, t, r, p)
+        assert np.array_equal(got, want.table.astype(np.int64))
 
     def test_lambda_shift_matches_scalar_cyclotomic(self, rng):
         for p in (3, 5, 7):
@@ -85,13 +58,17 @@ class TestCycBinomialPower:
 
 class TestReachExpand:
     @pytest.mark.parametrize("p,n,r", [(2, 3, 1), (3, 2, 1), (5, 2, 2), (7, 1, 3)])
-    def test_parity(self, both_backends, rng, p, n, r):
+    def test_matches_plain_loop(self, rng, p, n, r):
         size = p**n
         reach = (rng.random(size) < 0.3).astype(np.uint8)
         reach[0] = 1
-        step = tuple(int(c) for c in rng.integers(0, p, size=n))
-        a, b = _run_both(K.reach_expand, reach, (p,) * n, step, r, p)
-        assert np.array_equal(a, b)
+        step = _random_vector(rng, p, n)
+        want = np.zeros(size, dtype=np.uint8)
+        for y in range(size):
+            yv = FpVector.from_index(p, n, y)
+            want[y] = any(reach[(yv - step.scale(e)).index] for e in range(-r, r + 1))
+        got = K.reach_expand(reach, (p,) * n, step.coords, r, p)
+        assert np.array_equal(got, want)
 
     def test_semantics_small(self):
         # F_5, step 2, r = 1: from {0} reach {0, 2, -2}.
@@ -101,20 +78,28 @@ class TestReachExpand:
         assert sorted(np.nonzero(out)[0]) == [0, 2, 3]
 
 
-class TestArithmeticMasks:
+class TestArithmeticVerifier:
     @pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (7, 2), (11, 3)])
-    def test_parity(self, both_backends, rng, p, r):
+    def test_matches_is_r_arithmetic(self, rng, p, r):
         masks = (rng.random((64, p)) < 0.5).astype(np.uint8)
-        a, b = _run_both(K.masks_arithmetic_ok, masks, r, p)
-        assert np.array_equal(a, b)
+        masks[0] = 1  # the whole field always passes
+        batch = K.masks_arithmetic_ok(masks, r, p)
+        per_element = K._element_ok(masks.astype(bool), r, p)
+        for s, mask in enumerate(masks.astype(bool)):
+            check = is_r_arithmetic(np.nonzero(mask)[0].tolist(), r, p)
+            single = K._element_ok(mask, r, p)
+            violating = set(np.nonzero(~single)[0].tolist())
+            assert bool(batch[s]) == check.ok
+            assert np.array_equal(per_element[:, s], single)
+            if check.ok:
+                assert violating == set()
+            else:
+                assert check.failing in violating
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
-    def test_scan_parity(self, both_backends, p):
-        K.set_backend("numba")
-        a = K.scan_combinations(p, 1, 4)
-        K.set_backend("numpy")
-        b = K.scan_combinations(p, 1, 4)
-        if a is None:
-            assert b is None
-        else:
-            assert list(a) == list(b)
+    def test_scan_finds_first_lexicographic_set(self, p):
+        want = next(
+            (list(c) for c in combinations(range(p), 4) if is_r_arithmetic(c, 1, p)), None
+        )
+        got = K.scan_combinations(p, 1, 4)
+        assert (None if got is None else list(got)) == want

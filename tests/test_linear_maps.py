@@ -107,3 +107,36 @@ class TestEnumerators:
     def test_matrix_rank(self):
         assert lm.matrix_rank(np.array([[1, 2], [2, 4]]), 5) == 1
         assert lm.matrix_rank(np.array([[1, 2], [2, 5]]), 7) == 2
+
+
+class TestCertificateReference:
+    def test_triples_match_plain_greedy(self, rng):
+        made = 0
+        for _ in range(60):
+            p = int(rng.choice([2, 3, 5]))
+            n = 2
+            k = int(rng.integers(1, 4))
+            mats = [lm.random_invertible(p, n, rng) for _ in range(k)]
+            X = [
+                [[v for v in range(p) if rng.random() < 0.5] or [0] for _ in range(n)]
+                for _ in range(k)
+            ]
+            S = lm.ChoiceSystem(p, mats, X)
+            if lm.find_witness(S) is not None:
+                continue
+            made += 1
+            points = list(enumerate_vectors(p, n))
+            triples = sorted(
+                (i, j, t) for i in range(k) for j in range(n) for t in range(p) if t not in S.choice_sets[i][j]
+            )
+            hit = {
+                (i, j, t): {x for x in points if int((S.matrices[i] @ np.array(x.coords))[j] % p) == t}
+                for i, j, t in triples
+            }
+            kept = list(triples)
+            for tr in triples:
+                trial = [u for u in kept if u != tr]
+                if set().union(*(hit[u] for u in trial)) == set(points):
+                    kept = trial
+            assert list(lm.failure_certificate(S).triples) == kept
+        assert made >= 10
