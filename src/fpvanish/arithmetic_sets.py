@@ -234,6 +234,25 @@ def _doubling_seed(p: int, c: int, size: int, rng: np.random.Generator) -> np.nd
     return np.array(sorted(out[:size]), dtype=np.int64)
 
 
+def _toggle_member(mask: np.ndarray, mids: np.ndarray, x: int, p: int) -> None:
+    """Flip x into or out of the set, keeping mids[m] = #{pairs {y, z} of
+    distinct members with y + z = 2m}.
+
+    The midpoints (x + y) / 2 of x with the other members y are distinct, so
+    one indexed add updates them all in O(|S|).
+    """
+    sign = -1 if mask[x] else 1
+    mask[x] = False
+    others = np.nonzero(mask)[0]
+    mids[(x + others) * ((p + 1) // 2) % p] += sign
+    mask[x] = sign > 0
+
+
+def _midpoint_violations(mask: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """Members (sorted) that are the midpoint of no pair of distinct members."""
+    return np.nonzero(mask & (mids == 0))[0]
+
+
 def find_small_arithmetic_set(
     p: int,
     seed: int = 0,
@@ -246,6 +265,20 @@ def find_small_arithmetic_set(
     repair) behind a mandatory verifier gate.  For small p the search space
     is exhausted instead, so nonexistence is reported definitively.  Failure
     raises SearchBudgetExceededError; an unverified set is never returned.
+
+    For r = 1 a member a passes exactly when it is the midpoint of two
+    distinct members: y = a - b and z = a + b with b != 0 are distinct since
+    p is odd, and conversely y + z = 2a with y != z gives b = z - a.  A
+    non-member a passes as soon as some member y exists (b = y - a), and the
+    search always holds min(target, p - 1) >= 3 elements (p >= 5 and
+    target >= size_lower_bound >= 3).  So the only violations are members a
+    with mids[a] == 0, where mids[m] counts the unordered pairs of distinct
+    members with midpoint m.  The counts are built one element at a time, and
+    every swap and its undo go through the same toggle, which moves each count
+    by exactly the pairs it gains or loses: O(|S|) per toggle instead of an
+    O(p^2) re-verification.  Each evaluation of the violation set counts as
+    one verifier call against `budget`.  ArithmeticSet.verified re-checks the
+    result independently.
     """
     p = _as_prime(p)
     if p < 5:
@@ -286,32 +319,31 @@ def find_small_arithmetic_set(
         else:
             members = rng.choice(np.arange(1, p), size=min(target, p - 1), replace=False)
         mask = np.zeros(p, dtype=bool)
-        mask[members] = True
+        mids = np.zeros(p, dtype=np.int64)
+        for x in members:
+            _toggle_member(mask, mids, int(x), p)
 
-        bad = np.nonzero(~_kernels._element_ok(mask, r, p))[0]
+        bad = _midpoint_violations(mask, mids)
         calls += 1
         stall = 0
         while bad.size and calls < budget and stall < 6 * p:
+            # Violations are members only, so a is always a member: swap it
+            # out for a random non-member.
             a = int(bad[rng.integers(bad.size)]) if rng.random() < 0.8 else int(
                 rng.choice(np.nonzero(mask)[0])
             )
-            if not mask[a]:
-                # a violated out-of-set element: bring it in by swapping
-                out_elt = int(rng.choice(np.nonzero(mask)[0]))
-                mask[a], mask[out_elt] = True, False
-                swapped = (a, out_elt)
-            else:
-                cand = np.nonzero(~mask)[0]
-                new_elt = int(cand[rng.integers(cand.size)])
-                mask[a], mask[new_elt] = False, True
-                swapped = (new_elt, a)
-            new_bad = np.nonzero(~_kernels._element_ok(mask, r, p))[0]
+            cand = np.nonzero(~mask)[0]
+            new_elt = int(cand[rng.integers(cand.size)])
+            _toggle_member(mask, mids, a, p)
+            _toggle_member(mask, mids, new_elt, p)
+            new_bad = _midpoint_violations(mask, mids)
             calls += 1
             if new_bad.size <= bad.size:
                 stall = 0 if new_bad.size < bad.size else stall + 1
                 bad = new_bad
             else:
-                mask[swapped[0]], mask[swapped[1]] = False, True
+                _toggle_member(mask, mids, new_elt, p)
+                _toggle_member(mask, mids, a, p)
                 stall += 1
         if not bad.size:
             elements = [int(x) for x in np.nonzero(mask)[0]]

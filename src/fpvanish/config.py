@@ -3,14 +3,15 @@
 All caps are overridable per call; these module constants only provide the
 defaults.  Dense group-ring elements are tables of p^n coefficients, so
 RING_SIZE_CAP bounds memory for a single element and for the batched
-twist tables of the product oracle.
+twist tables of the product oracle, and the work of the cover oracle.
 """
 
 from __future__ import annotations
 
 # Largest dense group-ring table (p^n entries) built by default; also the
 # largest batch of cyclotomic product tables (p^|V| * p^n * (p-1) int64
-# cells, 80 MB) that product_twist_verdicts allocates.
+# cells, 80 MB) that product_twist_verdicts allocates, and the most covering
+# table updates (p^|V| cells for each of p^n points) cover_twist_verdicts makes.
 RING_SIZE_CAP = 10**7
 
 # Largest abelian group order for exact coset-cover searches.

@@ -8,7 +8,7 @@ groups at the searchable cap (order <= 32) fit in one machine word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import config
@@ -570,12 +570,14 @@ class HyperplaneCoverInstance:
     The sign convention matches the twisted binomial factors: the factor
     (1 - w^t g^v) has Fourier zero set exactly {x : <x, v> = -t}, so the
     correspondence with a twisted multiset is the identity on (v, t) pairs.
+    `cap` bounds the p^n points that the bitmask checks enumerate.
     """
 
     p: int
     n: int
     normals: tuple[FpVector, ...]
     offsets: tuple[int, ...]
+    cap: Optional[int] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.normals) != len(self.offsets):
@@ -594,7 +596,7 @@ class HyperplaneCoverInstance:
 
     def masks(self) -> list[int]:
         normals = [v.coords for v in self.normals]
-        return hyperplane_masks(self.p, self.n, normals, [-t for t in self.offsets])
+        return hyperplane_masks(self.p, self.n, normals, [-t for t in self.offsets], self.cap)
 
     def _full(self) -> int:
         return (1 << self.p**self.n) - 1
@@ -618,6 +620,7 @@ class HyperplaneCoverInstance:
             self.n,
             tuple(self.normals[i] for i in kept),
             tuple(self.offsets[i] for i in kept),
+            self.cap,
         )
 
     def codimension(self) -> int:

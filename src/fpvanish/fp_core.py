@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import config
-from .errors import CapExceededError, NotInSpanError
+from .errors import CapExceededError, InvariantViolationError, NotInSpanError
 
 
 def is_prime(p: int) -> bool:
@@ -262,7 +262,8 @@ def solve_combination(vectors: Sequence[FpVector], x: FpVector) -> Optional[list
     """Coefficients c with sum(c_i * v_i) = x, or None if x is not in the span.
 
     Deterministic: elimination with canonical pivoting; coefficients of
-    entries unused by the pivot structure are 0.
+    entries unused by the pivot structure are 0.  Coefficients that fail the
+    final re-check raise InvariantViolationError.
     """
     p = x.p
     n = x.n
@@ -281,12 +282,12 @@ def solve_combination(vectors: Sequence[FpVector], x: FpVector) -> Optional[list
     coeffs = [0] * m
     for row, col in enumerate(pivots):
         coeffs[col] = int(rref[row, m])
-    # Re-verify (cheap, and guards elimination bugs).
+    # Re-verify (cheap): a mismatch is an elimination bug, not a verdict.
     acc = FpVector(p, (0,) * n)
     for c, v in zip(coeffs, vectors):
         acc = acc + v.scale(c)
     if acc != x:
-        return None
+        raise InvariantViolationError(f"solved coefficients {coeffs} fail re-verification for {x}")
     return coeffs
 
 
@@ -405,10 +406,16 @@ def coords_matrix(p: int, n: int, cap: Optional[int] = None) -> np.ndarray:
 # Bitmask covers: bit i of a mask is the point with canonical index i.
 
 
-def hyperplane_masks(p: int, n: int, normals: Sequence[Sequence[int]], values: Sequence[int]) -> list[int]:
+def hyperplane_masks(
+    p: int,
+    n: int,
+    normals: Sequence[Sequence[int]],
+    values: Sequence[int],
+    cap: Optional[int] = None,
+) -> list[int]:
     """Bitmask of each affine hyperplane {x in F_p^n : <x, normals[i]> = values[i]}."""
     normals = np.asarray(normals, dtype=np.int64).reshape(len(values), n)
-    hits = (coords_matrix(p, n) @ normals.T) % p == np.asarray(values, dtype=np.int64) % p
+    hits = (coords_matrix(p, n, cap) @ normals.T) % p == np.asarray(values, dtype=np.int64) % p
     packed = np.packbits(hits.T, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 

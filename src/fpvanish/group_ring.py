@@ -491,6 +491,12 @@ def cover_twist_verdicts(V: FpMultiset, cap: Optional[int] = None) -> np.ndarray
     if m == 0:
         return np.zeros(1, dtype=bool)
     size = check_ring_cap(p, n)
+    work = total * size
+    if work > config.RING_SIZE_CAP:
+        raise CapExceededError(
+            f"covering table updates p^|V| * p^n = {total} * {size} = {work} "
+            f"exceed cap {config.RING_SIZE_CAP}"
+        )
     cm = coords_matrix(p, n)
     ips = (cm @ coords_array(V).T) % p  # (p^n, m)
     rng = np.arange(p)

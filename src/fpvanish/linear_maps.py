@@ -22,7 +22,6 @@ from .fp_core import (
     FpMultiset,
     FpVector,
     _as_prime,
-    check_ring_cap,
     coords_matrix,
     hyperplane_masks,
     rref_mod_p,
@@ -98,8 +97,7 @@ class ChoiceSystem:
 def find_witness(S: ChoiceSystem, cap: Optional[int] = None) -> Optional[FpVector]:
     """Exhaustive scan in canonical vector order; lexicographically least hit."""
     p, n = S.p, S.n
-    check_ring_cap(p, n, cap)
-    cm = coords_matrix(p, n)
+    cm = coords_matrix(p, n, cap)
     allowed = np.zeros((S.k, n, p), dtype=bool)
     for i in range(S.k):
         for j in range(n):
@@ -164,7 +162,8 @@ def failure_certificate(S: ChoiceSystem, cap: Optional[int] = None) -> CoverCert
                 if t not in S.choice_sets[i][j]:
                     triples.append((i, j, t))
     triples.sort()
-    masks = hyperplane_masks(p, n, [S.matrices[i][j] for i, j, _ in triples], [t for _, _, t in triples])
+    normals = [S.matrices[i][j] for i, j, _ in triples]
+    masks = hyperplane_masks(p, n, normals, [t for _, _, t in triples], cap)
     full = (1 << p**n) - 1
     union = 0
     for m in masks:
@@ -177,6 +176,7 @@ def failure_certificate(S: ChoiceSystem, cap: Optional[int] = None) -> CoverCert
         n,
         tuple(S.row_vector(i, j) for i, j, _ in kept),
         tuple((-t) % p for _, _, t in kept),
+        cap,
     )
     return CoverCertificate(tuple(kept), instance)
 

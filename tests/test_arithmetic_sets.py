@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpvanish import _kernels
 from fpvanish import arithmetic_sets as ar
 from fpvanish.errors import CapExceededError, SearchBudgetExceededError
 
@@ -140,6 +144,85 @@ class TestSmallSetSearch:
     def test_requires_p_at_least_5(self):
         with pytest.raises(ValueError):
             ar.find_small_arithmetic_set(3)
+
+    # Frozen outputs of the seeded search: the RNG call order, the swap
+    # acceptance rule and the one-call-per-evaluation budget fix them.
+    @pytest.mark.parametrize(
+        "p, seed, elements",
+        [
+            (11, 0, [0, 1, 2, 4, 7]),
+            (13, 1, [0, 1, 2, 3, 5, 8]),
+            (101, 0, [9, 11, 26, 31, 41, 46, 51, 54, 67, 69, 93, 98]),
+            (101, 1, [1, 9, 20, 37, 44, 53, 66, 67, 73, 79, 88, 97]),
+            (197, 0, [0, 18, 30, 60, 81, 96, 111, 137, 140, 154, 158, 162, 163, 184]),
+            (197, 1, [21, 22, 31, 48, 86, 88, 93, 104, 141, 153, 155, 157, 186, 189]),
+        ],
+    )
+    def test_pinned_search_results(self, p, seed, elements):
+        assert ar.find_small_arithmetic_set(p, seed=seed).sorted_elements() == elements
+
+    @pytest.mark.parametrize(
+        "p, seed, budget, target, message",
+        [
+            (151, 0, 3, None, "no verified arithmetic set of size <= 14 found in F_151 "
+             "within 3 verifier calls (best candidate had 4 violations)"),
+            (53, 2, 200, 8, "no verified arithmetic set of size <= 8 found in F_53 "
+             "within 200 verifier calls (best candidate had 1 violations)"),
+        ],
+    )
+    def test_pinned_budget_messages(self, p, seed, budget, target, message):
+        with pytest.raises(SearchBudgetExceededError) as info:
+            ar.find_small_arithmetic_set(p, seed=seed, budget=budget, target=target)
+        assert str(info.value) == message
+
+
+PRIMES_TO_61 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+
+
+@st.composite
+def swap_runs(draw):
+    """A prime, a start set of size >= 3 and a sequence of swaps and undos."""
+    p = draw(st.sampled_from(PRIMES_TO_61))
+    start = draw(st.sets(st.integers(0, p - 1), min_size=3, max_size=p - 1))
+    picks = st.integers(0, 10**6)
+    moves = draw(st.lists(st.tuples(st.booleans(), picks, picks), max_size=30))
+    return p, sorted(start), moves
+
+
+class TestMidpointCounts:
+    """The search's incremental midpoint counts against the full verifier."""
+
+    @staticmethod
+    def _check(mask, mids, p):
+        want = np.nonzero(~_kernels._element_ok(mask, 1, p))[0]
+        assert np.array_equal(ar._midpoint_violations(mask, mids), want)
+        direct = np.zeros(p, dtype=np.int64)
+        for y, z in combinations(np.nonzero(mask)[0].tolist(), 2):
+            direct[(y + z) * pow(2, -1, p) % p] += 1
+        assert np.array_equal(mids, direct)
+
+    @settings(max_examples=150, deadline=None)
+    @given(swap_runs())
+    def test_incremental_violations_match_verifier(self, run):
+        p, start, moves = run
+        mask = np.zeros(p, dtype=bool)
+        mids = np.zeros(p, dtype=np.int64)
+        for x in start:
+            ar._toggle_member(mask, mids, x, p)
+        self._check(mask, mids, p)
+        history = []
+        for undo, i, j in moves:
+            if undo and history:
+                a, b = history.pop()
+                ar._toggle_member(mask, mids, b, p)
+                ar._toggle_member(mask, mids, a, p)
+            else:
+                members, outside = np.nonzero(mask)[0], np.nonzero(~mask)[0]
+                a, b = int(members[i % members.size]), int(outside[j % outside.size])
+                ar._toggle_member(mask, mids, a, p)
+                ar._toggle_member(mask, mids, b, p)
+                history.append((a, b))
+            self._check(mask, mids, p)
 
 
 class TestSmallestSizeDispatch:

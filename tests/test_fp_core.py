@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpvanish import fp_core as fc
-from fpvanish.errors import CapExceededError
+from fpvanish.errors import CapExceededError, InvariantViolationError
 
 from conftest import random_multiset
 
@@ -166,6 +166,18 @@ class TestSolveCombination:
     def test_unsolvable(self):
         vecs = [fc.FpVector(5, (1, 0))]
         assert fc.solve_combination(vecs, fc.FpVector(5, (0, 1))) is None
+
+    def test_failed_recheck_is_an_invariant_violation(self, monkeypatch):
+        real = fc.rref_mod_p
+
+        def corrupted(rows, p):
+            rref, pivots = real(rows, p)
+            rref[0, -1] = (rref[0, -1] + 1) % p
+            return rref, pivots
+
+        monkeypatch.setattr(fc, "rref_mod_p", corrupted)
+        with pytest.raises(InvariantViolationError):
+            fc.solve_combination([fc.FpVector(5, (1, 0))], fc.FpVector(5, (2, 0)))
 
     def test_respects_multiplicity(self, rng):
         for _ in range(20):

@@ -377,3 +377,14 @@ class TestProductTableCap:
         monkeypatch.setattr(config, "RING_SIZE_CAP", 53)
         with pytest.raises(CapExceededError, match="54"):
             gr.product_twist_verdicts(V)
+
+
+class TestCoverVerdictCap:
+    def test_cover_table_work_capped_as_a_whole(self, monkeypatch):
+        # 3^2 twists x 3 points = 27 covering-table updates
+        V = FpMultiset.from_coords(3, [[1], [1]])
+        monkeypatch.setattr(config, "RING_SIZE_CAP", 27)
+        assert gr.cover_twist_verdicts(V).shape == (9,)
+        monkeypatch.setattr(config, "RING_SIZE_CAP", 26)
+        with pytest.raises(CapExceededError, match="27"):
+            gr.cover_twist_verdicts(V)

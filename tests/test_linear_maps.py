@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fpvanish import config
 from fpvanish import linear_maps as lm
 from fpvanish.errors import PreconditionError
 from fpvanish.fp_core import FpVector, enumerate_vectors
@@ -49,12 +50,24 @@ class TestFindWitness:
         S = lm.ChoiceSystem(2, [[[1]], [[1]]], [[[0]], [[1]]])
         assert lm.find_witness(S) is None
 
+    def test_cap_can_be_raised(self, monkeypatch):
+        monkeypatch.setattr(config, "RING_SIZE_CAP", 4)
+        S = lm.ChoiceSystem.nonzero(3, [np.eye(2, dtype=int)])
+        assert lm.find_witness(S, cap=100) == FpVector(3, (1, 1))
+
 
 class TestFailureCertificate:
     def test_requires_failure(self):
         S = lm.ChoiceSystem(2, [[[1]]], [[[0]]])
         with pytest.raises(PreconditionError):
             lm.failure_certificate(S)
+
+    def test_cap_can_be_raised(self, monkeypatch):
+        monkeypatch.setattr(config, "RING_SIZE_CAP", 4)
+        eye = np.eye(2, dtype=int)
+        S = lm.ChoiceSystem(3, [eye, eye], [[[0], [0]], [[1], [1]]])
+        cert = lm.failure_certificate(S, cap=100)
+        assert cert.instance.is_irredundant_cover()
 
     def test_two_point_cover(self):
         S = lm.ChoiceSystem(2, [[[1]], [[1]]], [[[0]], [[1]]])
