@@ -223,12 +223,18 @@ def _all_tuples(p: int, k: int):
             yield (head,) + rest
 
 
+def _with_raised(detail: str, raised: set[str]) -> str:
+    """Append the sorted names of the exception types a criterion caught."""
+    return f"{detail}; raised {', '.join(sorted(raised))}" if raised else detail
+
+
 def criterion_6_descent(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Descent representation succeeds on every span element of 100 instances."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 6)
     checked = failed = 0
     instances = 0
+    raised: set[str] = set()
     for p in (5, 7):
         A = ar.min_arithmetic_set(p)
         for n in (1, 2):
@@ -239,7 +245,8 @@ def criterion_6_descent(seed: int = DEFAULT_SEED) -> CriterionResult:
                     checked += 1
                     try:
                         rep = dc.represent_in_set(x, V, A, 1)
-                    except Exception:
+                    except Exception as exc:
+                        raised.add(type(exc).__name__)
                         failed += 1
                         continue
                     if any(c not in A.elements for c in rep.coefficients):
@@ -251,7 +258,7 @@ def criterion_6_descent(seed: int = DEFAULT_SEED) -> CriterionResult:
         6,
         "coefficient descent vs brute force",
         failed == 0,
-        f"{instances} instances, {checked - failed}/{checked} targets",
+        _with_raised(f"{instances} instances, {checked - failed}/{checked} targets", raised),
         time.perf_counter() - t0,
     )
 
@@ -268,6 +275,7 @@ def criterion_7_additive_basis(seed: int = DEFAULT_SEED) -> CriterionResult:
                 return M
 
     checked = failed = 0
+    raised: set[str] = set()
     # Regime (i): p = 5, coefficients from a 4-element arithmetic set.
     A5 = ar.min_arithmetic_set(5)
     for n in (1, 2, 3):
@@ -284,7 +292,8 @@ def criterion_7_additive_basis(seed: int = DEFAULT_SEED) -> CriterionResult:
             checked += 1
             try:
                 rep = plan.decompose(w)
-            except Exception:
+            except Exception as exc:
+                raised.add(type(exc).__name__)
                 failed += 1
                 continue
             if any(c not in A5.elements for c in rep.coefficients):
@@ -298,7 +307,8 @@ def criterion_7_additive_basis(seed: int = DEFAULT_SEED) -> CriterionResult:
             checked += 1
             try:
                 rep = plan.decompose(w)
-            except Exception:
+            except Exception as exc:
+                raised.add(type(exc).__name__)
                 failed += 1
                 continue
             if 0 in rep.coefficients:
@@ -307,7 +317,7 @@ def criterion_7_additive_basis(seed: int = DEFAULT_SEED) -> CriterionResult:
         7,
         "additive-basis decomposition",
         failed == 0,
-        f"{checked - failed}/{checked} targets decomposed",
+        _with_raised(f"{checked - failed}/{checked} targets decomposed", raised),
         time.perf_counter() - t0,
     )
 

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     SearchBudgetExceededError,
 )
-from .fp_core import FpMultiset, FpVector
+from .fp_core import FpMultiset, FpVector, check_ring_cap
 
 FORMAT_VERSION = 1
 
@@ -158,7 +158,8 @@ def _cmd_vanishing(args) -> int:
         verdict = gr.is_fp_vanishing(V, r, cap=args.cap_ring)
         _emit({"field": "fp", "p": V.p, "n": V.n, "r": r, "vanishing": verdict}, args)
     else:
-        witness = gr.is_c_vanishing(V, r, cap=args.cap_ring)
+        check_ring_cap(V.p, V.n, args.cap_ring)
+        witness = gr.is_c_vanishing(V, r)
         payload = {"field": "c", "p": V.p, "n": V.n, "r": r, "vanishing": witness is not None}
         if witness is not None:
             payload["twists"] = list(witness)

@@ -2,8 +2,9 @@
 
 All caps are overridable per call; these module constants only provide the
 defaults.  Dense group-ring elements are tables of p^n coefficients, so
-RING_SIZE_CAP bounds memory for a single element and for the batched
-twist tables of the product oracle, and the work of the cover oracle.
+RING_SIZE_CAP bounds memory for a single element, for the reachable-sums
+table of the representability oracle and for the batched twist tables of
+the product oracle, and the work of the cover oracle.
 """
 
 from __future__ import annotations
@@ -20,11 +21,6 @@ GROUP_ORDER_CAP_PRUNED = 32
 
 # Largest twist-search space p^|V| for complex-vanishing searches.
 TWIST_SEARCH_CAP = 10**6
-
-# Largest enumeration for the brute-force representability oracle: direct
-# |A|^|V| scan within the cap, else meet-in-the-middle with half-spaces
-# within the same cap.
-BRUTE_FORCE_CAP = 2 * 10**6
 
 # Exhaustive minimization cap for arithmetic sets (r = 1).
 MIN_ARITHMETIC_P_CAP = 31

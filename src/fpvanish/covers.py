@@ -429,7 +429,6 @@ def _cover_dfs(
     full: int,
     max_size: int,
     accept: Optional[Callable[[list[int]], bool]],
-    first_only: bool,
 ) -> Iterator[list[int]]:
     """Enumerate irredundant covers by index sets, deduplicated.
 
@@ -482,7 +481,7 @@ def enumerate_irredundant_covers(
     pool = group.subgroups() if subgroup_pool is None else list(subgroup_pool)
     cosets = _all_cosets(group, pool)
     masks = [c[2] for c in cosets]
-    for chosen in _cover_dfs(masks, _full_mask(group), max_size, None, False):
+    for chosen in _cover_dfs(masks, _full_mask(group), max_size, None):
         yield CosetCover(group, tuple((cosets[i][0], cosets[i][1]) for i in chosen))
 
 
@@ -506,7 +505,7 @@ def _phi_search(
         return len(elems) == 1
 
     for k in range(1, group.order + 1):
-        for chosen in _cover_dfs(masks, full, k, accept, True):
+        for chosen in _cover_dfs(masks, full, k, accept):
             cover = CosetCover(group, tuple((cosets[i][0], cosets[i][1]) for i in chosen))
             return len(chosen), cover
     return None
@@ -674,7 +673,7 @@ def enumerate_irredundant_hyperplane_covers(
     masks = hyperplane_masks(p, n, [v.coords for v, _ in pool], [-t for _, t in pool])
     full = (1 << p**n) - 1
     cap = max_size if max_size is not None else len(pool)
-    for chosen in _cover_dfs(masks, full, cap, None, False):
+    for chosen in _cover_dfs(masks, full, cap, None):
         yield HyperplaneCoverInstance(
             p,
             n,

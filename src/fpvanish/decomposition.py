@@ -15,6 +15,10 @@ The additive-basis decomposition recurses on dimension: extract an
 irredundant V from the pooled bases, split the space along T = span(V),
 decompose the target's complement part over the projected pool, then solve
 the T-part over V by descent.
+
+The oracle brute_force_representable re-certifies representability without
+the descent: a table of every sum reachable over F_p^n, one entry of V at a
+time.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels, config
+from . import _kernels
 from .arithmetic_sets import ArithmeticSet
 from .errors import (
-    CapExceededError,
     InvariantViolationError,
     NotInSpanError,
     PreconditionError,
@@ -36,11 +39,12 @@ from .fp_core import (
     FpMultiset,
     FpVector,
     SpanDecomposition,
+    check_ring_cap,
     quotient_split,
     solve_combination,
     span_dimension,
 )
-from .group_ring import binomial_product_fp, is_fp_vanishing
+from .group_ring import is_fp_vanishing
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,6 @@ def find_epsilon_relation(
     r: int,
     b: Sequence[int],
     w_index: int,
-    cross_check: bool = False,
 ) -> EpsilonRelation:
     """Find a balanced relation singling out entry w, by reachability DP.
 
@@ -122,14 +125,6 @@ def find_epsilon_relation(
         raise PreconditionError("scalings b must be total on V and nonzero")
     dims = (p,) * n
     size = p**n
-
-    if cross_check:
-        others = FpMultiset(p, n, tuple(v for j, v in enumerate(V.entries) if j != w_index))
-        scaled = FpMultiset(p, n, tuple(v.scale(bb[j]) for j, v in enumerate(V.entries) if j != w_index))
-        if binomial_product_fp(scaled, r).is_zero():
-            raise PreconditionError(
-                "proper subset already vanishes; V was not irredundant"
-            )
 
     steps = [
         (j, V[j].scale(bb[j]))
@@ -378,46 +373,33 @@ def _element_pool(A) -> list[int]:
     return sorted(set(int(x) for x in A))
 
 
-def _all_pool_sums(pool: np.ndarray, rows: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Coordinate table of every sum(c_i * rows_i) with c_i ranging over pool."""
-    sums = np.zeros((1, n), dtype=np.int64)
-    for row in rows:
-        add = (pool[:, None] * row[None, :]) % p
-        sums = (sums[:, None, :] + add[None, :, :]).reshape(-1, n) % p
-    return sums
-
-
 def brute_force_representable(
     x: FpVector, V: FpMultiset, A, cap: Optional[int] = None
 ) -> bool:
     """True iff some choice a in A^V has sum(a_v v) = x; exhaustive oracle.
 
-    Enumerates A^V outright when small, otherwise meets in the middle on a
-    split of V.  Independent of the descent path by construction.
+    Keeps the table R of every sum reachable over the entries seen so far:
+    R_0 = {0} and R_{i+1} = union over a in A of (R_i + a v_i), each
+    translate a roll of the (p,)*n grid.  That is |V| |A| p^n boolean steps
+    in O(p^n) memory, independent of the descent's reachability kernel.
+    `cap` bounds p^n as the ring cap does.
     """
-    from .fp_core import coords_array
-
-    pool = np.array(_element_pool(A), dtype=np.int64)
-    m = V.size
     p, n = x.p, x.n
-    if m == 0:
-        return x.is_zero()
-    rows = coords_array(V)
-    target = np.array(x.coords, dtype=np.int64)
-    total = len(pool) ** m
-    cap = config.BRUTE_FORCE_CAP if cap is None else cap
-    if total <= cap:
-        sums = _all_pool_sums(pool, rows, p, n)
-        return bool((sums == target).all(axis=1).any())
-    half = m // 2
-    if len(pool) ** max(half, m - half) > cap:
-        raise CapExceededError(
-            f"brute-force space |A|^|V| = {len(pool)}^{m} exceeds the configured cap"
-        )
-    radix = p ** np.arange(n - 1, -1, -1, dtype=np.int64) if n else np.zeros(0, dtype=np.int64)
-    left_idx = np.unique(_all_pool_sums(pool, rows[:half], p, n) @ radix)
-    need = (target[None, :] - _all_pool_sums(pool, rows[half:], p, n)) % p
-    return bool(np.isin(need @ radix, left_idx).any())
+    if (V.p, V.n) != (p, n):
+        raise PreconditionError("target and multiset live in different spaces")
+    check_ring_cap(p, n, cap)
+    pool = _element_pool(A)
+    axes = tuple(range(n))
+    reach = np.zeros((p,) * n, dtype=bool)
+    reach[(0,) * n] = True
+    for v in V.entries:
+        shifts = {tuple(a * c % p for c in v.coords) for a in pool}
+        nxt = np.zeros_like(reach)
+        for s in shifts:
+            # np.roll rejects axis=(); F_p^0 is a single point
+            nxt |= np.roll(reach, s, axis=axes) if n else reach
+        reach = nxt
+    return bool(reach[x.coords])
 
 
 def verify_size_bound(V: FpMultiset, s: int) -> bool:

@@ -24,3 +24,16 @@ def test_criterion(criterion):
     result = criterion(ac.DEFAULT_SEED)
     print(result.line())
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("criterion", [ac.criterion_6_descent, ac.criterion_7_additive_basis])
+def test_caught_exception_types_reported(criterion, monkeypatch):
+    from fpvanish import decomposition as dc
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(dc, "represent_in_set", broken)
+    result = criterion(ac.DEFAULT_SEED)
+    assert not result.passed
+    assert result.detail.endswith("; raised ZeroDivisionError")

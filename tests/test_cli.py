@@ -102,6 +102,24 @@ class TestVanishingCommands:
         assert code == 3
         assert "cap" in err
 
+    def test_c_vanishing_cap_ring_caps_the_space(self, capsys):
+        code, out, err = run_cli(
+            capsys, "vanishing", "--field", "c", "--p", "3", "--n", "3",
+            "--vectors", "[[1,0,0]]", "--cap-ring", "10",
+        )
+        assert code == 3
+        assert out == ""
+        assert "p^n = 3^3 = 27 exceeds cap 10" in err and "Traceback" not in err
+
+    def test_c_vanishing_cap_ring_is_not_the_twist_cap(self, capsys):
+        code, out, err = run_cli(
+            capsys, "vanishing", "--field", "c", "--p", "3", "--n", "1",
+            "--vectors", "[[1],[1],[1]]", "--cap-ring", "20",
+        )
+        assert code == 0
+        assert json.loads(out)["twists"] == [0, 1, 2]
+        assert "Traceback" not in err
+
 
 class TestDecomposeCommand:
     def test_fixture(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,18 @@ from fpvanish.errors import (
 from fpvanish.fp_core import FpMultiset, FpVector, enumerate_vectors, span_dimension
 
 from conftest import random_multiset
+
+
+def _reference_sums(V, pool):
+    """Every sum(a_v * v) over all choices in pool^V, by plain enumeration."""
+    p, n = V.p, V.n
+    out = set()
+    for choice in itertools.product(sorted(set(pool)), repeat=V.size):
+        acc = [0] * n
+        for a, v in zip(choice, V.entries):
+            acc = [(s + a * c) % p for s, c in zip(acc, v.coords)]
+        out.add(tuple(acc))
+    return out
 
 
 def seeded_irredundant(rng, p, n, r=1):
@@ -47,11 +61,6 @@ class TestEpsilonRelation:
         V = FpMultiset.from_coords(5, [[1, 0], [0, 1]])
         with pytest.raises(PreconditionError):
             dc.find_epsilon_relation(V, 1, [1, 1], 0)
-
-    def test_cross_check_flag(self, rng):
-        V = seeded_irredundant(rng, 3, 1)
-        rel = dc.find_epsilon_relation(V, 1, [1] * V.size, 0, cross_check=True)
-        assert rel.eps_w in (1,)
 
     def test_random_relations_reverify(self, rng):
         for _ in range(15):
@@ -124,21 +133,46 @@ class TestBruteForce:
         assert dc.brute_force_representable(FpVector(5, (1, 1)), V, [1])
         assert not dc.brute_force_representable(FpVector(5, (2, 2)), V, [1])
 
-    def test_meet_in_middle_matches_direct(self, rng):
-        for _ in range(10):
-            p = 5
-            V = random_multiset(rng, p, 2, 9)
-            x = FpVector(p, tuple(int(c) for c in rng.integers(0, p, 2)))
-            pool = [1, 2, 3]
-            direct = dc.brute_force_representable(x, V, pool)
-            # 3^9 exceeds a cap of 1000, 3^5 does not: forces the split path
-            mitm = dc.brute_force_representable(x, V, pool, cap=1000)
-            assert direct == mitm
+    def test_matches_product_enumeration(self, rng):
+        cases = [
+            # zero vectors in V, 0 in A, repeated pool values, an empty V
+            (5, 2, [[0, 0], [1, 2], [0, 0]], [1, 2]),
+            (5, 2, [[1, 0], [0, 1]], [0, 3]),
+            (7, 1, [[3]] * 4, [2, 2, 5]),
+            (3, 3, [], [1, 2]),
+        ]
+        while len(cases) < 60:
+            p = int(rng.choice([2, 3, 5, 7]))
+            n = int(rng.integers(1, 4))
+            m = int(rng.integers(0, 8))
+            k = int(rng.integers(1, p + 1))
+            while k > 1 and k**m > 4096:
+                k -= 1
+            V = random_multiset(rng, p, n, m).entries
+            cases.append((p, n, [v.coords for v in V], rng.integers(0, p, size=k).tolist()))
+        for p, n, rows, pool in cases:
+            V = FpMultiset.from_coords(p, rows, n=n)
+            reached = _reference_sums(V, pool)
+            for x in enumerate_vectors(p, n):
+                assert dc.brute_force_representable(x, V, pool) == (x.coords in reached)
 
     def test_cap_violation(self):
-        V = FpMultiset.from_coords(5, [[1]] * 40)
+        V = FpMultiset.from_coords(5, [[1, 0]])
         with pytest.raises(CapExceededError):
-            dc.brute_force_representable(FpVector(5, (0,)), V, range(1, 5), cap=10)
+            dc.brute_force_representable(FpVector(5, (1, 0)), V, [1], cap=10)
+        assert dc.brute_force_representable(FpVector(5, (1, 0)), V, [1], cap=25)
+
+    def test_mismatched_space_rejected(self):
+        V = FpMultiset.from_coords(5, [[1, 0]])
+        with pytest.raises(PreconditionError):
+            dc.brute_force_representable(FpVector(7, (1, 0)), V, [1])
+        with pytest.raises(PreconditionError):
+            dc.brute_force_representable(FpVector(5, (1,)), V, [1])
+
+    def test_dimension_zero(self):
+        V = FpMultiset.from_coords(5, [[]], n=0)
+        assert dc.brute_force_representable(FpVector(5, ()), V, [1])
+        assert not dc.brute_force_representable(FpVector(5, ()), V, [])
 
     def test_empty_multiset(self):
         V = FpMultiset(5, 1, ())
