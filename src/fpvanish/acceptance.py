@@ -394,7 +394,7 @@ def criterion_10_covers_suite(seed: int = DEFAULT_SEED) -> CriterionResult:
         g = cv.AbelianGroup(factors)
         for cover in cv.enumerate_irredundant_covers(g, 4):
             claim_checked += 1
-            if not cv.check_subcover_claim(cover, assume_irredundant=True):
+            if not cv.check_subcover_claim(cover):
                 problems.append(f"drop-one claim failed on {cover.to_dict()}")
                 break
     phi_computed = 0

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import arithmetic_sets as ar
+from . import config
 from . import covers as cv
 from . import decomposition as dc
 from . import group_ring as gr
@@ -222,13 +224,18 @@ def _cmd_phi(args) -> int:
 
 def _cmd_covers_check(args) -> int:
     data = _load_json(args.input)
+    # each coset is a |G|-bit mask: refuse a large group before any subgroup closure
+    order = math.prod(int(m) for m in data["factors"])
+    cap = config.RING_SIZE_CAP if args.cap_group is None else args.cap_group
+    if order > cap:
+        raise CapExceededError(f"group order {order} exceeds cap {cap}")
     cover = cv.CosetCover.from_dict(data)
     payload = {
         "factors": list(cover.group.factors),
         "size": cover.size,
         "cover": cv.is_cover(cover),
         "irredundant": cv.is_irredundant_cover(cover),
-        "intersection_index": cv.index(cover.group, cv.intersection_subgroup(cover)),
+        "intersection_index": cv.intersection_subgroup(cover).index(),
     }
     _emit(payload, args)
     return 0

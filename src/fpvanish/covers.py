@@ -9,6 +9,7 @@ groups at the searchable cap (order <= 32) fit in one machine word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import config
@@ -86,6 +87,8 @@ class AbelianGroup:
         return len(self.factors) if self.order > 1 else 0
 
     def encode(self, coords: Sequence[int]) -> int:
+        if len(coords) != self.rank:
+            raise ValueError(f"{self!r} takes {self.rank} coordinates, got {len(coords)}")
         if self.order == 1:
             return 0
         idx = 0
@@ -106,9 +109,6 @@ class AbelianGroup:
         ca, cb = self.decode(a), self.decode(b)
         return self.encode(tuple(x + y for x, y in zip(ca, cb)))
 
-    def neg(self, a: int) -> int:
-        return self.encode(tuple(-x for x in self.decode(a)))
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -121,41 +121,38 @@ class AbelianGroup:
 
     # -- subgroup lattice ----------------------------------------------------
 
-    def _close(self, gens: Sequence[int]) -> frozenset[int]:
-        elems = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.add(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    frontier.append(y)
+    def _join(self, H: frozenset[int], g: int) -> frozenset[int]:
+        """H + <g>: the cosets H + k*g for k = 0, 1, ... until k*g lands in H."""
+        elems = set(H)
+        x = g
+        while x not in H:
+            elems.update(self.add(h, x) for h in H)
+            x = self.add(x, g)
         return frozenset(elems)
 
     def subgroup(self, gens: Sequence[int]) -> "Subgroup":
-        return Subgroup(self, self._close(list(gens)))
+        return Subgroup(self, reduce(self._join, gens, frozenset({0})))
 
     def subgroups(self) -> list["Subgroup"]:
-        """Every subgroup, by closure of generator extensions; canonical order."""
+        """Every subgroup, by joins H + <g> from the trivial one; canonical order."""
         if self._subgroups is not None:
             return self._subgroups
         if self.order > config.GROUP_ORDER_CAP_PRUNED:
             raise CapExceededError(
                 f"subgroup enumeration capped at order {config.GROUP_ORDER_CAP_PRUNED}"
             )
-        seen: dict[frozenset[int], None] = {frozenset({0}): None}
+        found: dict[frozenset[int], None] = {frozenset({0}): None}
         queue = [frozenset({0})]
         while queue:
             H = queue.pop()
             for g in self.elements():
                 if g in H:
                     continue
-                K = self._close(list(H) + [g])
-                if K not in seen:
-                    seen[K] = None
+                K = self._join(H, g)
+                if K not in found:
+                    found[K] = None
                     queue.append(K)
-        subs = [Subgroup(self, els) for els in seen]
+        subs = [Subgroup(self, els) for els in found]
         subs.sort(key=lambda s: (s.order, s.key))
         self._subgroups = subs
         return subs
@@ -219,7 +216,7 @@ class Subgroup:
             for e in self.key:
                 if e not in span:
                     gens.append(e)
-                    span = self.group._close(gens)
+                    span = self.group._join(span, e)
             self._gens = tuple(gens)
         return self._gens
 
@@ -248,11 +245,6 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, gens={list(self.generators)})"
-
-
-def index(group: AbelianGroup, H: Subgroup) -> int:
-    """The index |A : H|."""
-    return group.order // H.order
 
 
 @dataclass(frozen=True)
@@ -340,20 +332,14 @@ def intersection_subgroup(C: CosetCover) -> Subgroup:
     return Subgroup(C.group, elems)
 
 
-def check_subcover_claim(C: CosetCover, assume_irredundant: bool = False) -> bool:
-    """For an irredundant cover, dropping any one subgroup keeps the intersection.
-
-    assume_irredundant skips the precondition re-check for covers produced
-    by this module's enumerators, which only emit irredundant families.
-    """
-    if not assume_irredundant and not is_irredundant_cover(C):
+def check_subcover_claim(C: CosetCover) -> bool:
+    """For an irredundant cover, dropping any one subgroup keeps the intersection."""
+    if not is_irredundant_cover(C):
         raise PreconditionError("claim applies to irredundant covers only")
-    total = intersection_subgroup(C).elements
-    for j in range(C.size):
-        others = CosetCover(C.group, tuple(c for i, c in enumerate(C.cosets) if i != j))
-        if intersection_subgroup(others).elements != total:
-            return False
-    return True
+    subs = [H.elements for H, _ in C.cosets]
+    whole = frozenset(C.group.elements())
+    total = whole.intersection(*subs)
+    return all(whole.intersection(*subs[:j], *subs[j + 1 :]) == total for j in range(len(subs)))
 
 
 def is_efficient_cover(C: CosetCover) -> bool:
@@ -364,10 +350,6 @@ def is_efficient_cover(C: CosetCover) -> bool:
         return False
     max_keys = {H.key for H in C.group.maximal_subgroups()}
     return all(H.key in max_keys for H, _ in C.cosets)
-
-
-def frattini(group: AbelianGroup) -> Subgroup:
-    return group.frattini()
 
 
 def abelian_groups_up_to(max_order: int) -> list[tuple[int, ...]]:
@@ -410,16 +392,20 @@ def abelian_groups_up_to(max_order: int) -> list[tuple[int, ...]]:
 
 
 def _all_cosets(group: AbelianGroup, subgroup_pool: Sequence[Subgroup]) -> list[tuple[Subgroup, int, int]]:
-    """Distinct cosets (subgroup, canonical rep, mask), canonically ordered."""
+    """Distinct cosets (subgroup, canonical rep, mask), canonically ordered.
+
+    Representatives are walked in ascending order and skipped once covered by
+    an earlier coset of the same subgroup, so each kept one is its coset's minimum.
+    """
     out = []
     for H in subgroup_pool:
-        seen = set()
+        covered = 0
         for rep in group.elements():
-            cmask = H.coset_mask(rep)
-            if cmask in seen:
+            if (covered >> rep) & 1:
                 continue
-            seen.add(cmask)
-            out.append((H, min(H.coset_elements(rep)), cmask))
+            cmask = H.coset_mask(rep)
+            covered |= cmask
+            out.append((H, rep, cmask))
     out.sort(key=lambda t: (t[0].key, t[1]))
     return out
 
@@ -430,12 +416,16 @@ def _cover_dfs(
     max_size: int,
     accept: Optional[Callable[[list[int]], bool]],
 ) -> Iterator[list[int]]:
-    """Enumerate irredundant covers by index sets, deduplicated.
+    """Enumerate irredundant covers by index sets, each exactly once.
 
     Branches on the lowest uncovered element; keeps each chosen mask's
     private bits incrementally and prunes as soon as one loses privacy
     (privacy is monotone: more cosets never restore it).  A coverage-slack
-    bound prunes branches that cannot finish within max_size.
+    bound skips candidates that leave more uncovered than the remaining
+    picks can reach within max_size.  Exclusion branching (Algorithm X):
+    once a candidate has been tried it is banned from its later siblings
+    and their subtrees, so each cover is reached only along the first path
+    to it and no cover repeats.
     """
     order_bits = full.bit_length()
     candidates: list[list[int]] = [[] for _ in range(order_bits)]
@@ -444,40 +434,39 @@ def _cover_dfs(
             if (m >> e) & 1:
                 candidates[e].append(i)
     max_cover = max((m.bit_count() for m in masks), default=0)
-    seen: set[frozenset[int]] = set()
     chosen: list[int] = []
 
-    def dfs(union: int, privates: list[int]) -> Iterator[list[int]]:
+    def dfs(union: int, privates: list[int], banned: int) -> Iterator[list[int]]:
         if union == full:
-            key = frozenset(chosen)
-            if key not in seen:
-                seen.add(key)
-                if accept is None or accept(chosen):
-                    yield list(chosen)
-            return
-        slots = max_size - len(chosen)
-        if slots <= 0:
+            if accept is None or accept(chosen):
+                yield list(chosen)
             return
         rem = ~union & full
-        if rem.bit_count() > max_cover * slots:
-            return
+        slots = max_size - len(chosen) - 1  # picks left after this one
         e = (rem & -rem).bit_length() - 1
         for i in candidates[e]:
             m = masks[i]
+            if (banned >> i) & 1 or (rem & ~m).bit_count() > max_cover * slots:
+                continue
             new_privates = [pv & ~m for pv in privates]
             if all(new_privates):
                 new_privates.append(m & ~union)
                 chosen.append(i)
-                yield from dfs(union | m, new_privates)
+                yield from dfs(union | m, new_privates, banned)
                 chosen.pop()
+            banned |= 1 << i
 
-    yield from dfs(0, [])
+    yield from dfs(0, [], 0)
 
 
 def enumerate_irredundant_covers(
     group: AbelianGroup, max_size: int, subgroup_pool: Optional[Sequence[Subgroup]] = None
 ) -> Iterator[CosetCover]:
-    """All irredundant covers up to the size bound, deduplicated."""
+    """All irredundant covers up to the size bound, each once.
+
+    No cover repeats because the search bans every tried candidate from its
+    later siblings (exclusion branching), not because repeats are filtered.
+    """
     pool = group.subgroups() if subgroup_pool is None else list(subgroup_pool)
     cosets = _all_cosets(group, pool)
     masks = [c[2] for c in cosets]
@@ -516,7 +505,8 @@ def phi_exact(group: AbelianGroup, cap: Optional[int] = None) -> tuple[int, Cose
 
     Iterative deepening over the family size with first-uncovered-element
     branching and privacy pruning; deterministic first witness in canonical
-    coset order.
+    coset order.  Exclusion branching visits each candidate family once per
+    depth, so no repeated cover is re-tested against the intersection.
     """
     cap = config.GROUP_ORDER_CAP if cap is None else cap
     found = _phi_search(group, group.subgroups(), cap)
@@ -657,7 +647,7 @@ def check_codim_bound(H: HyperplaneCoverInstance, s: int) -> bool:
 def enumerate_irredundant_hyperplane_covers(
     p: int, n: int, max_size: Optional[int] = None
 ) -> Iterator[HyperplaneCoverInstance]:
-    """All irredundant affine hyperplane covers of F_p^n (deduplicated).
+    """All irredundant affine hyperplane covers of F_p^n, each once.
 
     Normals are normalized projectively (first nonzero coordinate 1), so
     each geometric hyperplane appears once in the pool.

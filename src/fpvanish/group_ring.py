@@ -558,38 +558,21 @@ def product_twist_verdicts(V: FpMultiset, r: int = 1, cap: Optional[int] = None)
     return ~tables.reshape(total, -1).any(axis=1)
 
 
-def is_c_vanishing(
-    V: FpMultiset, r: int = 1, method: str = "verified", cap: Optional[int] = None
-) -> Optional[TwistAssignment]:
+def is_c_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> Optional[TwistAssignment]:
     """Least twist assignment making the product vanish over Z[w], or None.
 
-    Methods: "cover" uses the hyperplane-cover oracle, "product" exact
-    cyclotomic products, "verified" (default) finds via the cover oracle and
-    re-certifies the witness by an exact product, "both" computes both full
-    verdict tables and insists they agree.
+    Found by the hyperplane-cover oracle over the p^|V| twists (bounded by
+    `cap`) and re-certified by an exact cyclotomic product under the default
+    ring cap.
     """
-    if method not in ("cover", "product", "verified", "both"):
-        raise ValueError(f"unknown method {method!r}")
     if V.size == 0:
         return None
-    if method == "product":
-        verdicts = product_twist_verdicts(V, r, cap)
-    elif method == "cover":
-        verdicts = cover_twist_verdicts(V, cap)
-    elif method == "verified":
-        verdicts = cover_twist_verdicts(V, cap)
-    else:
-        verdicts = cover_twist_verdicts(V, cap)
-        via_product = product_twist_verdicts(V, r, cap)
-        if not np.array_equal(verdicts, via_product):
-            raise InvariantViolationError("cover oracle and exact products disagree")
-    hits = np.nonzero(verdicts)[0]
+    hits = np.nonzero(cover_twist_verdicts(V, cap))[0]
     if hits.size == 0:
         return None
     witness = twist_from_index(V.p, V.size, int(hits[0]))
-    if method == "verified":
-        if not binomial_product_cyc(V, witness, r, cap).is_zero():
-            raise InvariantViolationError("cover-oracle witness failed exact-product certification")
+    if not binomial_product_cyc(V, witness, r).is_zero():
+        raise InvariantViolationError("cover-oracle witness failed exact-product certification")
     return witness
 
 

@@ -173,6 +173,37 @@ class TestPhiAndCovers:
         assert payload["irredundant"] is True
         assert payload["intersection_index"] == 4
 
+    @pytest.mark.parametrize(
+        "rank,flags", [(14, ["--cap-group", "16"]), (24, [])]  # 2^24 > RING_SIZE_CAP
+    )
+    def test_covers_check_group_cap(self, capsys, tmp_path, rank, flags):
+        path = tmp_path / "cover.json"
+        path.write_text(
+            json.dumps({"factors": [2] * rank, "cosets": [{"subgroup_gens": [], "rep": [0] * rank}]})
+        )
+        code, out, err = run_cli(capsys, "covers", "check", "--input", str(path), *flags)
+        assert code == 3
+        assert out == ""
+        assert f"group order {2**rank} exceeds cap" in err
+
+    def test_covers_check_wrong_coordinate_length(self, capsys, tmp_path):
+        path = tmp_path / "cover.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "factors": [2, 2],
+                    "cosets": [
+                        {"subgroup_gens": [[1]], "rep": [0]},
+                        {"subgroup_gens": [[1]], "rep": [1]},
+                    ],
+                }
+            )
+        )
+        code, out, err = run_cli(capsys, "covers", "check", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "coordinates" in err
+
 
 class TestAjtCommand:
     def test_witness_path(self, capsys, tmp_path):

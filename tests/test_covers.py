@@ -30,6 +30,94 @@ def three_coset_cover(z2sq):
     raise AssertionError("no irredundant translate combination found")
 
 
+# ---------------------------------------------------------------------------
+# Reference implementations: the lattice by BFS closure of H + {g} and the
+# cover DFS that filters repeated covers through a set of found index sets.
+
+
+def reference_close(g, gens):
+    elems = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = g.add(x, s)
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
+    return frozenset(elems)
+
+
+def reference_subgroups(g):
+    seen = {frozenset({0}): None}
+    queue = [frozenset({0})]
+    while queue:
+        H = queue.pop()
+        for x in g.elements():
+            if x not in H:
+                K = reference_close(g, list(H) + [x])
+                if K not in seen:
+                    seen[K] = None
+                    queue.append(K)
+    return sorted(seen, key=lambda K: (len(K), sorted(K)))
+
+
+def reference_generators(g, H):
+    gens = []
+    span = frozenset({0})
+    for e in sorted(H):
+        if e not in span:
+            gens.append(e)
+            span = reference_close(g, gens)
+    return tuple(gens)
+
+
+def reference_cosets(g, subgroups):
+    """(subgroup key, least element, mask) for every distinct coset, sorted."""
+    out = []
+    for H in subgroups:
+        seen = set()
+        for rep in g.elements():
+            coset = {g.add(h, rep) for h in H}
+            mask = sum(1 << e for e in coset)
+            if mask not in seen:
+                seen.add(mask)
+                out.append((tuple(sorted(H)), min(coset), mask))
+    out.sort(key=lambda t: t[:2])
+    return out
+
+
+def reference_cover_dfs(masks, full, max_size):
+    """Every first-uncovered-element path; a cover is kept on its first arrival."""
+    candidates = [[i for i, m in enumerate(masks) if (m >> e) & 1] for e in range(full.bit_length())]
+    max_cover = max((m.bit_count() for m in masks), default=0)
+    seen = set()
+    out = []
+    chosen = []
+
+    def dfs(union, privates):
+        if union == full:
+            if frozenset(chosen) not in seen:
+                seen.add(frozenset(chosen))
+                out.append(list(chosen))
+            return
+        slots = max_size - len(chosen)
+        rem = ~union & full
+        if slots <= 0 or rem.bit_count() > max_cover * slots:
+            return
+        e = (rem & -rem).bit_length() - 1
+        for i in candidates[e]:
+            m = masks[i]
+            new_privates = [pv & ~m for pv in privates]
+            if all(new_privates):
+                chosen.append(i)
+                dfs(union | m, new_privates + [m & ~union])
+                chosen.pop()
+
+    dfs(0, [])
+    return out
+
+
 class TestAbelianGroup:
     def test_from_orders_splits_composites(self):
         g = cv.AbelianGroup.from_orders([6, 4])
@@ -45,7 +133,14 @@ class TestAbelianGroup:
         a = g.encode((1, 3))
         b = g.encode((1, 2))
         assert g.decode(g.add(a, b)) == (0, 1)
-        assert g.decode(g.neg(a)) == (1, 1)
+        assert g.decode(g.add(a, g.encode((1, 1)))) == (0, 0)
+
+    def test_encode_rejects_wrong_length(self):
+        g = cv.AbelianGroup((2, 2))
+        for coords in ((1,), (1, 0, 0)):
+            with pytest.raises(ValueError):
+                g.encode(coords)
+        assert cv.AbelianGroup(()).encode(()) == 0
 
     def test_subgroup_counts(self):
         assert len(cv.AbelianGroup((4,)).subgroups()) == 3
@@ -82,7 +177,7 @@ class TestCoverPredicates:
         assert cv.is_irredundant_cover(C)
         assert cv.is_efficient_cover(C)
         assert cv.intersection_subgroup(C).order == 1
-        assert cv.index(z2sq, cv.intersection_subgroup(C)) == 4
+        assert cv.intersection_subgroup(C).index() == 4
 
     def test_non_cover_detected(self, z2sq):
         triv = cv.Subgroup(z2sq, frozenset({0}))
@@ -125,7 +220,7 @@ class TestIntersectionAndClaim:
         whole = cv.Subgroup(z2sq, frozenset(z2sq.elements()))
         C = cv.CosetCover(z2sq, ((whole, 0),))
         assert cv.intersection_subgroup(C).order == 4
-        assert cv.index(z2sq, cv.intersection_subgroup(C)) == 1
+        assert cv.intersection_subgroup(C).index() == 1
         # k = 1: the complement intersection is the whole group by convention
         assert cv.check_subcover_claim(C)
 
@@ -133,7 +228,7 @@ class TestIntersectionAndClaim:
         triv = cv.Subgroup(z2sq, frozenset({0}))
         C = cv.CosetCover(z2sq, tuple((triv, x) for x in z2sq.elements()))
         assert cv.intersection_subgroup(C).order == 1
-        assert cv.index(z2sq, cv.intersection_subgroup(C)) == 4
+        assert cv.intersection_subgroup(C).index() == 4
 
     def test_claim_on_all_z4_covers_up_to_size_4(self):
         g = cv.AbelianGroup((4,))
@@ -290,3 +385,43 @@ class TestGroupCatalog:
         assert len(factors) == 24
         assert factors.count((2, 2, 2, 2)) == 1
         assert (4, 4) in factors
+
+
+GROUPS_UP_TO_16 = cv.abelian_groups_up_to(16)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("factors", GROUPS_UP_TO_16)
+    def test_subgroups_and_generators(self, factors):
+        g = cv.AbelianGroup(factors)
+        subs = g.subgroups()
+        want = reference_subgroups(g)
+        assert [H.elements for H in subs] == want
+        assert [H.generators for H in subs] == [reference_generators(g, K) for K in want]
+
+    @pytest.mark.parametrize("factors", GROUPS_UP_TO_16)
+    def test_cover_enumeration(self, factors):
+        g = cv.AbelianGroup(factors)
+        max_size = 3 if factors == (2, 2, 2, 2) else 4
+        cosets = reference_cosets(g, reference_subgroups(g))
+        want = [
+            [cosets[i][:2] for i in chosen]
+            for chosen in reference_cover_dfs([c[2] for c in cosets], (1 << g.order) - 1, max_size)
+        ]
+        got = [[(H.key, x) for H, x in C.cosets] for C in cv.enumerate_irredundant_covers(g, max_size)]
+        assert got == want
+        assert len({frozenset(c) for c in got}) == len(got)
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
+    def test_hyperplane_enumeration(self, p, n):
+        points = list(enumerate_vectors(p, n))
+        normals = [v for v in points if not v.is_zero() and next(c for c in v.coords if c) == 1]
+        pool = [(v.coords, t) for v in normals for t in range(p)]
+        masks = [sum(1 << x.index for x in points if x.dot(FpVector(p, v)) == (-t) % p) for v, t in pool]
+        want = [[pool[i] for i in chosen] for chosen in reference_cover_dfs(masks, (1 << p**n) - 1, len(pool))]
+        got = [
+            [(v.coords, t) for v, t in zip(H.normals, H.offsets)]
+            for H in cv.enumerate_irredundant_hyperplane_covers(p, n)
+        ]
+        assert got == want
+        assert len({frozenset(c) for c in got}) == len(got)

@@ -223,7 +223,9 @@ class TestComplexVanishing:
             a = gr.product_twist_verdicts(V, 1)
             b = gr.cover_twist_verdicts(V)
             assert np.array_equal(a, b)
-            assert gr.is_c_vanishing(V, method="both") == gr.is_c_vanishing(V, method="product")
+            hits = np.nonzero(a)[0]
+            want = gr.twist_from_index(p, V.size, int(hits[0])) if hits.size else None
+            assert gr.is_c_vanishing(V) == want
 
     def test_exponent_does_not_change_complex_vanishing(self, rng):
         # the complex group algebra has no nilpotents
@@ -242,6 +244,11 @@ class TestComplexVanishing:
         V = FpMultiset.from_coords(5, [[1]] * 6)
         with pytest.raises(CapExceededError):
             gr.is_c_vanishing(V, cap=100)
+
+    def test_twist_cap_is_not_the_ring_cap(self):
+        # 2^2 twists fit the cap of 10; the 2^4-point ring table is certified under the default
+        V = FpMultiset.from_coords(2, [[1, 0, 0, 0]] * 2)
+        assert gr.is_c_vanishing(V, 1, cap=10) == (0, 1)
 
 
 class TestComplexIrredundance:
