@@ -4,7 +4,9 @@ Group-ring kernels operate on dense coefficient tables indexed by the
 canonical mixed-radix encoding of F_p^n (coordinate 0 most significant), so
 that "subtract the constant vector v" is np.roll by v along every axis of
 the (p,)*n view.  The arithmetic-set kernels check subset masks of F_p
-against the verifier's progression conditions, one mask or a batch at once.
+against the verifier's progression conditions, one mask or a batch at once;
+the exhaustive scan tries only sets containing {0, 1}, since every
+arithmetic set of size >= 2 is an affine image of one.
 """
 
 from __future__ import annotations
@@ -133,16 +135,26 @@ _SCAN_BATCH = 2048
 
 
 def scan_combinations(p: int, r: int, k: int):
-    """First size-k subset of F_p (lexicographic) passing the verifier, or None."""
-    gen = combinations(range(p), k)
+    """First size-k subset of F_p (lexicographic) passing the verifier, or None.
+
+    Only the sets {0, 1} | T with T in combinations(range(2, p), k - 2) are
+    tried.  This is exact: x -> c*x + d (c != 0) maps progressions to
+    progressions, so it preserves r-arithmetic sets; a passing set with
+    members y0 < y1 maps onto one containing {0, 1} by x -> (x - y0)/(y1 - y0);
+    and those sets come first in lexicographic order.  No set of size < 2 passes.
+    """
+    if not 2 <= k <= p:
+        return None
+    gen = combinations(range(2, p), k - 2)
     while True:
         block = list(islice(gen, _SCAN_BATCH))
         if not block:
             return None
         arr = np.array(block, dtype=np.int64)
         masks = np.zeros((len(block), p), dtype=np.uint8)
+        masks[:, :2] = 1
         masks[np.arange(len(block))[:, None], arr] = 1
         ok = masks_arithmetic_ok(masks, r, p)
         hits = np.nonzero(ok)[0]
         if hits.size:
-            return arr[hits[0]]
+            return np.concatenate(([0, 1], arr[hits[0]]))

@@ -119,7 +119,11 @@ def criterion_3_fpstar(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def _oracle_min_arithmetic_size(p: int, r: int = 1) -> int:
-    """Independent second implementation: plain subset enumeration, no numpy."""
+    """Independent second implementation: plain subset enumeration, no numpy.
+
+    It deliberately scans every k-subset instead of sharing the {0, 1}
+    reduction of `_kernels.scan_combinations`, so it re-certifies that too.
+    """
 
     def ok(subset: tuple[int, ...]) -> bool:
         members = set(subset)

@@ -173,7 +173,11 @@ def min_arithmetic_set(p: int, r: int = 1, p_cap: Optional[int] = None) -> Arith
 
     Subsets are enumerated by increasing size starting from the provable
     lower bound; within a size, lexicographic order on the sorted element
-    list fixes the tie-break.
+    list fixes the tie-break.  Only sets containing {0, 1} are scanned:
+    x -> c*x + d (c != 0) preserves r-arithmetic sets, every set of size >= 2
+    is such an image of one containing {0, 1}, and those come first in
+    lexicographic order, so the first of them that passes is the first
+    r-arithmetic set of its size.
     """
     p = _as_prime(p)
     if not 1 <= r <= p - 1:

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -209,8 +210,14 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    group = cv.AbelianGroup.from_orders([int(x) for x in args.factors.split(",")])
-    cap = args.cap_group
+    orders = [int(x) for x in args.factors.split(",")]
+    # refuse a large group before from_orders trial-divides its factors;
+    # a non-positive order is left to from_orders' input error
+    order = math.prod(orders)
+    cap = config.GROUP_ORDER_CAP if args.cap_group is None else args.cap_group
+    if order > cap and min(orders) >= 1:
+        raise CapExceededError(f"group order {order} exceeds cap {cap}")
+    group = cv.AbelianGroup.from_orders(orders)
     if args.maximal:
         if len(set(group.factors)) != 1:
             raise PreconditionError("--maximal requires an elementary abelian group")
@@ -346,9 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parse_args fills a fresh namespace and leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except CapExceededError as exc:

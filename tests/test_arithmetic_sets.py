@@ -98,6 +98,27 @@ class TestMinimization:
         with pytest.raises(CapExceededError):
             ar.min_arithmetic_set(37)
 
+    # The exhaustive scan's lexicographic-first minima, pinned for every prime
+    # up to the cap: scanning only the sets that contain {0, 1} keeps them.
+    @pytest.mark.parametrize(
+        "p, elements",
+        [
+            (2, [0, 1]),
+            (3, [0, 1, 2]),
+            (5, [0, 1, 2, 3]),
+            (7, [0, 1, 2, 3, 4]),
+            (11, [0, 1, 2, 4, 7]),
+            (13, [0, 1, 2, 3, 5, 8]),
+            (17, [0, 1, 2, 3, 6, 11]),
+            (19, [0, 1, 2, 4, 7, 12]),
+            (23, [0, 1, 2, 3, 4, 8, 15]),
+            (29, [0, 1, 2, 3, 6, 10, 19]),
+            (31, [0, 1, 2, 3, 6, 11, 20]),
+        ],
+    )
+    def test_pinned_minimum_sets(self, p, elements):
+        assert ar.min_arithmetic_set(p).sorted_elements() == elements
+
     def test_larger_r_needs_longer_progressions(self):
         # any r-arithmetic set has at least min(2r+1, p) elements
         A = ar.min_arithmetic_set(7, r=2)
@@ -128,8 +149,11 @@ class TestSmallSetSearch:
     def test_no_small_set_exists_mod_7(self):
         # 2*floor(log2 7) = 4 but the true minimum is 5; the failure is
         # definitive (the whole space of candidate sizes is enumerated).
-        with pytest.raises(SearchBudgetExceededError, match="no arithmetic set"):
+        with pytest.raises(SearchBudgetExceededError) as info:
             ar.find_small_arithmetic_set(7, seed=7)
+        assert str(info.value) == (
+            "no arithmetic set of size <= 4 exists in F_7 (search space exhausted)"
+        )
 
     @pytest.mark.parametrize("p", [11, 31, 101, 199])
     def test_target_met_and_verified(self, p):

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import fpvanish
+from fpvanish import cli
 from fpvanish.cli import main
 
 
@@ -11,6 +18,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """Run the CLI in a new interpreter: (exit code, stdout)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fpvanish.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fpvanish.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout
 
 
 class TestArithmeticSetCommand:
@@ -43,6 +59,27 @@ class TestArithmeticSetCommand:
         code, _, err = run_cli(capsys, "arithmetic-set", "--set", "1,2")
         assert code == 2
         assert "error" in err
+
+    def test_reused_parser_matches_fresh_process(self, capsys):
+        sequence = [
+            ["arithmetic-set", "--p", "13", "--min"],
+            ["arithmetic-set", "--p", "13", "--small", "--seed", "1"],
+            ["arithmetic-set", "--p", "13", "--min"],
+        ]
+        for argv in sequence:
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, out) == run_fresh(*argv)
+
+    def test_reused_parser_carries_nothing_over(self):
+        sequence = [
+            ["arithmetic-set", "--p", "13", "--min"],
+            ["arithmetic-set", "--p", "13", "--small", "--seed", "1"],
+            ["phi", "--factors", "2,2", "--maximal"],
+            ["arithmetic-set", "--p", "13", "--min"],
+        ]
+        for argv in sequence:
+            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+        assert cli._parser() is cli._parser()
 
     def test_determinism(self, capsys):
         a = run_cli(capsys, "arithmetic-set", "--p", "31", "--small", "--seed", "5")
@@ -151,6 +188,29 @@ class TestPhiAndCovers:
         payload = json.loads(out)
         assert payload["phi"] == 3
         assert len(payload["witness"]) == 3
+
+    def test_phi_group_cap_before_factoring(self, capsys):
+        # 2^61 - 1 is prime: splitting it by trial division would take minutes
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "phi", "--factors", "2305843009213693951")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "group order 2305843009213693951 exceeds cap 16" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--maximal"]])
+    def test_phi_group_cap(self, capsys, flags):
+        code, out, err = run_cli(capsys, "phi", "--factors", "17", *flags)
+        assert code == 3
+        assert out == ""
+        assert err == "cap exceeded: group order 17 exceeds cap 16\n"
+
+    def test_phi_non_positive_order_is_input_error(self, capsys):
+        # the product 34 exceeds the cap, but the input error comes first
+        code, out, err = run_cli(capsys, "phi", "--factors=-2,-17")
+        assert code == 2
+        assert out == ""
+        assert "cyclic order must be positive, got -2" in err
 
     def test_covers_check(self, capsys, tmp_path):
         path = tmp_path / "cover.json"

@@ -17,6 +17,11 @@ def _random_vector(rng, p, n) -> FpVector:
     return FpVector(p, tuple(int(c) for c in rng.integers(0, p, size=n)))
 
 
+def _first_passing(p: int, r: int, k: int):
+    """Plain reference: the lexicographically first passing k-subset of F_p."""
+    return next((list(c) for c in combinations(range(p), k) if is_r_arithmetic(c, r, p)), None)
+
+
 class TestFpBinomialPower:
     @pytest.mark.parametrize("p,n,r", [(2, 2, 1), (3, 2, 2), (5, 1, 1), (5, 2, 3)])
     def test_matches_ring_product(self, rng, p, n, r):
@@ -98,8 +103,26 @@ class TestArithmeticVerifier:
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_scan_finds_first_lexicographic_set(self, p):
-        want = next(
-            (list(c) for c in combinations(range(p), 4) if is_r_arithmetic(c, 1, p)), None
-        )
         got = K.scan_combinations(p, 1, 4)
-        assert (None if got is None else list(got)) == want
+        assert (None if got is None else list(got)) == _first_passing(p, 1, 4)
+
+
+PRIMES_TO_19 = [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+class TestNormalisedScan:
+    """scan_combinations tries only the sets containing {0, 1}; its answers
+    must equal a scan over every k-subset, hits and None alike."""
+
+    @pytest.mark.parametrize(
+        "p, r",
+        [(p, 1) for p in PRIMES_TO_19]
+        + [(p, r) for r in (2, 3) for p in PRIMES_TO_19 if p <= 13 and r < p],
+    )
+    def test_matches_full_enumeration(self, p, r):
+        for k in range(p + 1):
+            got = K.scan_combinations(p, r, k)
+            assert (None if got is None else [int(x) for x in got]) == _first_passing(p, r, k), k
+
+    def test_size_above_p(self):
+        assert K.scan_combinations(5, 1, 6) is None
