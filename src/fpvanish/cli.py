@@ -173,7 +173,7 @@ def _cmd_vanishing(args) -> int:
 def _cmd_irredundant(args) -> int:
     V = _multiset_from_args(args)
     r = args.r if args.r is not None else 1
-    W = gr.extract_irredundant_fp(V, r)
+    W = gr.extract_irredundant_fp(V, r, cap=args.cap_ring)
     _emit(
         {
             "p": V.p,
@@ -232,9 +232,11 @@ def _cmd_phi(args) -> int:
 def _cmd_covers_check(args) -> int:
     data = _load_json(args.input)
     # each coset is a |G|-bit mask: refuse a large group before any subgroup closure
-    order = math.prod(int(m) for m in data["factors"])
+    # a non-positive order is left to from_orders' input error
+    orders = [int(m) for m in data["factors"]]
+    order = math.prod(orders)
     cap = config.RING_SIZE_CAP if args.cap_group is None else args.cap_group
-    if order > cap:
+    if order > cap and min(orders) >= 1:
         raise CapExceededError(f"group order {order} exceeds cap {cap}")
     cover = cv.CosetCover.from_dict(data)
     payload = {

@@ -44,7 +44,7 @@ from .fp_core import (
     solve_combination,
     span_dimension,
 )
-from .group_ring import is_fp_vanishing
+from .group_ring import _greedy_irredundant_indices, is_fp_vanishing
 
 
 @dataclass(frozen=True)
@@ -297,10 +297,7 @@ class DecompositionPlan:
             raise InvariantViolationError(
                 "pooled entries are not vanishing; the basis-count hypothesis broke"
             )
-        from .group_ring import _greedy_irredundant_indices
-
         kept = _greedy_irredundant_indices([v for _, v in ordered], self.r, self.p, n_level)
-        kept_set = set(kept)
         v_ids = [ordered[i][0] for i in kept]
         V = FpMultiset(self.p, n_level, tuple(ordered[i][1] for i in kept))
         dec = quotient_split(V, n_level)

@@ -189,10 +189,6 @@ class FpMultiset:
         """Canonical form: entries in ascending lexicographic coordinate order."""
         return FpMultiset(self.p, self.n, tuple(sorted(self.entries, key=lambda v: v.coords)))
 
-    def without(self, index: int) -> "FpMultiset":
-        ent = self.entries[:index] + self.entries[index + 1 :]
-        return FpMultiset(self.p, self.n, ent)
-
     def support(self) -> tuple[FpVector, ...]:
         """Distinct vectors, in ascending coordinate order."""
         return tuple(sorted(set(self.entries), key=lambda v: v.coords))

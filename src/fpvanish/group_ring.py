@@ -8,7 +8,10 @@ makes vanishing checkable at all: floating point cannot certify zero.
 
 Vanishing products are built factor by factor; multiplying by (1 - w^t g^v)
 is one shifted subtraction over the dense table, so a product over a multiset
-V costs O(|V| r p^n) instead of general convolution.
+V costs O(|V| r p^n) instead of general convolution.  Greedy irredundant
+extraction and the irredundance check share their partial products by
+divide and conquer: m entries cost at most m*ceil(log2 m) binomial
+multiplies, not the m^2 of rebuilding the product for every removal.
 """
 
 from __future__ import annotations
@@ -146,16 +149,24 @@ class GroupRingFp:
         return f"GroupRingFp(p={self.p}, n={self.n}, nonzero={nz})"
 
 
+def _times_binomials(
+    table: np.ndarray, entries: Sequence[FpVector], r: int, p: int, n: int
+) -> np.ndarray:
+    """Multiply a raw table by (1 - g^v)^r for each v in `entries`; stop at zero."""
+    dims = (p,) * n
+    for v in entries:
+        table = _kernels.fp_binomial_power(table, dims, v.coords, r, p)
+        if not table.any():
+            break
+    return table
+
+
 def binomial_product_fp(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> GroupRingFp:
     """The product over V of (1 - g^v)^r, computed factor by factor."""
     if not 1 <= r <= V.p - 1:
         raise ValueError(f"exponent r must lie in [1, p-1], got r={r} for p={V.p}")
-    out = GroupRingFp.unit(V.p, V.n, cap)
-    for v in V.entries:
-        out = out.mul_binomial(v, r)
-        if out.is_zero():
-            break
-    return out
+    unit = GroupRingFp.unit(V.p, V.n, cap).coeffs
+    return GroupRingFp(V.p, V.n, _times_binomials(unit, V.entries, r, V.p, V.n))
 
 
 def is_fp_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> bool:
@@ -163,44 +174,61 @@ def is_fp_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> boo
     return binomial_product_fp(V, r, cap).is_zero()
 
 
-def _greedy_irredundant_indices(entries: list[FpVector], r: int, p: int, n: int) -> list[int]:
-    """One-pass greedy removal; returns kept indices into `entries`.
+def _greedy_irredundant_indices(
+    entries: Sequence[FpVector], r: int, p: int, n: int, cap: Optional[int] = None
+) -> list[int]:
+    """One-pass greedy removal in index order; returns the kept indices.
 
-    Monotonicity makes a single pass sufficient: supersets of vanishing
-    multisets vanish, so an entry that could not be removed never becomes
-    removable after later removals.
+    Entry i is dropped iff its context, the product over the kept entries
+    before i and every entry after i, is zero.  One pass suffices: supersets
+    of vanishing multisets vanish, so an entry that could not be removed
+    never becomes removable after later removals.
+
+    The contexts come from a divide-and-conquer pass.  `solve(lo, hi, ctx)`
+    gets ctx = (kept entries of [0, lo)) * (all entries of [hi, m)); the left
+    half adds all of [mid, hi), and the right half, once the left is decided,
+    adds the kept entries of [lo, mid).  A zero context drops its whole range.
+    Each recursion level costs at most m binomial multiplies, so the pass
+    takes at most m*ceil(log2 m) of them and holds ceil(log2 m) + 1 tables.
     """
-    kept = list(range(len(entries)))
-    for i in range(len(entries)):
-        if i not in kept:
-            continue
-        trial = [j for j in kept if j != i]
-        W = FpMultiset(p, n, tuple(entries[j] for j in trial))
-        if is_fp_vanishing(W, r):
-            kept = trial
-    return kept
+    keep = [False] * len(entries)
+
+    def solve(lo: int, hi: int, ctx: np.ndarray) -> None:
+        if not ctx.any():
+            return
+        if hi - lo == 1:
+            keep[lo] = True
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid, _times_binomials(ctx, entries[mid:hi], r, p, n))
+        kept_left = [entries[i] for i in range(lo, mid) if keep[i]]
+        solve(mid, hi, _times_binomials(ctx, kept_left, r, p, n))
+
+    if entries:
+        solve(0, len(entries), GroupRingFp.unit(p, n, cap).coeffs)
+    return [i for i, k in enumerate(keep) if k]
 
 
 def is_fp_irredundant(V: FpMultiset, r: int = 1) -> bool:
-    """Vanishing, and removing any single entry breaks vanishing."""
-    if not is_fp_vanishing(V, r):
-        return False
-    for i in range(V.size):
-        if is_fp_vanishing(V.without(i), r):
-            return False
-    return True
+    """Vanishing, and removing any single entry breaks vanishing.
+
+    With V vanishing, the greedy keeps every entry iff no V minus one entry
+    vanishes, so the check costs |V| + |V|*ceil(log2 |V|) binomial multiplies.
+    """
+    return is_fp_vanishing(V, r) and len(_greedy_irredundant_indices(V.entries, r, V.p, V.n)) == V.size
 
 
-def extract_irredundant_fp(V: FpMultiset, r: int = 1) -> FpMultiset:
+def extract_irredundant_fp(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> FpMultiset:
     """A minimal vanishing sub-multiset of V, by greedy removal.
 
     Entries are first put in canonical (ascending coordinate) order, then
     removed greedily in that order whenever removal preserves vanishing.
+    `cap` bounds the ring size p^n (default `config.RING_SIZE_CAP`).
     """
-    if not is_fp_vanishing(V, r):
+    if not is_fp_vanishing(V, r, cap):
         raise PreconditionError("input multiset is not vanishing; nothing to extract")
     ordered = sorted(V.entries, key=lambda v: v.coords)
-    kept = _greedy_irredundant_indices(ordered, r, V.p, V.n)
+    kept = _greedy_irredundant_indices(ordered, r, V.p, V.n, cap)
     return FpMultiset(V.p, V.n, tuple(ordered[i] for i in kept))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fpvanish
-from fpvanish import cli
+from fpvanish import cli, config
 from fpvanish.cli import main
 
 
@@ -110,6 +110,24 @@ class TestVanishingCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["kept_size"] == 3
+
+    def test_irredundant_cap_ring_lowered(self, capsys):
+        code, out, err = run_cli(
+            capsys, "irredundant", "--p", "3", "--n", "3",
+            "--vectors", "[[1,0,0],[1,0,0],[1,0,0]]", "--cap-ring", "10",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "cap exceeded: p^n = 3^3 = 27 exceeds cap 10\n"
+
+    def test_irredundant_cap_ring_raised(self, capsys, monkeypatch):
+        monkeypatch.setattr(config, "RING_SIZE_CAP", 4)
+        code, out, _ = run_cli(
+            capsys, "irredundant", "--p", "3", "--n", "3",
+            "--vectors", "[[1,0,0],[1,0,0],[1,0,0],[0,1,0]]", "--cap-ring", "100",
+        )
+        assert code == 0
+        assert json.loads(out)["vectors"] == [[1, 0, 0]] * 3
 
     def test_failed_certification_exits_1(self, capsys, monkeypatch):
         from fpvanish import group_ring as gr
@@ -245,6 +263,21 @@ class TestPhiAndCovers:
         assert code == 3
         assert out == ""
         assert f"group order {2**rank} exceeds cap" in err
+
+    @pytest.mark.parametrize(
+        "factors,code,message",
+        [
+            ([-2, -10000000], 2, "cyclic order must be positive"),
+            ([2, 10000000], 3, "group order 20000000 exceeds cap 10000000"),
+        ],
+    )
+    def test_covers_check_input_error_before_cap(self, capsys, tmp_path, factors, code, message):
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps({"factors": factors, "cosets": []}))
+        got, out, err = run_cli(capsys, "covers", "check", "--input", str(path))
+        assert got == code
+        assert out == ""
+        assert message in err and "Traceback" not in err
 
     def test_covers_check_wrong_coordinate_length(self, capsys, tmp_path):
         path = tmp_path / "cover.json"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,99 @@ class TestExtractIrredundant:
             V = random_multiset(rng, p, n, (p - 1) * n + 1, nonzero=True)
             W = gr.extract_irredundant_fp(V)
             assert gr.is_fp_irredundant(W)
+
+    def test_lowered_cap_refuses(self):
+        V = FpMultiset.from_coords(3, [[1, 0, 0]] * 3)
+        with pytest.raises(CapExceededError, match="p\\^n = 3\\^3 = 27 exceeds cap 10"):
+            gr.extract_irredundant_fp(V, cap=10)
+
+    def test_raised_cap_answers(self, monkeypatch):
+        monkeypatch.setattr(config, "RING_SIZE_CAP", 4)
+        V = FpMultiset.from_coords(3, [[1, 0, 0]] * 4)
+        with pytest.raises(CapExceededError):
+            gr.extract_irredundant_fp(V)
+        assert gr.extract_irredundant_fp(V, cap=100) == FpMultiset.from_coords(3, [[1, 0, 0]] * 3)
+
+
+def _greedy_reference(entries, r, p, n):
+    """The one-pass greedy that rebuilds the product for every trial removal."""
+    kept = list(range(len(entries)))
+    for i in range(len(entries)):
+        if i not in kept:
+            continue
+        trial = [j for j in kept if j != i]
+        W = FpMultiset(p, n, tuple(entries[j] for j in trial))
+        if gr.is_fp_vanishing(W, r):
+            kept = trial
+    return kept
+
+
+def _irredundant_reference(V, r):
+    """Vanishing, and no leave-one-out sub-multiset vanishes."""
+    if not gr.is_fp_vanishing(V, r):
+        return False
+    for i in range(V.size):
+        if gr.is_fp_vanishing(FpMultiset(V.p, V.n, V.entries[:i] + V.entries[i + 1 :]), r):
+            return False
+    return True
+
+
+def _greedy_family():
+    """Seeded multisets with zero vectors, repeats, r > 1 and every small m."""
+    rng = np.random.default_rng(20211)
+    out = []
+    for _ in range(400):
+        p = int(rng.choice([2, 3, 5, 7]))
+        n = int(rng.integers(1, 3))
+        r = int(rng.integers(1, p))
+        m = int(rng.integers(0, 3)) if rng.random() < 0.2 else int(rng.integers(3, 15))
+        # a few distinct vectors, the zero vector among them now and then,
+        # so that entries repeat and contexts vanish early
+        pool = [tuple(rng.integers(0, p, size=n).tolist()) for _ in range(int(rng.integers(1, 5)))]
+        if rng.random() < 0.2:
+            pool.append((0,) * n)
+        rows = [pool[int(k)] for k in rng.integers(0, len(pool), size=m)]
+        out.append((FpMultiset.from_coords(p, rows, n=n), r))
+    return out
+
+
+class TestDivideAndConquerGreedy:
+    def test_family_covers_the_edge_cases(self):
+        family = _greedy_family()
+        assert {V.size for V, _ in family} >= {0, 1, 2}
+        assert any(r > 1 for _, r in family)
+        assert any(v.is_zero() for V, _ in family for v in V.entries)
+        assert any(not gr.is_fp_vanishing(V, r) for V, r in family)
+
+    def test_matches_reference(self):
+        for V, r in _greedy_family():
+            entries = list(V.entries)
+            kept = gr._greedy_irredundant_indices(entries, r, V.p, V.n)
+            assert kept == _greedy_reference(entries, r, V.p, V.n), (V, r)
+            assert gr.is_fp_irredundant(V, r) == _irredundant_reference(V, r), (V, r)
+
+    def test_irredundant_verdict_after_extraction(self):
+        for V, r in _greedy_family():
+            if gr.is_fp_vanishing(V, r):
+                W = gr.extract_irredundant_fp(V, r)
+                assert gr.is_fp_irredundant(W, r) and _irredundant_reference(W, r)
+
+    @pytest.mark.parametrize("p,n,m", [(7, 2, 8), (7, 2, 16), (3, 2, 11), (5, 1, 2), (2, 3, 1)])
+    def test_multiplies_within_m_log_m(self, monkeypatch, p, n, m):
+        calls = []
+        multiply = gr._kernels.fp_binomial_power
+
+        def counted(*args):
+            calls.append(1)
+            return multiply(*args)
+
+        monkeypatch.setattr(gr._kernels, "fp_binomial_power", counted)
+        rng = np.random.default_rng(m)
+        entries = list(random_multiset(rng, p, n, m, nonzero=True).entries)
+        kept = gr._greedy_irredundant_indices(entries, 1, p, n)
+        assert len(calls) <= m * math.ceil(math.log2(m))
+        monkeypatch.setattr(gr._kernels, "fp_binomial_power", multiply)
+        assert kept == _greedy_reference(entries, 1, p, n)
 
 
 class TestCyclotomicInt:
