@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels, config
 from .errors import CapExceededError, InvariantViolationError, SearchBudgetExceededError
-from .fp_core import _as_prime
+from .fp_core import _as_prime, check_ring_cap
 
 
 def floor_log2(p: int) -> int:
@@ -179,12 +179,12 @@ def min_arithmetic_set(p: int, r: int = 1, p_cap: Optional[int] = None) -> Arith
     lexicographic order, so the first of them that passes is the first
     r-arithmetic set of its size.
     """
+    p_cap = config.MIN_ARITHMETIC_P_CAP if p_cap is None else p_cap
+    if int(p) > p_cap:
+        raise CapExceededError(f"exhaustive minimization capped at p <= {p_cap}, got {int(p)}")
     p = _as_prime(p)
     if not 1 <= r <= p - 1:
         raise ValueError(f"r must lie in [1, p-1], got {r}")
-    p_cap = config.MIN_ARITHMETIC_P_CAP if p_cap is None else p_cap
-    if p > p_cap:
-        raise CapExceededError(f"exhaustive minimization capped at p <= {p_cap}, got {p}")
     for k in range(size_lower_bound(p, r), p + 1):
         hit = _kernels.scan_combinations(p, r, k)
         if hit is not None:
@@ -283,7 +283,11 @@ def find_small_arithmetic_set(
     O(p^2) re-verification.  Each evaluation of the violation set counts as
     one verifier call against `budget`.  ArithmeticSet.verified re-checks the
     result independently.
+
+    The mask and midpoint tables are dense over F_p, so p is held to the
+    ring cap before the primality test.
     """
+    check_ring_cap(int(p), 1)
     p = _as_prime(p)
     if p < 5:
         raise ValueError(f"requires p >= 5, got {p}")

@@ -10,9 +10,10 @@ the product oracle, and the work of the cover oracle.
 from __future__ import annotations
 
 # Largest dense group-ring table (p^n entries) built by default; also the
-# largest batch of cyclotomic product tables (p^|V| * p^n * (p-1) int64
-# cells, 80 MB) that product_twist_verdicts allocates, and the most covering
-# table updates (p^|V| cells for each of p^n points) cover_twist_verdicts makes.
+# largest batch table of cyclotomic products (p^|V| * p^n * (p-1) int64
+# cells, 80 MB) that product_twist_verdicts holds, plus temporaries the size
+# of one twist slice (1/p of it), and the most covering table updates
+# (p^|V| cells for each of p^n points) cover_twist_verdicts makes.
 RING_SIZE_CAP = 10**7
 
 # Largest abelian group order for exact coset-cover searches.
@@ -28,6 +29,6 @@ MIN_ARITHMETIC_P_CAP = 31
 # Verifier-call budget for the randomized small-arithmetic-set search.
 SMALL_SET_SEARCH_BUDGET = 60_000
 
-# int64 coefficient-growth guard for cyclotomic tables: promote to exact
-# Python integers once a conservative L1 bound crosses this threshold.
+# int64 coefficient-growth guard for cyclotomic tables: a product is computed
+# in exact Python integers when 3x its coefficient bound reaches this.
 INT64_SAFE_BOUND = 2**62

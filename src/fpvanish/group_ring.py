@@ -51,6 +51,12 @@ def transport_twists(scalars: Sequence[int], t: Sequence[int], p: int) -> TwistA
     return tuple((int(a) * int(x)) % p for a, x in zip(scalars, t))
 
 
+def _check_exponent(r: int, p: int) -> None:
+    """The products (1 - w^t g^v)^r here take exponents 1 <= r <= p - 1."""
+    if not 1 <= r <= p - 1:
+        raise ValueError(f"exponent r must lie in [1, p-1], got r={r} for p={p}")
+
+
 # ---------------------------------------------------------------------------
 # F_p coefficients
 
@@ -163,8 +169,7 @@ def _times_binomials(
 
 def binomial_product_fp(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> GroupRingFp:
     """The product over V of (1 - g^v)^r, computed factor by factor."""
-    if not 1 <= r <= V.p - 1:
-        raise ValueError(f"exponent r must lie in [1, p-1], got r={r} for p={V.p}")
+    _check_exponent(r, V.p)
     unit = GroupRingFp.unit(V.p, V.n, cap).coeffs
     return GroupRingFp(V.p, V.n, _times_binomials(unit, V.entries, r, V.p, V.n))
 
@@ -344,6 +349,18 @@ class CyclotomicInt:
 # Cyclotomic coefficients over the group
 
 
+def _coef_dtype(bound: int):
+    """int64 for a Z[w] table whose coefficients stay within `bound` in
+    absolute value, else exact Python integers (object).
+
+    A row that is a signed sum of k roots of unity has canonical entries of
+    absolute value at most k, since each root's power-basis form has entries
+    in {-1, 0, 1}; (1 - w^t g^v)^r turns k into at most 2^r * k.  The
+    binomial kernel's intermediates reach 3 * bound, hence the margin.
+    """
+    return np.int64 if 3 * bound < config.INT64_SAFE_BOUND else object
+
+
 class GroupRingCyc:
     """An element of Z[w][F_p^n]: a dense (p^n, p-1) integer coefficient table.
 
@@ -387,9 +404,7 @@ class GroupRingCyc:
         return CyclotomicInt(self.p, tuple(int(x) for x in self.table[v.index]))
 
     def is_zero(self) -> bool:
-        if self.table.dtype == object:
-            return all(x == 0 for x in self.table.flat)
-        return not self.table.any()
+        return not (self.table != 0).any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupRingCyc):
@@ -414,25 +429,13 @@ class GroupRingCyc:
     def __neg__(self) -> "GroupRingCyc":
         return GroupRingCyc(self.p, self.n, -self.table)
 
-    def _l1_bound(self) -> int:
-        if self.table.size == 0:
-            return 0
-        return int(np.abs(self.table).sum(axis=1).max())
-
-    def _promoted_if_needed(self, factors: int, reps: int) -> np.ndarray:
-        """Return a table safe for `factors` more binomial multiplies of power `reps`."""
-        if self.table.dtype == object:
-            return self.table
-        bound = self._l1_bound() * (1 + self.p) ** (factors * reps)
-        if bound >= config.INT64_SAFE_BOUND:
-            return self.table.astype(object)
-        return self.table
-
     def mul_binomial(self, v: FpVector, t: int, r: int = 1) -> "GroupRingCyc":
         """Multiply by (1 - w^t g^v)^r."""
         if r < 0:
             raise ValueError("exponent must be nonnegative")
-        table = self._promoted_if_needed(1, r)
+        # each row is a signed sum of at most (p - 1) * max|entry| roots of unity
+        roots = (self.p - 1) * int(np.abs(self.table).max(initial=0))
+        table = self.table.astype(_coef_dtype(roots * 2**r), copy=False)
         out = _kernels.cyc_binomial_power(table, self.dims, v.coords, t % self.p, r, self.p)
         return GroupRingCyc(self.p, self.n, out)
 
@@ -472,16 +475,17 @@ class GroupRingCyc:
 def binomial_product_cyc(
     V: FpMultiset, twists: Sequence[int], r: int = 1, cap: Optional[int] = None
 ) -> GroupRingCyc:
-    """The product over V of (1 - w^(t_v) g^v)^r, exactly over Z[w]."""
+    """The product over V of (1 - w^(t_v) g^v)^r, exactly over Z[w]; stops at zero."""
+    _check_exponent(r, V.p)
     t = normalize_twists(V, twists)
-    if not 1 <= r <= V.p - 1:
-        raise ValueError(f"exponent r must lie in [1, p-1], got r={r} for p={V.p}")
-    out = GroupRingCyc.unit(V.p, V.n, cap)
+    p, dims = V.p, (V.p,) * V.n
+    table = np.zeros((check_ring_cap(p, V.n, cap), p - 1), dtype=_coef_dtype(2 ** (r * V.size)))
+    table[0, 0] = 1
     for v, tv in zip(V.entries, t):
-        out = out.mul_binomial(v, tv, r)
-        if out.is_zero():
+        table = _kernels.cyc_binomial_power(table, dims, v.coords, tv, r, p)
+        if not (table != 0).any():
             break
-    return out
+    return GroupRingCyc(p, V.n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +546,14 @@ def cover_twist_verdicts(V: FpMultiset, cap: Optional[int] = None) -> np.ndarray
 
 
 def product_twist_verdicts(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> np.ndarray:
-    """Boolean verdicts over all p^|V| twists via exact cyclotomic products."""
+    """Boolean verdicts over all p^|V| twists via exact cyclotomic products.
+
+    One batch table of shape (p^n,) + (p,)*|V| + (p-1,) holds every product,
+    with one twist axis per entry (entry 0 most significant, as in
+    twist_from_index); entry i with twist t multiplies the slice that has t
+    on axis i + 1, in place.
+    """
+    _check_exponent(r, V.p)
     p, n, m = V.p, V.n, V.size
     total = _check_twist_cap(p, m, cap)
     size = check_ring_cap(p, n)
@@ -554,36 +565,14 @@ def product_twist_verdicts(V: FpMultiset, r: int = 1, cap: Optional[int] = None)
             f"batched product tables p^|V| * p^n * (p-1) = {total} * {size} * {p - 1} = {cells} "
             f"cells exceed cap {config.RING_SIZE_CAP}"
         )
-    # Batched tables, one per twist assignment.
-    tables = np.zeros((total, size, p - 1), dtype=np.int64)
-    tables[:, 0, 0] = 1
+    table = np.zeros((size,) + (p,) * m + (p - 1,), dtype=_coef_dtype(2 ** (r * m)))
+    table[0, ..., 0] = 1
     dims = (p,) * n
-    l1 = 1
     for i, v in enumerate(V.entries):
-        digit = (np.arange(total) // p ** (m - 1 - i)) % p
-        if l1 * (1 + p) ** r >= config.INT64_SAFE_BOUND and tables.dtype != object:
-            tables = tables.astype(object)
-        l1 *= (1 + p) ** r
-        new = np.empty_like(tables)
-        for tval in range(p):
-            sel = digit == tval
-            if not sel.any():
-                continue
-            block = tables[sel]
-            for _ in range(r):
-                shaped = block.reshape((block.shape[0],) + dims + (p - 1,))
-                if n:
-                    rolled = np.roll(shaped, shift=v.coords, axis=tuple(range(1, n + 1)))
-                else:
-                    rolled = shaped.copy()
-                rolled = rolled.reshape(block.shape)
-                block = block - _kernels.lambda_shift_rows(rolled, tval, p)
-            new[sel] = block
-        tables = new
-    if tables.dtype == object:
-        flat = tables.reshape(total, -1)
-        return np.array([not any(x != 0 for x in row) for row in flat], dtype=bool)
-    return ~tables.reshape(total, -1).any(axis=1)
+        for t in range(p):
+            block = (slice(None),) * (i + 1) + (t,)
+            table[block] = _kernels.cyc_binomial_power(table[block], dims, v.coords, t, r, p)
+    return ~(table != 0).any(axis=(0, -1)).reshape(total)
 
 
 def is_c_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> Optional[TwistAssignment]:
@@ -593,6 +582,7 @@ def is_c_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> Opti
     `cap`) and re-certified by an exact cyclotomic product under the default
     ring cap.
     """
+    _check_exponent(r, V.p)
     if V.size == 0:
         return None
     hits = np.nonzero(cover_twist_verdicts(V, cap))[0]
@@ -611,6 +601,7 @@ def is_c_irredundant(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> Op
     every hyperplane covers a point no other member covers.  Note this is a
     per-witness condition, not "no proper subset is vanishing".
     """
+    _check_exponent(r, V.p)
     p, n, m = V.p, V.n, V.size
     if m == 0:
         return None
@@ -632,45 +623,18 @@ def is_c_irredundant(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> Op
 def fourier_transform(h: GroupRingCyc) -> np.ndarray:
     """Table of F(h*)(x) = sum_v w^<x,v> h[v], one Z[w] row per x; exact."""
     p, n = h.p, h.n
-    size = p**n
     cm = coords_matrix(p, n)
-    table = h.table
-    if table.dtype != object:
-        bound = int(np.abs(table).sum()) * p
-        if bound >= config.INT64_SAFE_BOUND:
-            table = table.astype(object)
-    acc = np.zeros((size, p - 1), dtype=table.dtype)
-    if table.dtype == object:
-        acc = np.array([[0] * (p - 1) for _ in range(size)], dtype=object)
-    for vi in range(size):
-        row = table[vi]
-        if table.dtype == object:
-            if not any(x != 0 for x in row):
-                continue
-        elif not row.any():
-            continue
-        v = cm[vi]
-        ip = (cm @ v) % p
-        row2 = row.reshape(1, -1)
-        for k in range(p):
-            sel = ip == k
-            if not sel.any():
-                continue
-            acc[sel] = acc[sel] + _kernels.lambda_shift_rows(row2, k, p)[0]
+    # each output row is a signed sum of at most table.size * max|entry| roots of unity
+    roots = h.table.size * int(np.abs(h.table).max(initial=0))
+    table = h.table.astype(_coef_dtype(roots), copy=False)
+    acc = np.zeros(table.shape, dtype=table.dtype)
+    for vi in np.nonzero((table != 0).any(axis=1))[0]:
+        shifts = np.stack([_kernels.lambda_shift_rows(table[vi], k, p) for k in range(p)])
+        acc += shifts[(cm @ cm[vi]) % p]
     return acc
 
 
 def fourier_zero_set(h: GroupRingCyc) -> tuple[FpVector, ...]:
     """All x with F(h*)(x) = 0 exactly in Z[w], in canonical order."""
-    p, n = h.p, h.n
-    ft = fourier_transform(h)
-    out = []
-    for xi in range(ft.shape[0]):
-        row = ft[xi]
-        if ft.dtype == object:
-            zero = not any(x != 0 for x in row)
-        else:
-            zero = not row.any()
-        if zero:
-            out.append(FpVector.from_index(p, n, xi))
-    return tuple(out)
+    zero = ~(fourier_transform(h) != 0).any(axis=1)
+    return tuple(FpVector.from_index(h.p, h.n, int(xi)) for xi in np.nonzero(zero)[0])

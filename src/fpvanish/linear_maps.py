@@ -227,6 +227,7 @@ def hunt_counterexample(
     the failing matrices and the certificate.  No claim is made either way;
     this is an exploration aid.
     """
+    p = _as_prime(p)
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         mats = [random_invertible(p, n, rng) for _ in range(k)]

@@ -20,13 +20,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(*argv):
-    """Run the CLI in a new interpreter: (exit code, stdout)."""
+def run_fresh(*argv, timeout=None):
+    """Run the CLI in a new interpreter: (exit code, stdout, stderr).
+
+    With `timeout` (seconds), a run that does not finish raises
+    subprocess.TimeoutExpired, so a hang fails the test instead of stalling it.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(fpvanish.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-m", "fpvanish.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "fpvanish.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
-    return done.returncode, done.stdout
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestArithmeticSetCommand:
@@ -68,7 +73,27 @@ class TestArithmeticSetCommand:
         ]
         for argv in sequence:
             code, out, _ = run_cli(capsys, *argv)
-            assert (code, out) == run_fresh(*argv)
+            assert (code, out) == run_fresh(*argv)[:2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 2^61 - 1 is prime; trial division to its square root would not end
+            ["--p", "2305843009213693951", "--min"],
+            # dense p-entry tables would not fit in memory
+            ["--p", "1000000007", "--small"],
+        ],
+    )
+    def test_huge_p_hits_the_cap_at_once(self, argv):
+        code, out, err = run_fresh("arithmetic-set", *argv, timeout=30)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("cap exceeded:") and "Traceback" not in err
+
+    def test_cap_comes_before_primality_for_min(self, capsys):
+        code, _, err = run_cli(capsys, "arithmetic-set", "--p", "33", "--min")
+        assert code == 3
+        assert "capped at p <= 31, got 33" in err
 
     def test_reused_parser_carries_nothing_over(self):
         sequence = [
@@ -156,6 +181,17 @@ class TestVanishingCommands:
         )
         assert code == 3
         assert "cap" in err
+
+    @pytest.mark.parametrize("r", ["0", "3"])
+    @pytest.mark.parametrize("vectors", ["[[1],[1]]", "[[1],[1],[1]]"])
+    def test_c_vanishing_exponent_out_of_range(self, capsys, vectors, r):
+        # r used to be checked only when a witness was certified
+        code, out, err = run_cli(
+            capsys, "vanishing", "--field", "c", "--p", "3", "--n", "1", "--r", r, "--vectors", vectors
+        )
+        assert code == 2
+        assert out == ""
+        assert f"got r={r} for p=3" in err and "Traceback" not in err
 
     def test_c_vanishing_cap_ring_caps_the_space(self, capsys):
         code, out, err = run_cli(
@@ -325,6 +361,15 @@ class TestAjtCommand:
         )
         assert code == 0
         assert json.loads(out)["counterexample"] is None
+
+    def test_hunt_rejects_p_1(self):
+        # over F_1 every matrix is zero, so drawing an invertible one never ends
+        code, out, err = run_fresh(
+            "ajt", "--hunt", "--p", "1", "--n", "2", "--k", "2", "--trials", "5", timeout=30
+        )
+        assert code == 2
+        assert out == ""
+        assert "modulus must be a prime" in err and "Traceback" not in err
 
 
 class TestOutputModes:

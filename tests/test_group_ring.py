@@ -294,6 +294,41 @@ class TestBinomialProductCyc:
             promoted.table.astype(np.int64), expected.table
         )
 
+    def test_coefficients_within_two_to_the_factor_count(self, rng):
+        # a product of k = r|V| binomials is a signed sum of at most 2^k roots
+        # of unity per group element, and roots have entries in {-1, 0, 1}
+        for _ in range(60):
+            p = int(rng.choice([2, 3, 5, 7]))
+            n = int(rng.integers(1, 3))
+            r = int(rng.integers(1, p))
+            V = random_multiset(rng, p, n, int(rng.integers(1, 6)))
+            if rng.random() < 0.5:
+                V = FpMultiset(p, n, V.entries[:1] * V.size)
+            twists = [int(x) for x in rng.integers(0, p, size=V.size)]
+            if rng.random() < 0.5:
+                twists = twists[:1] * V.size
+            table = gr.binomial_product_cyc(V, twists, r).table
+            assert table.dtype == np.int64
+            assert np.abs(table).max() <= 2 ** (r * V.size)
+
+    @pytest.mark.parametrize("m", [1, 5, 60, 61, 62, 63, 64, 70])
+    def test_bound_is_reached_and_stays_exact(self, m):
+        # p = 2, v = 0, t = 1: each factor is 1 - (-1) = 2, so the product is 2^m
+        V = FpMultiset.from_coords(2, [[0]] * m)
+        table = gr.binomial_product_cyc(V, [1] * m).table
+        assert [int(x) for x in table.flat] == [2**m, 0]
+        assert table.dtype == (np.int64 if 3 * 2**m < config.INT64_SAFE_BOUND else object)
+
+    def test_mul_binomial_promotes_a_large_table(self):
+        big = 2**61
+        h = gr.GroupRingCyc(3, 1, np.array([[big, -big], [0, 0], [0, 0]], dtype=np.int64))
+        v = FpVector(3, (1,))
+        got = h.mul_binomial(v, 2, 2)
+        assert got.table.dtype == object
+        # the same product with the table scaled down by 2^61, then scaled back up
+        small = gr.GroupRingCyc(3, 1, np.array([[1, -1], [0, 0], [0, 0]])).mul_binomial(v, 2, 2)
+        assert [int(x) for x in got.table.flat] == [big * int(x) for x in small.table.flat]
+
 
 class TestComplexVanishing:
     def test_too_few_factors_never_vanish(self):
@@ -334,6 +369,42 @@ class TestComplexVanishing:
         V = FpMultiset.from_coords(3, [[0], [1]])
         t = gr.is_c_vanishing(V)
         assert t is not None and t[0] == 0
+
+    @pytest.mark.parametrize("r", [0, 3, -1])
+    def test_exponent_checked_before_any_search(self, r):
+        # [[1],[1],[1]] mod 3 has covering twists, so no path may answer quietly
+        V = FpMultiset.from_coords(3, [[1], [1], [1]])
+        for call in (
+            lambda: gr.product_twist_verdicts(V, r),
+            lambda: gr.is_c_vanishing(V, r),
+            lambda: gr.is_c_irredundant(V, r),
+            lambda: gr.binomial_product_cyc(V, (0, 1, 2), r),
+            lambda: gr.binomial_product_fp(V, r),
+            lambda: gr.is_fp_irredundant(V, r),
+        ):
+            with pytest.raises(ValueError, match=f"got r={r} for p=3"):
+                call()
+        with pytest.raises(ValueError, match="exponent r"):
+            gr.is_c_vanishing(FpMultiset(3, 1, ()), r)
+
+    def test_object_path_matches_int64(self, monkeypatch, rng):
+        cases = []
+        for _ in range(12):
+            p = int(rng.choice([2, 3, 5]))
+            V = random_multiset(rng, p, int(rng.integers(1, 3)), int(rng.integers(1, 4)))
+            r = int(rng.integers(1, p))
+            cases.append((V, r, gr.product_twist_verdicts(V, r)))
+        monkeypatch.setattr(config, "INT64_SAFE_BOUND", 4)
+        for V, r, want in cases:
+            assert np.array_equal(gr.product_twist_verdicts(V, r), want)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zero_dimensional_space(self, p):
+        # F_p^0 is one point; every entry is the zero vector
+        for m in range(1, 4):
+            V = FpMultiset(p, 0, (FpVector(p, ()),) * m)
+            for r in range(1, p):
+                assert np.array_equal(gr.product_twist_verdicts(V, r), gr.cover_twist_verdicts(V))
 
     def test_twist_cap(self):
         V = FpMultiset.from_coords(5, [[1]] * 6)
@@ -415,6 +486,22 @@ class TestFourier:
                 b = gr.CyclotomicInt(p, tuple(int(c) for c in f2[x]))
                 ab = gr.CyclotomicInt(p, tuple(int(c) for c in f12[x]))
                 assert a * b == ab
+
+
+    def test_object_path_matches_int64(self, monkeypatch, rng):
+        cases = []
+        for _ in range(8):
+            p, n = int(rng.choice([2, 3, 5])), int(rng.integers(1, 3))
+            V = random_multiset(rng, p, n, int(rng.integers(1, 4)))
+            twists = tuple(int(x) for x in rng.integers(0, p, size=V.size))
+            h = gr.binomial_product_cyc(V, twists)
+            cases.append((h, gr.fourier_transform(h), gr.fourier_zero_set(h)))
+        monkeypatch.setattr(config, "INT64_SAFE_BOUND", 4)
+        for h, want, zeros in cases:
+            got = gr.fourier_transform(h)
+            assert got.dtype == object
+            assert np.array_equal(got.astype(np.int64), want)
+            assert gr.fourier_zero_set(h) == zeros
 
 
 class TestDebugDump:
