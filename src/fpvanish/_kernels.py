@@ -1,12 +1,15 @@
 """Hot numeric kernels, vectorised with numpy.
 
-Group-ring kernels operate on dense coefficient tables indexed by the
-canonical mixed-radix encoding of F_p^n (coordinate 0 most significant), so
-that "subtract the constant vector v" is np.roll by v along every axis of
-the (p,)*n view.  The arithmetic-set kernels check subset masks of F_p
-against the verifier's progression conditions, one mask or a batch at once;
-the exhaustive scan tries only sets containing {0, 1}, since every
-arithmetic set of size >= 2 is an affine image of one.
+Group-ring tables index F_p^n along one group axis by the canonical
+mixed-radix encoding (coordinate 0 most significant), so "subtract the
+constant vector v" is np.roll by v over the (p,)*n view of that axis.  F_p
+tables are that axis alone.  Z[w] tables are coefficient-major, of shape
+(p-1, p^n, *batch): the power basis w^0..w^(p-2) comes first, so multiplying
+by w^t moves whole planes (GroupRingCyc.table is the transposed (p^n, p-1)
+view).  The arithmetic-set kernels check subset masks of F_p against the
+verifier's progression conditions, one mask or a batch at once; the
+exhaustive scan tries only sets containing {0, 1}, since every arithmetic
+set of size >= 2 is an affine image of one.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ from itertools import combinations, islice
 import numpy as np
 
 
-def _rolled(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...]) -> np.ndarray:
-    """Table of y -> table[y - v]; trailing axes (if any) are untouched."""
+def _rolled(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...], axis: int = 0) -> np.ndarray:
+    """Table of y -> table[y - v] for the group on axis `axis`; other axes are untouched."""
     if not dims:
         return table.copy()
-    shaped = table.reshape(dims + table.shape[1:])
-    out = np.roll(shaped, shift=tuple(int(c) for c in v), axis=tuple(range(len(dims))))
-    return out.reshape(table.shape)
+    shape = table.shape
+    shaped = table.reshape(shape[:axis] + dims + shape[axis + 1 :])
+    out = np.roll(shaped, shift=tuple(int(c) for c in v), axis=tuple(range(axis, axis + len(dims))))
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -41,32 +45,37 @@ def fp_binomial_power(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ..
 # ---------------------------------------------------------------------------
 # Cyclotomic-coefficient binomial multiply.
 #
-# Rows are elements of Z[w], w a primitive p-th root of unity, stored in the
-# power basis w^0..w^(p-2).  Multiplying a row c by w^t: pad c to length p,
-# cyclically shift by t (multiplication by x^t mod x^p - 1), then eliminate
-# the top coefficient e via w^(p-1) = -(1 + w + ... + w^(p-2)).
+# Axis 0 holds elements of Z[w], w a primitive p-th root of unity, in the
+# power basis w^0..w^(p-2).  Multiplying c by w^t (0 < t < p) moves plane j
+# to plane j + t mod p; the plane c[p-1-t] that lands on w^(p-1) is
+# eliminated via w^(p-1) = -(1 + w + ... + w^(p-2)), i.e. subtracted from
+# every plane, and plane t - 1 is left as minus it.
 
 
 def lambda_shift_rows(rows: np.ndarray, t: int, p: int) -> np.ndarray:
-    """Multiply each row (a Z[w] element in the power basis) by w^t."""
+    """Multiply Z[w] elements (power basis along axis 0) by w^t. Returns a new array."""
     t = t % p
     if t == 0:
         return rows.copy()
     m = p - 1
-    src = [(j - t) % p for j in range(m)]
-    top = (m - t) % p
-    zeros = np.zeros(rows.shape[:-1] + (1,), dtype=rows.dtype)
-    padded = np.concatenate([rows, zeros], axis=-1)
-    return padded[..., src] - padded[..., top : top + 1]
+    top = rows[m - t : m - t + 1]
+    out = np.empty_like(rows)
+    np.subtract(rows[: m - t], top, out=out[t:])
+    np.subtract(rows[m - t + 1 :], top, out=out[: t - 1])
+    np.negative(top, out=out[t - 1 : t])
+    return out
 
 
 def cyc_binomial_power(
     table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...], t: int, r: int, p: int
 ) -> np.ndarray:
-    """Multiply a dense Z[w][F_p^n] table by (1 - w^t g^v)^r."""
+    """Multiply a dense Z[w][F_p^n] table of shape (p-1, p^n, *batch) by (1 - w^t g^v)^r."""
     cur = table
     for _ in range(r):
-        cur = cur - lambda_shift_rows(_rolled(cur, dims, v), t, p)
+        shifted = _rolled(cur, dims, v, axis=1)
+        if t % p:
+            shifted = lambda_shift_rows(shifted, t, p)
+        cur = np.subtract(cur, shifted, out=shifted)
     return cur
 
 

@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     SearchBudgetExceededError,
 )
-from .fp_core import FpMultiset, FpVector, check_ring_cap
+from .fp_core import FpMultiset, FpVector, check_ring_cap, is_prime
 
 FORMAT_VERSION = 1
 
@@ -96,11 +96,16 @@ def _multiset_from_args(args) -> FpMultiset:
     return FpMultiset.from_dict(data)
 
 
-def _primes_in_range(spec: str) -> list[int]:
-    lo, hi = spec.split(":")
-    from .fp_core import is_prime
+def _split_range(spec: str, cap: int) -> tuple[range, Optional[int]]:
+    """The integers of the inclusive range "lo:hi" up to `cap`, and the least
+    prime of the range above `cap` (None if there is none).
 
-    return [p for p in range(int(lo), int(hi) + 1) if is_prime(p)]
+    A run over the range ends with a cap error at that prime, so nothing past
+    it is tested for primality.
+    """
+    lo, hi = (int(x) for x in spec.split(":"))
+    above = next((p for p in range(max(lo, cap + 1), hi + 1) if is_prime(p)), None)
+    return range(lo, min(hi, cap) + 1), above
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +115,14 @@ def _primes_in_range(spec: str) -> list[int]:
 def _cmd_arithmetic_set(args) -> int:
     r = args.r if args.r is not None else 1
     if args.p_range:
+        cap = config.MIN_ARITHMETIC_P_CAP if args.min else config.RING_SIZE_CAP
+        below, above = _split_range(args.p_range, cap)
+        if above is not None and not args.min:
+            # a search below the cap reports its failure as a row, so the cap
+            # error at `above` is the run's outcome whatever they find
+            below = range(0)
         rows = []
-        for p in _primes_in_range(args.p_range):
+        for p in [p for p in below if is_prime(p)] + ([] if above is None else [above]):
             if p < 5 and not args.min:
                 continue
             try:

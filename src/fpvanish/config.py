@@ -11,9 +11,11 @@ from __future__ import annotations
 
 # Largest dense group-ring table (p^n entries) built by default; also the
 # largest batch table of cyclotomic products (p^|V| * p^n * (p-1) int64
-# cells, 80 MB) that product_twist_verdicts holds, plus temporaries the size
-# of one twist slice (1/p of it), and the most covering table updates
-# (p^|V| cells for each of p^n points) cover_twist_verdicts makes.
+# cells, 80 MB) that product_twist_verdicts holds, coefficient-major as
+# (p-1, p^n) + (p,)*|V|, plus temporaries the size of one twist slice (1/p
+# of it): the rolled slice and its w^t plane shift, and for r >= 2 the
+# previous power; and the most covering table updates (p^|V| cells for each
+# of p^n points) cover_twist_verdicts makes.
 RING_SIZE_CAP = 10**7
 
 # Largest abelian group order for exact coset-cover searches.

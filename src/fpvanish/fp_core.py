@@ -17,20 +17,45 @@ from . import config
 from .errors import CapExceededError, InvariantViolationError, NotInSpanError
 
 
+# Miller-Rabin with the first thirteen prime bases has no false positive below
+# this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs)."""
+    """Deterministic primality: Miller-Rabin below 3.3 * 10^24, trial division above."""
     if p < 2:
         return False
-    if p < 4:
+    for q in _MILLER_RABIN_BASES:
+        if p % q == 0:
+            return p == q
+    if p < 43 * 43:
         return True
-    if p % 2 == 0:
-        return False
-    d = 3
+    if p < _MILLER_RABIN_EXACT_BELOW:
+        d, s = p - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        return all(_strong_probable_prime(p, a, d, s) for a in _MILLER_RABIN_BASES)
+    d = 43
     while d * d <= p:
         if p % d == 0:
             return False
         d += 2
     return True
+
+
+def _strong_probable_prime(p: int, a: int, d: int, s: int) -> bool:
+    """Miller-Rabin round for odd p with p - 1 = d * 2^s, d odd."""
+    x = pow(a, d, p)
+    if x == 1 or x == p - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % p
+        if x == p - 1:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

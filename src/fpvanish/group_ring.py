@@ -366,7 +366,9 @@ class GroupRingCyc:
 
     Tables are int64 with a conservative coefficient-growth guard; when a
     product could overflow they are promoted to exact Python-int (object)
-    arrays, so results are exact in all regimes.
+    arrays, so results are exact in all regimes.  The kernels work on the
+    coefficient-major (p-1, p^n) layout; products come back as `table.T`
+    of such a table, a (p^n, p-1) view.
     """
 
     __slots__ = ("p", "n", "table")
@@ -436,8 +438,8 @@ class GroupRingCyc:
         # each row is a signed sum of at most (p - 1) * max|entry| roots of unity
         roots = (self.p - 1) * int(np.abs(self.table).max(initial=0))
         table = self.table.astype(_coef_dtype(roots * 2**r), copy=False)
-        out = _kernels.cyc_binomial_power(table, self.dims, v.coords, t % self.p, r, self.p)
-        return GroupRingCyc(self.p, self.n, out)
+        out = _kernels.cyc_binomial_power(table.T, self.dims, v.coords, t % self.p, r, self.p)
+        return GroupRingCyc(self.p, self.n, out.T)
 
     def __mul__(self, other: "GroupRingCyc") -> "GroupRingCyc":
         """General convolution with Z[w] coefficient products (small inputs)."""
@@ -479,13 +481,13 @@ def binomial_product_cyc(
     _check_exponent(r, V.p)
     t = normalize_twists(V, twists)
     p, dims = V.p, (V.p,) * V.n
-    table = np.zeros((check_ring_cap(p, V.n, cap), p - 1), dtype=_coef_dtype(2 ** (r * V.size)))
+    table = np.zeros((p - 1, check_ring_cap(p, V.n, cap)), dtype=_coef_dtype(2 ** (r * V.size)))
     table[0, 0] = 1
     for v, tv in zip(V.entries, t):
         table = _kernels.cyc_binomial_power(table, dims, v.coords, tv, r, p)
         if not (table != 0).any():
             break
-    return GroupRingCyc(p, V.n, table)
+    return GroupRingCyc(p, V.n, table.T)
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +550,10 @@ def cover_twist_verdicts(V: FpMultiset, cap: Optional[int] = None) -> np.ndarray
 def product_twist_verdicts(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> np.ndarray:
     """Boolean verdicts over all p^|V| twists via exact cyclotomic products.
 
-    One batch table of shape (p^n,) + (p,)*|V| + (p-1,) holds every product,
-    with one twist axis per entry (entry 0 most significant, as in
-    twist_from_index); entry i with twist t multiplies the slice that has t
-    on axis i + 1, in place.
+    One coefficient-major batch table of shape (p-1, p^n) + (p,)*|V| holds
+    every product, with one twist axis per entry (entry 0 most significant,
+    as in twist_from_index); entry i with twist t multiplies the slice that
+    has t on axis i + 2, in place.
     """
     _check_exponent(r, V.p)
     p, n, m = V.p, V.n, V.size
@@ -565,14 +567,14 @@ def product_twist_verdicts(V: FpMultiset, r: int = 1, cap: Optional[int] = None)
             f"batched product tables p^|V| * p^n * (p-1) = {total} * {size} * {p - 1} = {cells} "
             f"cells exceed cap {config.RING_SIZE_CAP}"
         )
-    table = np.zeros((size,) + (p,) * m + (p - 1,), dtype=_coef_dtype(2 ** (r * m)))
-    table[0, ..., 0] = 1
+    table = np.zeros((p - 1, size) + (p,) * m, dtype=_coef_dtype(2 ** (r * m)))
+    table[0, 0] = 1
     dims = (p,) * n
     for i, v in enumerate(V.entries):
         for t in range(p):
-            block = (slice(None),) * (i + 1) + (t,)
+            block = (slice(None),) * (i + 2) + (t,)
             table[block] = _kernels.cyc_binomial_power(table[block], dims, v.coords, t, r, p)
-    return ~(table != 0).any(axis=(0, -1)).reshape(total)
+    return ~(table != 0).any(axis=(0, 1)).reshape(total)
 
 
 def is_c_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> Optional[TwistAssignment]:

@@ -95,6 +95,51 @@ class TestArithmeticSetCommand:
         assert code == 3
         assert "capped at p <= 31, got 33" in err
 
+    @pytest.mark.parametrize(
+        "p_range,mode,got",
+        [
+            # 2^61 - 1 alone: the range holds one prime, past both caps
+            ("2305843009213693951:2305843009213693951", "--min", "got 2305843009213693951"),
+            ("2305843009213693951:2305843009213693951", "--small", "2305843009213693951 exceeds cap"),
+            # the primes up to 31 are minimized, then 37 is past the cap
+            ("5:100000000", "--min", "got 37"),
+            # the primes below the ring cap are never searched
+            ("5:100000000", "--small", "10000019 exceeds cap"),
+        ],
+    )
+    def test_p_range_past_the_cap_exits_at_once(self, p_range, mode, got):
+        code, out, err = run_fresh("arithmetic-set", "--p-range", p_range, mode, timeout=30)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("cap exceeded:") and got in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("p_range", ["0:2", "2:13", "13:11", "20:23", "29:36", "32:36"])
+    def test_min_p_range_reports_each_prime_as_p_does(self, capsys, p_range):
+        """Up to the cap, including ranges that pass it only through composites."""
+        lo, hi = (int(x) for x in p_range.split(":"))
+        primes = [p for p in range(lo, hi + 1) if p > 1 and all(p % d for d in range(2, p))]
+        rows = []
+        for p in primes:
+            row = json.loads(run_cli(capsys, "arithmetic-set", "--p", str(p), "--min")[1])
+            del row["version"]
+            rows.append(row)
+        code, out, _ = run_cli(capsys, "arithmetic-set", "--p-range", p_range, "--min")
+        assert code == 0
+        assert out == json.dumps({"version": 1, "results": rows}, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            # the exponent check at p = 2 comes before the cap at 37
+            (["--p-range", "2:40", "--min", "--r", "3"], 2, "r must lie in [1, p-1], got 3"),
+            (["--p-range", "29:40", "--min"], 3, "capped at p <= 31, got 37"),
+        ],
+    )
+    def test_p_range_keeps_the_first_error(self, capsys, argv, code, message):
+        got, out, err = run_cli(capsys, "arithmetic-set", *argv)
+        assert (got, out) == (code, "")
+        assert message in err
+
     def test_reused_parser_carries_nothing_over(self):
         sequence = [
             ["arithmetic-set", "--p", "13", "--min"],

@@ -22,6 +22,36 @@ class TestPrimeModulus:
             fc.PrimeModulus(bad)
 
 
+def _trial_division(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self, rng):
+        samples = list(range(-3, 5000)) + [int(x) for x in rng.integers(5000, 10**9, size=300)]
+        for n in samples:
+            assert fc.is_prime(n) == _trial_division(n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2047,  # strong pseudoprime to base 2
+            3215031751,  # to bases 2, 3, 5, 7
+            3825123056546413051,  # to bases 2 through 23
+            318665857834031151167461,  # to bases 2 through 37
+            (2**31 - 1) * 1000000007,
+            41 * 43,
+            43 * 43,  # the least composite with no factor among the bases
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not fc.is_prime(n)
+
+    @pytest.mark.parametrize("n", [1847, 1861, 2**31 - 1, 1000000007, 2**61 - 1, 2**64 - 59])
+    def test_large_primes(self, n):
+        assert fc.is_prime(n)
+
+
 class TestFpVector:
     def test_coordinate_range_enforced(self):
         with pytest.raises(ValueError):

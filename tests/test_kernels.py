@@ -35,30 +35,71 @@ class TestFpBinomialPower:
         assert np.array_equal(got, want.coeffs)
 
 
+def _binomial(p: int, n: int, v: FpVector, t: int) -> GroupRingCyc:
+    """The ring element 1 - w^t g^v, built from its coefficients."""
+    table = np.zeros((p**n, p - 1), dtype=np.int64)
+    table[0, 0] = 1
+    table[v.index] -= CyclotomicInt.root_power(p, t).coeffs
+    return GroupRingCyc(p, n, table)
+
+
+def _power(a: GroupRingCyc, factor: GroupRingCyc, r: int) -> GroupRingCyc:
+    for _ in range(r):
+        a = a * factor
+    return a
+
+
 class TestCycBinomialPower:
+    """Z[w] tables reach the kernels coefficient-major: (p-1, p^n, *batch)."""
+
     @pytest.mark.parametrize("p,n,t,r", [(2, 1, 1, 1), (3, 2, 2, 1), (5, 2, 3, 2), (3, 1, 0, 2)])
     def test_matches_ring_product(self, rng, p, n, t, r):
         a = GroupRingCyc(p, n, rng.integers(-4, 5, size=(p**n, p - 1)))
         v = _random_vector(rng, p, n)
-        table = np.zeros((p**n, p - 1), dtype=np.int64)
-        table[0, 0] = 1
-        table[v.index] -= CyclotomicInt.root_power(p, t).coeffs
-        factor = GroupRingCyc(p, n, table)
-        want = a
-        for _ in range(r):
-            want = want * factor
-        got = K.cyc_binomial_power(a.table, (p,) * n, v.coords, t, r, p)
-        assert np.array_equal(got, want.table.astype(np.int64))
+        want = _power(a, _binomial(p, n, v, t), r)
+        got = K.cyc_binomial_power(a.table.T, (p,) * n, v.coords, t, r, p)
+        assert np.array_equal(got.T, want.table.astype(np.int64))
 
     def test_lambda_shift_matches_scalar_cyclotomic(self, rng):
         for p in (3, 5, 7):
             for _ in range(10):
                 coeffs = [int(c) for c in rng.integers(-5, 6, size=p - 1)]
                 t = int(rng.integers(0, p))
-                row = np.array([coeffs], dtype=np.int64)
-                got = K.lambda_shift_rows(row, t, p)[0]
+                got = K.lambda_shift_rows(np.array(coeffs, dtype=np.int64), t, p)
                 want = CyclotomicInt(p, coeffs).root_shift(t)
                 assert tuple(int(x) for x in got) == want.coeffs
+
+    # Every t in 0..p-1: t = 1 and t = p - 1 are the edges of the plane slices.
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_lambda_shift_every_t_with_batch_axes(self, rng, p, dtype):
+        rows = rng.integers(-5, 6, size=(p - 1, 4, 3)).astype(dtype)
+        before = rows.copy()
+        for t in range(p):
+            got = K.lambda_shift_rows(rows, t, p)
+            assert got.shape == rows.shape and got.dtype == rows.dtype
+            for idx in np.ndindex(rows.shape[1:]):
+                element = CyclotomicInt(p, [int(x) for x in rows[(slice(None),) + idx]])
+                assert tuple(int(x) for x in got[(slice(None),) + idx]) == element.root_shift(t).coeffs
+        assert np.array_equal(rows, before)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 1), (7, 1)])
+    def test_power_every_t_with_batch_axes(self, rng, p, n, dtype):
+        size, batch = p**n, (2, 3)
+        table = rng.integers(-3, 4, size=(p - 1, size) + batch).astype(dtype)
+        before = table.copy()
+        v = _random_vector(rng, p, n)
+        r = min(2, p - 1)
+        for t in range(p):
+            got = K.cyc_binomial_power(table, (p,) * n, v.coords, t, r, p)
+            assert got.shape == table.shape and got.dtype == table.dtype
+            factor = _binomial(p, n, v, t)
+            for idx in np.ndindex(batch):
+                a = GroupRingCyc(p, n, table[(slice(None), slice(None)) + idx].T)
+                want = _power(a, factor, r)
+                assert np.array_equal(got[(slice(None), slice(None)) + idx].T, want.table)
+        assert np.array_equal(table, before)
 
 
 class TestReachExpand:
