@@ -19,6 +19,7 @@ algorithm in `decomposition` actually consumes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
@@ -67,12 +68,21 @@ def _progression_ok(members: frozenset[int], p: int, a: int, b: int, lo: int, hi
     return all((a + i * b) % p in members for i in range(lo, hi + 1))
 
 
-def _witness_for(members: frozenset[int], p: int, r: int, a: int) -> Optional[int]:
-    """Smallest valid difference b for element a, or None."""
-    inside = a in members
-    lo = -r if inside else 1
-    for b in range(1, p):
-        if _progression_ok(members, p, a, b, lo, r):
+def _witness_for(
+    members: frozenset[int], order: list[int], p: int, r: int, a: int
+) -> Optional[int]:
+    """Smallest valid difference b for element a, or None.
+
+    Both clauses put a + b in the set, so only the differences b = y - a to
+    members y can be valid; `order` (the sorted members) lists them in
+    ascending order from the first member >= a, wrapping around.
+    """
+    lo = -r if a in members else 1
+    n = len(order)
+    i = bisect_left(order, a)
+    for j in range(i, i + n):
+        b = (order[j % n] - a) % p
+        if b and _progression_ok(members, p, a, b, lo, r):
             return b
     return None
 
@@ -83,9 +93,10 @@ def is_r_arithmetic(elements: Sequence[int] | frozenset[int], r: int, p: int) ->
     if not 1 <= r <= p - 1:
         raise ValueError(f"r must lie in [1, p-1], got {r}")
     members = frozenset(int(x) % p for x in elements)
+    order = sorted(members)
     witnesses: dict[int, int] = {}
     for a in range(p):
-        b = _witness_for(members, p, r, a)
+        b = _witness_for(members, order, p, r, a)
         if b is None:
             return ArithmeticCheck(False, p, r, failing=a)
         witnesses[a] = b
@@ -238,23 +249,31 @@ def _doubling_seed(p: int, c: int, size: int, rng: np.random.Generator) -> np.nd
     return np.array(sorted(out[:size]), dtype=np.int64)
 
 
-def _toggle_member(mask: np.ndarray, mids: np.ndarray, x: int, p: int) -> None:
-    """Flip x into or out of the set, keeping mids[m] = #{pairs {y, z} of
-    distinct members with y + z = 2m}.
+def _toggle(members: list[int], mids: list[int], x: int, p: int) -> None:
+    """Flip x into or out of the sorted list `members`, keeping mids[m] =
+    #{pairs {y, z} of distinct members with y + z = 2m}.
 
     The midpoints (x + y) / 2 of x with the other members y are distinct, so
-    one indexed add updates them all in O(|S|).
+    each moves by one: O(|S|) per toggle.
     """
-    sign = -1 if mask[x] else 1
-    mask[x] = False
-    others = np.nonzero(mask)[0]
-    mids[(x + others) * ((p + 1) // 2) % p] += sign
-    mask[x] = sign > 0
+    sign = 1
+    if x in members:
+        members.remove(x)
+        sign = -1
+    half = (p + 1) // 2
+    for y in members:
+        mids[(x + y) * half % p] += sign
+    if sign > 0:
+        insort(members, x)
 
 
-def _midpoint_violations(mask: np.ndarray, mids: np.ndarray) -> np.ndarray:
-    """Members (sorted) that are the midpoint of no pair of distinct members."""
-    return np.nonzero(mask & (mids == 0))[0]
+def _kth_non_member(members: list[int], k: int) -> int:
+    """The k-th smallest (from 0) residue outside the sorted list `members`."""
+    for m in members:
+        if m > k:
+            break
+        k += 1
+    return k
 
 
 def find_small_arithmetic_set(
@@ -284,8 +303,14 @@ def find_small_arithmetic_set(
     one verifier call against `budget`.  ArithmeticSet.verified re-checks the
     result independently.
 
-    The mask and midpoint tables are dense over F_p, so p is held to the
-    ring cap before the primality test.
+    The repair loop runs on plain ints: the members are a sorted list and the
+    midpoint counts a list over F_p.  Each step touches at most |S| <= 2 log2 p
+    entries, so a numpy call would cost more in call overhead than the
+    arithmetic it replaces.  A random member is members[k], and a random
+    non-member the k-th residue outside the sorted members.
+
+    The midpoint counts are dense over F_p, so p is held to the ring cap
+    before the primality test.
     """
     check_ring_cap(int(p), 1)
     p = _as_prime(p)
@@ -323,40 +348,39 @@ def find_small_arithmetic_set(
         attempt += 1
         if attempt % 2 == 1:
             c = int(rng.integers(1, p))
-            members = _doubling_seed(p, c, target, rng)
+            start = _doubling_seed(p, c, target, rng)
         else:
-            members = rng.choice(np.arange(1, p), size=min(target, p - 1), replace=False)
-        mask = np.zeros(p, dtype=bool)
-        mids = np.zeros(p, dtype=np.int64)
-        for x in members:
-            _toggle_member(mask, mids, int(x), p)
+            start = rng.choice(np.arange(1, p), size=min(target, p - 1), replace=False)
+        members: list[int] = []
+        mids = [0] * p
+        for x in start:
+            _toggle(members, mids, int(x), p)
 
-        bad = _midpoint_violations(mask, mids)
+        bad = [m for m in members if not mids[m]]
         calls += 1
         stall = 0
-        while bad.size and calls < budget and stall < 6 * p:
+        while bad and calls < budget and stall < 6 * p:
             # Violations are members only, so a is always a member: swap it
             # out for a random non-member.
-            a = int(bad[rng.integers(bad.size)]) if rng.random() < 0.8 else int(
-                rng.choice(np.nonzero(mask)[0])
-            )
-            cand = np.nonzero(~mask)[0]
-            new_elt = int(cand[rng.integers(cand.size)])
-            _toggle_member(mask, mids, a, p)
-            _toggle_member(mask, mids, new_elt, p)
-            new_bad = _midpoint_violations(mask, mids)
+            if rng.random() < 0.8:
+                a = bad[rng.integers(len(bad))]
+            else:
+                a = members[rng.integers(len(members))]
+            new_elt = _kth_non_member(members, int(rng.integers(p - len(members))))
+            _toggle(members, mids, a, p)
+            _toggle(members, mids, new_elt, p)
+            new_bad = [m for m in members if not mids[m]]
             calls += 1
-            if new_bad.size <= bad.size:
-                stall = 0 if new_bad.size < bad.size else stall + 1
+            if len(new_bad) <= len(bad):
+                stall = 0 if len(new_bad) < len(bad) else stall + 1
                 bad = new_bad
             else:
-                _toggle_member(mask, mids, new_elt, p)
-                _toggle_member(mask, mids, a, p)
+                _toggle(members, mids, new_elt, p)
+                _toggle(members, mids, a, p)
                 stall += 1
-        if not bad.size:
-            elements = [int(x) for x in np.nonzero(mask)[0]]
-            return ArithmeticSet.verified(elements, r, p)
-        best = min(best, int(bad.size))
+        if not bad:
+            return ArithmeticSet.verified(members, r, p)
+        best = min(best, len(bad))
 
     raise SearchBudgetExceededError(
         f"no verified arithmetic set of size <= {target} found in F_{p} "

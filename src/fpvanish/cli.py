@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     SearchBudgetExceededError,
 )
-from .fp_core import FpMultiset, FpVector, check_ring_cap, is_prime
+from .fp_core import FpMultiset, FpVector, _probable_prime, check_ring_cap, is_prime
 
 FORMAT_VERSION = 1
 
@@ -97,14 +97,16 @@ def _multiset_from_args(args) -> FpMultiset:
 
 
 def _split_range(spec: str, cap: int) -> tuple[range, Optional[int]]:
-    """The integers of the inclusive range "lo:hi" up to `cap`, and the least
-    prime of the range above `cap` (None if there is none).
+    """The integers of the inclusive range "lo:hi" up to `cap`, and the first
+    integer of the range above `cap` that Miller-Rabin to the thirteen bases
+    does not prove composite (None if there is none).
 
-    A run over the range ends with a cap error at that prime, so nothing past
-    it is tested for primality.
+    Below 3.3 * 10^24 that integer is the least prime above `cap`; beyond,
+    where primality would need trial division, the run still ends with the
+    cap error that --p gives for it, so nothing past it is tested.
     """
     lo, hi = (int(x) for x in spec.split(":"))
-    above = next((p for p in range(max(lo, cap + 1), hi + 1) if is_prime(p)), None)
+    above = next((p for p in range(max(lo, cap + 1), hi + 1) if _probable_prime(p)), None)
     return range(lo, min(hi, cap) + 1), above
 
 

@@ -25,7 +25,24 @@ _MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic primality: Miller-Rabin below 3.3 * 10^24, trial division above."""
+    """Deterministic primality: Miller-Rabin below 3.3 * 10^24; above, trial
+    division confirms what Miller-Rabin does not reject."""
+    if not _probable_prime(p):
+        return False
+    if p < _MILLER_RABIN_EXACT_BELOW:
+        return True
+    d = 43
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def _probable_prime(p: int) -> bool:
+    """False only when p < 2 or p is proven composite by the thirteen bases
+    (a factor among them or a failed Miller-Rabin round); exact below
+    3.3 * 10^24."""
     if p < 2:
         return False
     for q in _MILLER_RABIN_BASES:
@@ -33,17 +50,10 @@ def is_prime(p: int) -> bool:
             return p == q
     if p < 43 * 43:
         return True
-    if p < _MILLER_RABIN_EXACT_BELOW:
-        d, s = p - 1, 0
-        while d % 2 == 0:
-            d, s = d // 2, s + 1
-        return all(_strong_probable_prime(p, a, d, s) for a in _MILLER_RABIN_BASES)
-    d = 43
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(_strong_probable_prime(p, a, d, s) for a in _MILLER_RABIN_BASES)
 
 
 def _strong_probable_prime(p: int, a: int, d: int, s: int) -> bool:

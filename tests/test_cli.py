@@ -105,6 +105,14 @@ class TestArithmeticSetCommand:
             ("5:100000000", "--min", "got 37"),
             # the primes below the ring cap are never searched
             ("5:100000000", "--small", "10000019 exceeds cap"),
+            # 2^89 - 1 is prime and past 3.3e24, where is_prime trial-divides
+            ("618970019642690137449562111:618970019642690137449562111", "--min",
+             "got 618970019642690137449562111"),
+            ("618970019642690137449562111:618970019642690137449562111", "--small",
+             "618970019642690137449562111 exceeds cap"),
+            # the least integer past the cap no base proves composite ends it
+            ("618970019642690137449562100:618970019642690137449562200", "--min",
+             "got 618970019642690137449562111"),
         ],
     )
     def test_p_range_past_the_cap_exits_at_once(self, p_range, mode, got):

@@ -52,6 +52,17 @@ class TestIsPrime:
         assert fc.is_prime(n)
 
 
+    def test_composite_past_the_exact_bound_fails_at_once(self):
+        # no factor below 2^61; trial division to its square root would not end
+        assert not fc.is_prime((2**61 - 1) * (2**89 - 1))
+
+    def test_probable_prime_is_exact_below_the_bound(self, rng):
+        samples = list(range(-3, 3000)) + [int(x) for x in rng.integers(3000, 10**12, size=300)]
+        for n in samples:
+            assert fc._probable_prime(n) == fc.is_prime(n), n
+        assert fc._probable_prime(2**89 - 1)
+        assert not fc._probable_prime(318665857834031151167461)
+
 class TestFpVector:
     def test_coordinate_range_enforced(self):
         with pytest.raises(ValueError):
