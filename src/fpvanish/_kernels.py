@@ -2,8 +2,9 @@
 
 Group-ring tables index F_p^n along one group axis by the canonical
 mixed-radix encoding (coordinate 0 most significant), so "subtract the
-constant vector v" is np.roll by v over the (p,)*n view of that axis.  F_p
-tables are that axis alone.  Z[w] tables are coefficient-major, of shape
+constant vector v" is a cyclic shift by v over the (p,)*n view of that axis:
+two slice copies per coordinate with v_i != 0 mod p.  F_p tables are that
+axis alone.  Z[w] tables are coefficient-major, of shape
 (p-1, p^n, *batch): the power basis w^0..w^(p-2) comes first, so multiplying
 by w^t moves whole planes (GroupRingCyc.table is the transposed (p^n, p-1)
 view).  The arithmetic-set kernels check subset masks of F_p against the
@@ -21,12 +22,37 @@ import numpy as np
 
 
 def _rolled(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...], axis: int = 0) -> np.ndarray:
-    """Table of y -> table[y - v] for the group on axis `axis`; other axes are untouched."""
-    if not dims:
+    """Table of y -> table[y - v] for the group on axis `axis`; other axes are untouched.
+
+    Always a fresh array (callers write into it).  Only coordinates with
+    c = v_i mod p nonzero move, on their axes of the (p,)*n view, two per
+    pass: a pass writes the blocks [c:] <- [:-c] and [:c] <- [-c:] over its
+    axes, four block copies for two coordinates (np.roll makes 2^k for k).
+    One pass needs no scratch table: on a batched twist slice a second live
+    table costs more in fresh pages than the copies it would save.  More
+    passes alternate between the result and one scratch table, so that the
+    last lands in the result.
+    """
+    moves = [(axis + i, c % q) for i, (c, q) in enumerate(zip(v, dims, strict=True)) if c % q]
+    if not moves:
         return table.copy()
     shape = table.shape
-    shaped = table.reshape(shape[:axis] + dims + shape[axis + 1 :])
-    out = np.roll(shaped, shift=tuple(int(c) for c in v), axis=tuple(range(axis, axis + len(dims))))
+    src = table.reshape(shape[:axis] + dims + shape[axis + 1 :])
+    out = np.empty_like(src)
+    passes = [moves[k : k + 2] for k in range(0, len(moves), 2)]
+    bufs = (out, np.empty_like(src)) if len(passes) > 1 else (out,)
+    for k, pair in enumerate(passes):
+        dst = bufs[(len(passes) - 1 - k) % 2]
+        blocks = [((), ())]  # (destination, source) index tuples
+        done = 0
+        for ax, c in pair:
+            gap = (slice(None),) * (ax - done)
+            halves = ((slice(c, None), slice(None, -c)), (slice(None, c), slice(-c, None)))
+            blocks = [(to + gap + (d,), frm + gap + (f,)) for to, frm in blocks for d, f in halves]
+            done = ax + 1
+        for to, frm in blocks:
+            dst[to] = src[frm]
+        src = dst
     return out.reshape(shape)
 
 
@@ -38,7 +64,9 @@ def fp_binomial_power(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ..
     """Multiply a dense F_p[F_p^n] table by (1 - g^v)^r. Returns a new table."""
     cur = table
     for _ in range(r):
-        cur = (cur - _rolled(cur, dims, v)) % p
+        shifted = _rolled(cur, dims, v)
+        np.subtract(cur, shifted, out=shifted)
+        cur = np.remainder(shifted, p, out=shifted)
     return cur
 
 

@@ -9,7 +9,11 @@ out-of-A coefficient using a relation
 
 with eps_w in [1, r] and the other eps in [-r, r], whose existence
 irredundance guarantees for any nonzero scaling b.  Choosing b from A's
-witness table makes the rewrite strictly shrink the out-of-A count.
+witness table makes the rewrite strictly shrink the out-of-A count.  The
+relation search works on plain coordinate tuples: it indexes the (p,)*n
+views of its reachability levels with them and backtracks with tuple
+arithmetic mod p, and the balance checks sum integer combinations, so no
+FpVector is built per term.
 
 The additive-basis decomposition recurses on dimension: extract an
 irredundant V from the pooled bases, split the space along T = span(V),
@@ -59,12 +63,11 @@ class Representation:
     def __post_init__(self) -> None:
         if len(self.coefficients) != self.V.size:
             raise ValueError("one coefficient per multiset entry required")
+        if (self.x.p, self.x.n) != (self.V.p, self.V.n):
+            raise ValueError("target and multiset live in different spaces")
         coeffs = tuple(int(c) % self.V.p for c in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
-        acc = FpVector(self.x.p, (0,) * self.x.n)
-        for c, v in zip(coeffs, self.V.entries):
-            acc = acc + v.scale(c)
-        if acc != self.x:
+        if _combination(self.V, coeffs) != self.x.coords:
             raise InvariantViolationError("representation does not sum to its target")
 
 
@@ -86,13 +89,21 @@ class EpsilonRelation:
             raise ValueError("eps and b must be total on V")
         if any(int(x) % p == 0 for x in self.b):
             raise ValueError("scalings must be nonzero")
-        lhs = self.V[self.w_index].scale(self.eps_w * self.b[self.w_index])
-        rhs = FpVector(p, (0,) * self.V.n)
-        for j, v in enumerate(self.V.entries):
-            if j != self.w_index:
-                rhs = rhs + v.scale(self.eps[j] * self.b[j])
-        if lhs != rhs:
+        # eps_w b_w w - sum over v != w of eps_v b_v v must be zero
+        coeffs = [-e * int(x) for e, x in zip(self.eps, self.b)]
+        coeffs[self.w_index] = self.eps_w * int(self.b[self.w_index])
+        if any(_combination(self.V, coeffs)):
             raise InvariantViolationError("relation does not balance")
+
+
+def _combination(V: FpMultiset, coeffs: Sequence[int]) -> tuple[int, ...]:
+    """sum(c_v * v) mod p over the entries of V, one coefficient each, as coordinates."""
+    acc = [0] * V.n
+    for c, v in zip(coeffs, V.entries, strict=True):
+        if c:
+            for i, x in enumerate(v.coords):
+                acc[i] += c * x
+    return tuple(a % V.p for a in acc)
 
 
 def _epsilon_preference(r: int) -> list[int]:
@@ -112,10 +123,11 @@ def find_epsilon_relation(
 
     The DP computes, level by level, which group elements are expressible as
     sum(eps_v b_v v) over the processed entries with eps in [-r, r], then
-    tests eps_w b_w w for eps_w = 1..r and backtracks one witness.  The
-    caller certifies that V is irredundant for exponent r; if so a relation
-    is guaranteed to exist, and failure certifies the precondition was
-    violated.
+    tests eps_w b_w w for eps_w = 1..r and backtracks one witness, in the
+    preference order 0, 1, -1, ..., r, -r, on coordinate tuples that index
+    the levels' (p,)*n views.  The caller certifies that V is irredundant
+    for exponent r; if so a relation is guaranteed to exist, and failure
+    certifies the precondition was violated.
     """
     p, n = V.p, V.n
     if not 0 <= w_index < V.size:
@@ -124,26 +136,24 @@ def find_epsilon_relation(
     if len(bb) != V.size or any(x == 0 for x in bb):
         raise PreconditionError("scalings b must be total on V and nonzero")
     dims = (p,) * n
-    size = p**n
 
-    steps = [
-        (j, V[j].scale(bb[j]))
-        for j in range(V.size)
-        if j != w_index
-    ]
-    reach = np.zeros(size, dtype=np.uint8)
+    def scaled(coords: tuple[int, ...], c: int) -> tuple[int, ...]:
+        return tuple(c * a % p for a in coords)
+
+    steps = [(j, scaled(V[j].coords, bb[j])) for j in range(V.size) if j != w_index]
+    reach = np.zeros(p**n, dtype=np.uint8)
     reach[0] = 1
-    levels = [reach]
+    levels = [reach.reshape(dims)]
     for _, sv in steps:
-        reach = _kernels.reach_expand(reach, dims, sv.coords, r, p)
-        levels.append(reach)
+        reach = _kernels.reach_expand(reach, dims, sv, r, p)
+        levels.append(reach.reshape(dims))
 
-    w_vec = V[w_index]
+    w_coords = V[w_index].coords
     target = None
     eps_w = None
     for cand in range(1, r + 1):
-        tv = w_vec.scale(cand * bb[w_index])
-        if levels[-1][tv.index]:
+        tv = scaled(w_coords, cand * bb[w_index])
+        if levels[-1][tv]:
             target = tv
             eps_w = cand
             break
@@ -158,14 +168,14 @@ def find_epsilon_relation(
     for lvl in range(len(steps) - 1, -1, -1):
         j, sv = steps[lvl]
         for e in pref:
-            cand = cur - sv.scale(e)
-            if levels[lvl][cand.index]:
+            cand = tuple((a - e * s) % p for a, s in zip(cur, sv))
+            if levels[lvl][cand]:
                 eps[j] = e
                 cur = cand
                 break
         else:
             raise InvariantViolationError("reachability backtrack failed")
-    if not cur.is_zero():
+    if any(cur):
         raise InvariantViolationError("reachability backtrack did not reach zero")
     return EpsilonRelation(V, w_index, eps_w, tuple(eps), tuple(bb))
 
@@ -180,6 +190,8 @@ def represent_in_set(
     lies in span(V).
     """
     p = V.p
+    if (x.p, x.n) != (p, V.n):
+        raise PreconditionError("target and multiset live in different spaces")
     if A.p != p:
         raise PreconditionError("arithmetic set and multiset moduli differ")
     if A.r < r:

@@ -265,6 +265,41 @@ class TestVanishingCommands:
         assert "Traceback" not in err
 
 
+# decompose inputs drawn with numpy default_rng(1), (2), (3): F_5^3 and F_7^2
+# with r = 1 over a least arithmetic set, F_11^2 with r = 4 over F_11^*.
+# Each expected row is (coefficients, descent_steps) per target, recorded
+# from the FpVector-based descent; stdout must stay byte-identical.
+PINNED_DECOMPOSE = [
+    (
+        {"p": 5, "n": 3, "r": 1, "A": [0, 1, 2, 3],
+         "bases": [[[0, 0, 4], [3, 4, 2], [4, 1, 2]], [[4, 1, 2], [1, 0, 3], [0, 1, 2]],
+                   [[4, 1, 3], [0, 1, 4], [2, 2, 1]], [[0, 2, 3], [2, 3, 1], [3, 3, 4]],
+                   [[2, 0, 3], [2, 4, 2], [1, 0, 2]]],
+         "targets": [[3, 3, 4], [1, 2, 4], [1, 1, 4], [2, 2, 3]]},
+        [([0, 0, 0, 0, 1, 0, 0, 3, 0, 0, 0, 0, 0, 0, 2], 0),
+         ([0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 2, 3, 1], 1),
+         ([0, 0, 0, 0, 3, 0, 0, 1, 0, 0, 0, 0, 0, 0, 3], 0),
+         ([0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1], 0)],
+    ),
+    (
+        {"p": 7, "n": 2, "r": 1, "A": [0, 1, 2, 3, 4],
+         "bases": [[[5, 1], [0, 2]], [[2, 5], [3, 0]], [[2, 4], [5, 5]], [[6, 1], [6, 0]],
+                   [[3, 1], [1, 4]], [[2, 3], [1, 1]], [[5, 3], [4, 4]]],
+         "targets": [[6, 2], [1, 4], [6, 6], [6, 4]]},
+        [([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0], 1),
+         ([0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0], 0),
+         ([0, 0, 4, 0, 0, 0, 0, 0, 0, 4, 4, 0, 0, 0], 1),
+         ([0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 2, 0, 0], 0)],
+    ),
+    (
+        {"p": 11, "n": 2, "r": 4, "A": list(range(1, 11)),
+         "bases": [[[8, 0], [1, 2]], [[0, 1], [3, 4]], [[6, 5], [2, 1]]],
+         "targets": [[7, 8], [0, 1], [4, 4], [9, 5]]},
+        [([1, 6, 6, 1, 1, 3], 4), ([1, 9, 9, 1, 1, 9], 3), ([1, 7, 2, 1, 1, 1], 4), ([1, 3, 6, 10, 1, 3], 3)],
+    ),
+]
+
+
 class TestDecomposeCommand:
     def test_fixture(self, capsys, tmp_path):
         path = tmp_path / "dec.json"
@@ -286,6 +321,20 @@ class TestDecomposeCommand:
         assert len(payload["results"]) == 5
         for row in payload["results"]:
             assert all(c in {1, 2, 3, 4} for c in row["coefficients"])
+
+    @pytest.mark.parametrize("data,rows", PINNED_DECOMPOSE, ids=["p5n3", "p7n2", "p11n2r4"])
+    def test_pinned_output(self, capsys, tmp_path, data, rows):
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "decompose", "--input", str(path))
+        assert code == 0
+        results = [
+            {"coefficients": coeffs, "descent_steps": steps, "target": target}
+            for (coeffs, steps), target in zip(rows, data["targets"])
+        ]
+        payload = {"n": data["n"], "p": data["p"], "pool_size": len(rows[0][0]),
+                   "r": data["r"], "results": results, "version": 1}
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class TestPhiAndCovers:

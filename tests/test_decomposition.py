@@ -74,6 +74,72 @@ class TestEpsilonRelation:
             assert all(-1 <= e <= 1 for e in rel.eps)
 
 
+def _reference_relation(V, r, b, w_index):
+    """The FpVector reachability backtrack: (w_index, eps_w, eps, b).
+
+    Level sets are plain sets of FpVectors; the backtrack tries eps in the
+    order 0, 1, -1, ..., r, -r, as the descent must.
+    """
+    p, n = V.p, V.n
+    bb = [int(x) % p for x in b]
+    steps = [(j, V[j].scale(bb[j])) for j in range(V.size) if j != w_index]
+    levels = [{FpVector(p, (0,) * n)}]
+    for _, sv in steps:
+        levels.append({x + sv.scale(e) for x in levels[-1] for e in range(-r, r + 1)})
+    eps_w = next(c for c in range(1, r + 1) if V[w_index].scale(c * bb[w_index]) in levels[-1])
+    cur = V[w_index].scale(eps_w * bb[w_index])
+    pref = [0] + [s * k for k in range(1, r + 1) for s in (1, -1)]
+    eps = [0] * V.size
+    for lvl in range(len(steps) - 1, -1, -1):
+        j, sv = steps[lvl]
+        e = next(e for e in pref if cur - sv.scale(e) in levels[lvl])
+        eps[j] = e
+        cur = cur - sv.scale(e)
+    assert cur.is_zero()
+    return w_index, eps_w, tuple(eps), tuple(bb)
+
+
+def _repeated_irredundant(rng, p, n, r):
+    """An irredundant multiset with repeated entries: two directions, 2(p-1)+1 copies."""
+    pair = random_multiset(rng, p, n, 2, nonzero=True).entries
+    copies = [pair[int(rng.integers(2))] for _ in range(2 * (p - 1) + 1)]
+    V = gr.extract_irredundant_fp(FpMultiset(p, n, tuple(copies)), r)
+    assert len(set(V.entries)) < V.size
+    return V
+
+
+class TestDescentAgainstReference:
+    """find_epsilon_relation on coordinate tuples against the FpVector backtrack."""
+
+    @pytest.mark.parametrize("p,r", [(p, r) for p in (5, 7, 11, 13) for r in (1, 2, 4) if r < p])
+    def test_relations_match(self, rng, p, r):
+        for n in (1, 2):
+            for V in (seeded_irredundant(rng, p, n, r), _repeated_irredundant(rng, p, n, r)):
+                for w in {0, V.size - 1, int(rng.integers(V.size))}:
+                    b = [int(x) for x in rng.integers(1, p, size=V.size)]
+                    rel = dc.find_epsilon_relation(V, r, b, w)
+                    assert (rel.w_index, rel.eps_w, rel.eps, rel.b) == _reference_relation(V, r, b, w)
+                    self._assert_corruptions_caught(rel, rng)
+
+    @staticmethod
+    def _assert_corruptions_caught(rel, rng):
+        V, w = rel.V, rel.w_index
+        with pytest.raises(InvariantViolationError):
+            dc.EpsilonRelation(V, w, rel.eps_w + 1, rel.eps, rel.b)
+        if V.size > 1:
+            j = next(j for j in range(V.size) if j != w)
+            eps = list(rel.eps)
+            eps[j] += 1
+            with pytest.raises(InvariantViolationError):
+                dc.EpsilonRelation(V, w, rel.eps_w, tuple(eps), rel.b)
+        coeffs = [int(c) for c in rng.integers(0, V.p, size=V.size)]
+        x = FpVector(V.p, tuple(sum(c * v.coords[i] for c, v in zip(coeffs, V.entries)) % V.p for i in range(V.n)))
+        assert dc.Representation(x, V, tuple(coeffs)).coefficients == tuple(coeffs)
+        coeffs[int(rng.integers(V.size))] += 1
+        with pytest.raises(InvariantViolationError):
+            dc.Representation(x, V, tuple(coeffs))
+
+
 class TestRepresentInSet:
     def test_five_copies_zero_target(self):
         A = ArithmeticSet.verified([1, 2, 3, 4], 1, 5)
@@ -101,6 +167,18 @@ class TestRepresentInSet:
         V = FpMultiset.from_coords(5, [[1, 0]] * 5)
         with pytest.raises(NotInSpanError):
             dc.represent_in_set(FpVector(5, (0, 1)), V, A, 1)
+
+    @pytest.mark.parametrize("p,coords", [(5, (1,)), (5, (1, 2, 3)), (7, (1, 2))])
+    def test_target_from_another_space_rejected(self, monkeypatch, p, coords):
+        # V lives in F_5^2; the check must come before anything else runs
+        A = ArithmeticSet.verified([1, 2, 3, 4], 1, 5)
+        V = FpMultiset.from_coords(5, [[1, 0]] * 5)
+        monkeypatch.setattr(dc, "is_fp_vanishing", None)
+        with pytest.raises(PreconditionError, match="different spaces"):
+            dc.represent_in_set(FpVector(p, coords), V, A, 1)
+        # a zero target sums like zero coefficients in any space; still refused
+        with pytest.raises(ValueError, match="different spaces"):
+            dc.Representation(FpVector(p, (0,) * len(coords)), V, (0,) * V.size)
 
     def test_non_vanishing_multiset_rejected(self):
         A = ArithmeticSet.verified([1, 2, 3, 4], 1, 5)

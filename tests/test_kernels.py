@@ -22,6 +22,60 @@ def _first_passing(p: int, r: int, k: int):
     return next((list(c) for c in combinations(range(p), k) if is_r_arithmetic(c, r, p)), None)
 
 
+def _np_roll_reference(table, dims, v, axis):
+    """y -> table[y - v] on group axis `axis`, by np.roll over its (p,)*n view."""
+    if not dims:
+        return table.copy()
+    shape = table.shape
+    shaped = table.reshape(shape[:axis] + dims + shape[axis + 1 :])
+    return np.roll(shaped, tuple(v), axis=tuple(range(axis, axis + len(dims)))).reshape(shape)
+
+
+def _shifts(rng, p, n):
+    """The zero shift, shifts with some coordinates 0, and random ones."""
+    out = [(0,) * n]
+    out += [tuple(c if i == k else 0 for i, c in enumerate(rng.integers(1, p, size=n))) for k in range(n)]
+    for _ in range(4):
+        v = [int(c) for c in rng.integers(0, p, size=n)]
+        if n:
+            v[int(rng.integers(n))] = 0
+        out.append(tuple(v))
+        out.append(tuple(int(c) for c in rng.integers(1, p, size=n)))
+    return out
+
+
+class TestRolled:
+    """_rolled is the group shift every kernel uses: a fresh array, input untouched."""
+
+    @staticmethod
+    def _check(table, dims, v, axis):
+        before = table.copy()
+        got = K._rolled(table, dims, v, axis)
+        want = _np_roll_reference(table, dims, v, axis)
+        assert got.shape == table.shape and got.dtype == table.dtype
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, table)
+        assert np.array_equal(table, before)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, object])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_matches_np_roll(self, rng, n, p, dtype):
+        dims = (p,) * n
+        for axis, shape in ((0, (p**n,)), (0, (p**n, 3)), (1, (2, p**n, 3))):
+            table = rng.integers(0, 200, size=shape).astype(dtype)
+            for v in _shifts(rng, p, n):
+                self._check(table, dims, v, axis)
+
+    @pytest.mark.parametrize("p,n", [(3, 3), (3, 2), (5, 2), (7, 1)])
+    def test_non_contiguous_transposed_input(self, rng, p, n):
+        # GroupRingCyc.mul_binomial passes its (p^n, p-1) table as a .T view
+        table = rng.integers(-5, 6, size=(p**n, p - 1)).T
+        assert not table.flags.c_contiguous
+        for v in _shifts(rng, p, n):
+            self._check(table, (p,) * n, v, 1)
+
+
 class TestFpBinomialPower:
     @pytest.mark.parametrize("p,n,r", [(2, 2, 1), (3, 2, 2), (5, 1, 1), (5, 2, 3)])
     def test_matches_ring_product(self, rng, p, n, r):
