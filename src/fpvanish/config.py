@@ -3,19 +3,19 @@
 All caps are overridable per call; these module constants only provide the
 defaults.  Dense group-ring elements are tables of p^n coefficients, so
 RING_SIZE_CAP bounds memory for a single element, for the reachable-sums
-table of the representability oracle and for the batched twist tables of
-the product oracle, and the work of the cover oracle.
+table of the representability oracle, and the work of the product and
+cover oracles over all twists.
 """
 
 from __future__ import annotations
 
 # Largest dense group-ring table (p^n entries) built by default; also the
-# largest batch table of cyclotomic products (p^|V| * p^n * (p-1) int64
-# cells, 80 MB) that product_twist_verdicts holds, coefficient-major as
-# (p-1, p^n) + (p,)*|V|, plus temporaries the size of one twist slice (1/p
-# of it): the rolled slice and its w^t plane shift, and for r >= 2 the
-# previous power; and the most covering table updates (p^|V| cells for each
-# of p^n points) cover_twist_verdicts makes.
+# most cyclotomic-product cells (p^|V| * p^n * (p-1)) product_twist_verdicts
+# computes.  It grows its table one twist axis per entry and never builds the
+# full one: it holds at most three (p-1, p^n, p^(|V|-1)) tables, 1/p of the
+# cells each (four for r >= 2, with the previous power).  Also the most
+# covering-table work (p^|V| cells for each of p^n points) of
+# cover_twist_verdicts and is_c_irredundant.
 RING_SIZE_CAP = 10**7
 
 # Largest abelian group order for exact coset-cover searches.

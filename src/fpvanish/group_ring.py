@@ -16,7 +16,6 @@ multiplies, not the m^2 of rebuilding the product for every removal.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ from .fp_core import (
     coords_array,
     coords_matrix,
     hyperplane_masks,
-    is_irredundant_mask_cover,
 )
 
 TwistAssignment = tuple[int, ...]
@@ -514,16 +512,8 @@ def twist_from_index(p: int, m: int, idx: int) -> TwistAssignment:
     return tuple(reversed(out))
 
 
-def cover_twist_verdicts(V: FpMultiset, cap: Optional[int] = None) -> np.ndarray:
-    """Boolean verdicts over all p^|V| twists: does the hyperplane family cover?
-
-    Twist index encoding matches twist_from_index (entry 0 most significant),
-    so position of the first True is the lexicographically least witness.
-    """
-    p, n, m = V.p, V.n, V.size
-    total = _check_twist_cap(p, m, cap)
-    if m == 0:
-        return np.zeros(1, dtype=bool)
+def _check_cover_work(p: int, n: int, total: int) -> int:
+    """Cap the p^|V| * p^n covering-table work of the cover oracles; returns p^n."""
     size = check_ring_cap(p, n)
     work = total * size
     if work > config.RING_SIZE_CAP:
@@ -531,29 +521,41 @@ def cover_twist_verdicts(V: FpMultiset, cap: Optional[int] = None) -> np.ndarray
             f"covering table updates p^|V| * p^n = {total} * {size} = {work} "
             f"exceed cap {config.RING_SIZE_CAP}"
         )
-    cm = coords_matrix(p, n)
-    ips = (cm @ coords_array(V).T) % p  # (p^n, m)
-    rng = np.arange(p)
-    bad = np.zeros((p,) * m, dtype=bool)
-    for xi in range(size):
-        cur = None
-        for i in range(m):
-            vec = rng != ((-int(ips[xi, i])) % p)
-            shape = [1] * m
-            shape[i] = p
-            piece = vec.reshape(shape)
-            cur = piece if cur is None else (cur & piece)
-        bad |= cur
-    return (~bad).reshape(total)
+    return size
+
+
+def cover_twist_verdicts(V: FpMultiset, cap: Optional[int] = None) -> np.ndarray:
+    """Boolean verdicts over all p^|V| twists: does the hyperplane family cover?
+
+    Twist index encoding matches twist_from_index (entry 0 most significant),
+    so position of the first True is the lexicographically least witness.
+    A (p^n, p^i) table of the points the first i hyperplanes miss grows by
+    one twist axis per entry: missed[x, t_0..t_i] = missed[x, t_0..t_(i-1)]
+    and <x, v_i> != -t_i.
+    """
+    p, n, m = V.p, V.n, V.size
+    total = _check_twist_cap(p, m, cap)
+    if m == 0:
+        return np.zeros(1, dtype=bool)
+    size = _check_cover_work(p, n, total)
+    ips = (coords_matrix(p, n) @ coords_array(V).T) % p  # (p^n, m)
+    misses = ips[:, :, None] != (-np.arange(p)) % p  # (p^n, m, p): x off hyperplane (v_i, t)
+    missed = np.ones((size, 1), dtype=bool)
+    for i in range(m):
+        missed = (missed[:, :, None] & misses[:, None, i, :]).reshape(size, -1)
+    return ~missed.any(axis=0)
 
 
 def product_twist_verdicts(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> np.ndarray:
     """Boolean verdicts over all p^|V| twists via exact cyclotomic products.
 
-    One coefficient-major batch table of shape (p-1, p^n) + (p,)*|V| holds
-    every product, with one twist axis per entry (entry 0 most significant,
-    as in twist_from_index); entry i with twist t multiplies the slice that
-    has t on axis i + 2, in place.
+    The products are grown from the last entry to the first: a
+    coefficient-major (p-1, p^n, p^k) table holds the product of the last k
+    entries under each of their twists, and the next entry multiplies it
+    once per twist t, as a new most significant twist axis (so entry 0 is
+    most significant, as in twist_from_index).  Entry 0's p products are
+    reduced to their verdicts one at a time, so the (p-1, p^n, p^|V|) table
+    of all products never exists; the cap still counts its cells.
     """
     _check_exponent(r, V.p)
     p, n, m = V.p, V.n, V.size
@@ -567,14 +569,20 @@ def product_twist_verdicts(V: FpMultiset, r: int = 1, cap: Optional[int] = None)
             f"batched product tables p^|V| * p^n * (p-1) = {total} * {size} * {p - 1} = {cells} "
             f"cells exceed cap {config.RING_SIZE_CAP}"
         )
-    table = np.zeros((p - 1, size) + (p,) * m, dtype=_coef_dtype(2 ** (r * m)))
+    table = np.zeros((p - 1, size, 1), dtype=_coef_dtype(2 ** (r * m)))
     table[0, 0] = 1
     dims = (p,) * n
-    for i, v in enumerate(V.entries):
-        for t in range(p):
-            block = (slice(None),) * (i + 2) + (t,)
-            table[block] = _kernels.cyc_binomial_power(table[block], dims, v.coords, t, r, p)
-    return ~(table != 0).any(axis=(0, 1)).reshape(total)
+    for v in reversed(V.entries[1:]):
+        table = np.concatenate(
+            [_kernels.cyc_binomial_power(table, dims, v.coords, t, r, p) for t in range(p)], axis=2
+        )
+    v = V.entries[0]
+    return np.concatenate(
+        [
+            ~(_kernels.cyc_binomial_power(table, dims, v.coords, t, r, p) != 0).any(axis=(0, 1))
+            for t in range(p)
+        ]
+    )
 
 
 def is_c_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> Optional[TwistAssignment]:
@@ -602,20 +610,45 @@ def is_c_irredundant(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> Op
     Equivalent formulation: the twisted hyperplane family covers F_p^n and
     every hyperplane covers a point no other member covers.  Note this is a
     per-witness condition, not "no proper subset is vanishing".
+
+    A depth-first search over t_0, t_1, ... in lexicographic order keeps the
+    points covered at least once (`seen`) and at least twice (`twice`).  It
+    drops a branch when the points still uncovered outnumber what the
+    remaining entries' largest hyperplanes can add, or when a chosen
+    hyperplane has no private point left; private points only shrink as
+    entries are added, so both cuts are exact.
     """
     _check_exponent(r, V.p)
     p, n, m = V.p, V.n, V.size
     if m == 0:
         return None
-    _check_twist_cap(p, m, cap)
-    # by_value[i][u]: the points x with <x, v_i> = u; twist t_i selects u = -t_i.
-    masks = hyperplane_masks(p, n, np.repeat(coords_array(V), p, axis=0), list(range(p)) * m)
-    by_value = [masks[i * p : (i + 1) * p] for i in range(m)]
+    _check_cover_work(p, n, _check_twist_cap(p, m, cap))
+    # by_twist[i][t]: the points x with <x, v_i> = -t.
+    masks = hyperplane_masks(p, n, np.repeat(coords_array(V), p, axis=0), [-t for t in range(p)] * m)
+    by_twist = [masks[i * p : (i + 1) * p] for i in range(m)]
     full = (1 << p**n) - 1
-    for t in product(range(p), repeat=m):
-        if is_irredundant_mask_cover([by_value[i][-ti] for i, ti in enumerate(t)], full):
-            return t
-    return None
+    # reach[i]: the most points entries i..m-1 can still cover
+    reach = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        reach[i] = reach[i + 1] + max(mk.bit_count() for mk in by_twist[i])
+    chosen: list[int] = []
+
+    def search(i: int, seen: int, twice: int) -> Optional[TwistAssignment]:
+        if (full & ~seen).bit_count() > reach[i]:
+            return None
+        if i == m:
+            return ()
+        for t, mk in enumerate(by_twist[i]):
+            more = twice | (seen & mk)
+            chosen.append(mk)
+            if all(c & ~more for c in chosen):
+                rest = search(i + 1, seen | mk, more)
+                if rest is not None:
+                    return (t,) + rest
+            chosen.pop()
+        return None
+
+    return search(0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

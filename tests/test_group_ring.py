@@ -536,6 +536,18 @@ def _irredundant_twist_reference(V: FpMultiset):
     return None
 
 
+def _shared_direction_rows(rng, p, n, m, zero_scalar=False):
+    """Random rows of which many are multiples of the first: parallel
+    hyperplanes are what make covers.  With `zero_scalar` a multiple may be 0."""
+    rows = [tuple(int(c) for c in rng.integers(0, p, size=n)) for _ in range(m)]
+    if m >= 2 and rng.random() < 0.6:
+        for k in range(1, m):
+            if rng.random() < 0.7:
+                a = int(rng.integers(0 if zero_scalar else 1, p))
+                rows[k] = tuple((a * c) % p for c in rows[0])
+    return rows
+
+
 class TestComplexIrredundanceReference:
     def test_matches_per_twist_loop(self, rng):
         witnesses = 0
@@ -543,18 +555,91 @@ class TestComplexIrredundanceReference:
             p = int(rng.choice([2, 3, 5]))
             n = int(rng.integers(1, 3))
             m = int(rng.integers(1, 6 if p < 5 else 5))
-            rows = [tuple(int(c) for c in rng.integers(0, p, size=n)) for _ in range(m)]
-            if m >= 2 and rng.random() < 0.6:
-                # shared directions: parallel hyperplanes are what make covers
-                for k in range(1, m):
-                    if rng.random() < 0.7:
-                        a = int(rng.integers(1, p))
-                        rows[k] = tuple((a * c) % p for c in rows[0])
-            V = FpMultiset.from_coords(p, rows, n=n)
+            V = FpMultiset.from_coords(p, _shared_direction_rows(rng, p, n, m), n=n)
             want = _irredundant_twist_reference(V)
             assert gr.is_c_irredundant(V) == want
             witnesses += want is not None
         assert witnesses >= 10
+
+    @pytest.mark.parametrize(
+        "p, n, max_m",
+        [(7, 1, 4), (7, 2, 4), (3, 0, 5), (5, 0, 4), (2, 1, 8), (2, 2, 8), (2, 3, 8)],
+    )
+    def test_least_twist_matches_per_twist_loop(self, rng, p, n, max_m):
+        # zero rows, repeated rows and zero multiples included; the search
+        # must return the same least twist the full scan finds
+        witnesses = 0
+        for _ in range(40):
+            m = int(rng.integers(1, max_m + 1))
+            rows = _shared_direction_rows(rng, p, n, m, zero_scalar=True)
+            if rng.random() < 0.3:
+                rows[int(rng.integers(0, m))] = (0,) * n
+            if m >= 2 and rng.random() < 0.3:
+                rows[-1] = rows[0]
+            V = FpMultiset.from_coords(p, rows, n=n)
+            want = _irredundant_twist_reference(V)
+            assert gr.is_c_irredundant(V) == want
+            witnesses += want is not None
+        assert witnesses >= 1
+
+
+def _product_verdicts_reference(V: FpMultiset, r: int) -> np.ndarray:
+    """The full-table loop product_twist_verdicts used before it grew its
+    table one entry at a time: one (p-1, p^n) + (p,)*|V| table, and entry i
+    with twist t multiplies the slice that has t on axis i + 2, in place."""
+    from fpvanish import _kernels
+
+    p, n, m = V.p, V.n, V.size
+    if m == 0:
+        return np.zeros(1, dtype=bool)
+    table = np.zeros((p - 1, p**n) + (p,) * m, dtype=gr._coef_dtype(2 ** (r * m)))
+    table[0, 0] = 1
+    dims = (p,) * n
+    for i, v in enumerate(V.entries):
+        for t in range(p):
+            block = (slice(None),) * (i + 2) + (t,)
+            table[block] = _kernels.cyc_binomial_power(table[block], dims, v.coords, t, r, p)
+    return ~(table != 0).any(axis=(0, 1)).reshape(p**m)
+
+
+class TestProductReference:
+    @pytest.mark.parametrize("object_path", [False, True])
+    def test_matches_full_table(self, monkeypatch, rng, object_path):
+        cases = []
+        while len(cases) < (25 if object_path else 80):
+            p = int(rng.choice([2, 3, 5, 7]))
+            n = int(rng.integers(0, 4))
+            m = int(rng.integers(0, 7))
+            if (p - 1) * p ** (n + m) > 50_000:
+                continue
+            rows = _shared_direction_rows(rng, p, n, m, zero_scalar=True)
+            if m and rng.random() < 0.2:
+                rows[int(rng.integers(0, m))] = (0,) * n
+            cases.append((FpMultiset.from_coords(p, rows, n=n), int(rng.integers(1, p))))
+        if object_path:
+            monkeypatch.setattr(config, "INT64_SAFE_BOUND", 4)
+        hits = 0
+        for V, r in cases:
+            want = _product_verdicts_reference(V, r)
+            assert np.array_equal(gr.product_twist_verdicts(V, r), want)
+            # the cover route is independent of Z[w] and must agree for every r
+            assert np.array_equal(gr.cover_twist_verdicts(V), want)
+            hits += bool(want.any())
+        assert hits >= 3
+
+    def test_peak_memory_below_half_the_full_table(self, rng):
+        import tracemalloc
+
+        p, n, m = 7, 2, 5
+        V = random_multiset(rng, p, n, m, nonzero=True)
+        full_table = (p - 1) * p**n * p**m * 8
+        tracemalloc.start()
+        try:
+            gr.product_twist_verdicts(V)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_table / 2
 
 
 class TestProductTableCap:
@@ -574,6 +659,15 @@ class TestCoverVerdictCap:
         V = FpMultiset.from_coords(3, [[1], [1]])
         monkeypatch.setattr(config, "RING_SIZE_CAP", 27)
         assert gr.cover_twist_verdicts(V).shape == (9,)
+        assert gr.is_c_irredundant(V) is None
         monkeypatch.setattr(config, "RING_SIZE_CAP", 26)
-        with pytest.raises(CapExceededError, match="27"):
-            gr.cover_twist_verdicts(V)
+        for oracle in (gr.cover_twist_verdicts, gr.is_c_irredundant):
+            with pytest.raises(CapExceededError, match="27"):
+                oracle(V)
+
+    def test_large_ring_and_twist_space_refused_at_once(self, rng):
+        # 2^19 twists and 2^20 points each fit their own cap; the product does not
+        V = random_multiset(rng, 2, 20, 19)
+        for oracle in (gr.cover_twist_verdicts, gr.is_c_irredundant):
+            with pytest.raises(CapExceededError, match="524288 \\* 1048576"):
+                oracle(V)
