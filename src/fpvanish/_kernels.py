@@ -6,11 +6,10 @@ constant vector v" is a cyclic shift by v over the (p,)*n view of that axis:
 two slice copies per coordinate with v_i != 0 mod p.  F_p tables are that
 axis alone.  Z[w] tables are coefficient-major, of shape
 (p-1, p^n, *batch): the power basis w^0..w^(p-2) comes first, so multiplying
-by w^t moves whole planes (GroupRingCyc.table is the transposed (p^n, p-1)
-view).  The arithmetic-set kernels check subset masks of F_p against the
-verifier's progression conditions, one mask or a batch at once; the
-exhaustive scan tries only sets containing {0, 1}, since every arithmetic
-set of size >= 2 is an affine image of one.
+by w^t moves whole planes.  The arithmetic-set kernels check subset masks of
+F_p against the verifier's progression conditions, one mask or a batch at
+once; the exhaustive scan tries only sets containing {0, 1}, since every
+arithmetic set of size >= 2 is an affine image of one.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .fp_core import (
     shrink_mask_cover,
     span_dimension,
 )
-from .group_ring import TwistAssignment, normalize_twists
+from .group_ring import normalize_twists
 
 
 def _prime_power_split(m: int) -> list[int]:
@@ -615,12 +615,6 @@ class HyperplaneCoverInstance:
     def codimension(self) -> int:
         V = FpMultiset(self.p, self.n, self.normals)
         return span_dimension(V)
-
-
-def hyperplane_cover_to_multiset(H: HyperplaneCoverInstance) -> tuple[FpMultiset, TwistAssignment]:
-    """Translate hyperplanes to the twisted multiset; inverse of the builder."""
-    V = FpMultiset(H.p, H.n, H.normals)
-    return V, tuple(H.offsets)
 
 
 def multiset_to_hyperplane_cover(V: FpMultiset, twists: Sequence[int]) -> HyperplaneCoverInstance:

@@ -364,14 +364,6 @@ class DecompositionPlan:
         return steps + rep.descent_steps
 
 
-def additive_basis_decompose(
-    w: FpVector, bases: Sequence, A: ArithmeticSet, r: int = 1
-) -> Representation:
-    """One-shot decomposition of w over a union of bases, coefficients in A."""
-    plan = DecompositionPlan(w.p, w.n, bases, A, r)
-    return plan.decompose(w)
-
-
 # ---------------------------------------------------------------------------
 # Oracles and bounds
 

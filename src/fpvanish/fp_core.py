@@ -373,10 +373,6 @@ class SpanDecomposition:
             coords[col] = (coords[col] + val) % self.p
         return FpVector(self.p, tuple(coords))
 
-    def t_coefficients(self, x: FpVector) -> Optional[list[int]]:
-        """Coefficients of x in the T-basis, or None if x is not in T."""
-        return solve_combination(list(self.basis), x)
-
     def contains(self, x: FpVector) -> bool:
         x_s, x_t = self.project(x)
         return x_s.is_zero() and x == x_t

@@ -1,10 +1,12 @@
-"""Dense group rings F_p[F_p^n] and Z[w][F_p^n] with exact arithmetic.
+"""Vanishing verdicts for binomial products in F_p[F_p^n] and Z[w][F_p^n].
 
-Elements are dense coefficient tables indexed by the canonical encoding from
-fp_core.  Complex coefficients are represented exactly in Z[w], w = e^(2*pi*i/p),
-as integer vectors in the power basis w^0..w^(p-2); w^(p-1) is reduced via
-1 + w + ... + w^(p-1) = 0.  Zero tests are therefore exact, which is what
-makes vanishing checkable at all: floating point cannot certify zero.
+A product is a raw numpy table over F_p^n in the canonical encoding from
+fp_core: over F_p a (p^n,) int64 table of residues, over Z[w],
+w = e^(2*pi*i/p), the kernels' coefficient-major (p-1, p^n) table of
+integer coordinates in the power basis w^0..w^(p-2), with w^(p-1) reduced
+via 1 + w + ... + w^(p-1) = 0.  A product vanishes iff its table is all
+zero, so zero tests are exact, which is what makes vanishing checkable at
+all: floating point cannot certify zero.
 
 Vanishing products are built factor by factor; multiplying by (1 - w^t g^v)
 is one shifted subtraction over the dense table, so a product over a multiset
@@ -42,13 +44,6 @@ def normalize_twists(V: FpMultiset, t: Sequence[int]) -> TwistAssignment:
     return t
 
 
-def transport_twists(scalars: Sequence[int], t: Sequence[int], p: int) -> TwistAssignment:
-    """Twist transport under entrywise scaling: t'_v = a_v * t_v mod p."""
-    if len(scalars) != len(t):
-        raise ValueError("scalars and twists must have equal length")
-    return tuple((int(a) * int(x)) % p for a, x in zip(scalars, t))
-
-
 def _check_exponent(r: int, p: int) -> None:
     """The products (1 - w^t g^v)^r here take exponents 1 <= r <= p - 1."""
     if not 1 <= r <= p - 1:
@@ -57,100 +52,6 @@ def _check_exponent(r: int, p: int) -> None:
 
 # ---------------------------------------------------------------------------
 # F_p coefficients
-
-
-class GroupRingFp:
-    """An element of F_p[F_p^n] as a dense table of p^n residues."""
-
-    __slots__ = ("p", "n", "coeffs")
-
-    def __init__(self, p: int, n: int, coeffs: np.ndarray):
-        self.p = int(p)
-        self.n = int(n)
-        arr = np.asarray(coeffs, dtype=np.int64) % self.p
-        if arr.shape != (self.p**self.n,):
-            raise ValueError(f"expected {self.p ** self.n} coefficients, got shape {arr.shape}")
-        arr.flags.writeable = False
-        self.coeffs = arr
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.p,) * self.n
-
-    @classmethod
-    def zero(cls, p: int, n: int, cap: Optional[int] = None) -> "GroupRingFp":
-        size = check_ring_cap(p, n, cap)
-        return cls(p, n, np.zeros(size, dtype=np.int64))
-
-    @classmethod
-    def unit(cls, p: int, n: int, cap: Optional[int] = None) -> "GroupRingFp":
-        size = check_ring_cap(p, n, cap)
-        arr = np.zeros(size, dtype=np.int64)
-        arr[0] = 1
-        return cls(p, n, arr)
-
-    @classmethod
-    def monomial(cls, v: FpVector, coeff: int = 1) -> "GroupRingFp":
-        size = check_ring_cap(v.p, v.n)
-        arr = np.zeros(size, dtype=np.int64)
-        arr[v.index] = coeff % v.p
-        return cls(v.p, v.n, arr)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupRingFp):
-            return NotImplemented
-        return self.p == other.p and self.n == other.n and np.array_equal(self.coeffs, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.coeffs.tobytes()))
-
-    def _check(self, other: "GroupRingFp") -> None:
-        if self.p != other.p or self.n != other.n:
-            raise ValueError("ring mismatch")
-
-    def __add__(self, other: "GroupRingFp") -> "GroupRingFp":
-        self._check(other)
-        return GroupRingFp(self.p, self.n, (self.coeffs + other.coeffs) % self.p)
-
-    def __sub__(self, other: "GroupRingFp") -> "GroupRingFp":
-        self._check(other)
-        return GroupRingFp(self.p, self.n, (self.coeffs - other.coeffs) % self.p)
-
-    def __neg__(self) -> "GroupRingFp":
-        return GroupRingFp(self.p, self.n, (-self.coeffs) % self.p)
-
-    def __mul__(self, other: "GroupRingFp") -> "GroupRingFp":
-        """General convolution product (used by ring-axiom tests)."""
-        self._check(other)
-        out = np.zeros_like(other.coeffs)
-        support = np.nonzero(self.coeffs)[0]
-        for w in support:
-            v = FpVector.from_index(self.p, self.n, int(w))
-            shifted = _kernels._rolled(other.coeffs, self.dims, v.coords)
-            out = (out + int(self.coeffs[w]) * shifted) % self.p
-        return GroupRingFp(self.p, self.n, out)
-
-    def mul_binomial(self, v: FpVector, r: int = 1) -> "GroupRingFp":
-        """Multiply by (1 - g^v)^r via r shifted subtractions."""
-        if r < 0:
-            raise ValueError("exponent must be nonnegative")
-        out = _kernels.fp_binomial_power(self.coeffs, self.dims, v.coords, r, self.p)
-        return GroupRingFp(self.p, self.n, out)
-
-    def dump(self) -> dict:
-        """Debug dump: nonzero coefficients keyed by canonical index."""
-        nz = np.nonzero(self.coeffs)[0]
-        return {
-            "ring": f"F_{self.p}[F_{self.p}^{self.n}]",
-            "coeffs": {int(i): int(self.coeffs[i]) for i in nz},
-        }
-
-    def __repr__(self) -> str:
-        nz = int(np.count_nonzero(self.coeffs))
-        return f"GroupRingFp(p={self.p}, n={self.n}, nonzero={nz})"
 
 
 def _times_binomials(
@@ -165,16 +66,22 @@ def _times_binomials(
     return table
 
 
-def binomial_product_fp(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> GroupRingFp:
-    """The product over V of (1 - g^v)^r, computed factor by factor."""
+def _fp_unit(p: int, n: int, cap: Optional[int] = None) -> np.ndarray:
+    """The unit of F_p[F_p^n] as a (p^n,) int64 table; `cap` bounds p^n."""
+    table = np.zeros(check_ring_cap(p, n, cap), dtype=np.int64)
+    table[0] = 1
+    return table
+
+
+def binomial_product_fp(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> np.ndarray:
+    """The product over V of (1 - g^v)^r as a (p^n,) int64 table of residues; stops at zero."""
     _check_exponent(r, V.p)
-    unit = GroupRingFp.unit(V.p, V.n, cap).coeffs
-    return GroupRingFp(V.p, V.n, _times_binomials(unit, V.entries, r, V.p, V.n))
+    return _times_binomials(_fp_unit(V.p, V.n, cap), V.entries, r, V.p, V.n)
 
 
 def is_fp_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> bool:
     """True iff the product over V of (1 - g^v)^r is the zero element."""
-    return binomial_product_fp(V, r, cap).is_zero()
+    return not binomial_product_fp(V, r, cap).any()
 
 
 def _greedy_irredundant_indices(
@@ -208,7 +115,7 @@ def _greedy_irredundant_indices(
         solve(mid, hi, _times_binomials(ctx, kept_left, r, p, n))
 
     if entries:
-        solve(0, len(entries), GroupRingFp.unit(p, n, cap).coeffs)
+        solve(0, len(entries), _fp_unit(p, n, cap))
     return [i for i, k in enumerate(keep) if k]
 
 
@@ -236,115 +143,7 @@ def extract_irredundant_fp(V: FpMultiset, r: int = 1, cap: Optional[int] = None)
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic integers
-
-
-class CyclotomicInt:
-    """An element of Z[w], w = e^(2*pi*i/p), in the power basis w^0..w^(p-2).
-
-    The canonical form is unique because the power basis is a Z-basis of
-    Z[w]; an element is zero iff all p-1 canonical coefficients are zero.
-    Coefficients are Python integers, so arithmetic never overflows.
-    """
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs: Sequence[int]):
-        self.p = int(p)
-        c = tuple(int(x) for x in coeffs)
-        if len(c) != self.p - 1:
-            raise ValueError(f"need {self.p - 1} power-basis coefficients, got {len(c)}")
-        self.coeffs = c
-
-    @classmethod
-    def zero(cls, p: int) -> "CyclotomicInt":
-        return cls(p, (0,) * (p - 1))
-
-    @classmethod
-    def one(cls, p: int) -> "CyclotomicInt":
-        return cls.integer(p, 1)
-
-    @classmethod
-    def integer(cls, p: int, k: int) -> "CyclotomicInt":
-        return cls(p, (k,) + (0,) * (p - 2))
-
-    @classmethod
-    def root_power(cls, p: int, t: int) -> "CyclotomicInt":
-        """w^t in canonical form (reducing w^(p-1) by the minimal polynomial)."""
-        t = t % p
-        if t < p - 1:
-            c = [0] * (p - 1)
-            c[t] = 1
-            return cls(p, c)
-        return cls(p, (-1,) * (p - 1))
-
-    @classmethod
-    def from_exponents(cls, p: int, raw: Sequence[int]) -> "CyclotomicInt":
-        """Reduce coefficients on exponents 0..len(raw)-1 of w to canonical form."""
-        folded = [0] * p
-        for e, c in enumerate(raw):
-            folded[e % p] += int(c)
-        top = folded[p - 1]
-        return cls(p, tuple(folded[j] - top for j in range(p - 1)))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclotomicInt):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def _check(self, other: "CyclotomicInt") -> None:
-        if self.p != other.p:
-            raise ValueError("cyclotomic order mismatch")
-
-    def __add__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        return CyclotomicInt(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        return CyclotomicInt(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CyclotomicInt":
-        return CyclotomicInt(self.p, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other) -> "CyclotomicInt":
-        if isinstance(other, int):
-            return CyclotomicInt(self.p, tuple(other * a for a in self.coeffs))
-        self._check(other)
-        raw = [0] * (2 * self.p - 3)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    raw[i + j] += a * b
-        return CyclotomicInt.from_exponents(self.p, raw)
-
-    __rmul__ = __mul__
-
-    def root_shift(self, t: int) -> "CyclotomicInt":
-        """Multiply by w^t."""
-        return CyclotomicInt.from_exponents(self.p, self._padded_shift(t))
-
-    def _padded_shift(self, t: int) -> list[int]:
-        t = t % self.p
-        raw = [0] * self.p
-        for j, c in enumerate(self.coeffs):
-            raw[(j + t) % self.p] = c
-        return raw
-
-    def __repr__(self) -> str:
-        return f"CyclotomicInt(p={self.p}, {list(self.coeffs)})"
-
-
-# ---------------------------------------------------------------------------
-# Cyclotomic coefficients over the group
+# Z[w] coefficients
 
 
 def _coef_dtype(bound: int):
@@ -359,123 +158,14 @@ def _coef_dtype(bound: int):
     return np.int64 if 3 * bound < config.INT64_SAFE_BOUND else object
 
 
-class GroupRingCyc:
-    """An element of Z[w][F_p^n]: a dense (p^n, p-1) integer coefficient table.
-
-    Tables are int64 with a conservative coefficient-growth guard; when a
-    product could overflow they are promoted to exact Python-int (object)
-    arrays, so results are exact in all regimes.  The kernels work on the
-    coefficient-major (p-1, p^n) layout; products come back as `table.T`
-    of such a table, a (p^n, p-1) view.
-    """
-
-    __slots__ = ("p", "n", "table")
-
-    def __init__(self, p: int, n: int, table: np.ndarray):
-        self.p = int(p)
-        self.n = int(n)
-        arr = np.asarray(table)
-        if arr.shape != (self.p**self.n, self.p - 1):
-            raise ValueError(
-                f"expected table of shape {(self.p ** self.n, self.p - 1)}, got {arr.shape}"
-            )
-        if arr.dtype != object:
-            arr = arr.astype(np.int64)
-        arr.flags.writeable = False
-        self.table = arr
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.p,) * self.n
-
-    @classmethod
-    def zero(cls, p: int, n: int, cap: Optional[int] = None) -> "GroupRingCyc":
-        size = check_ring_cap(p, n, cap)
-        return cls(p, n, np.zeros((size, p - 1), dtype=np.int64))
-
-    @classmethod
-    def unit(cls, p: int, n: int, cap: Optional[int] = None) -> "GroupRingCyc":
-        size = check_ring_cap(p, n, cap)
-        arr = np.zeros((size, p - 1), dtype=np.int64)
-        arr[0, 0] = 1
-        return cls(p, n, arr)
-
-    def coefficient(self, v: FpVector) -> CyclotomicInt:
-        return CyclotomicInt(self.p, tuple(int(x) for x in self.table[v.index]))
-
-    def is_zero(self) -> bool:
-        return not (self.table != 0).any()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupRingCyc):
-            return NotImplemented
-        return self.p == other.p and self.n == other.n and np.array_equal(self.table, other.table)
-
-    def __hash__(self):
-        return hash((self.p, self.n, tuple(int(x) for x in self.table.flat)))
-
-    def _check(self, other: "GroupRingCyc") -> None:
-        if self.p != other.p or self.n != other.n:
-            raise ValueError("ring mismatch")
-
-    def __add__(self, other: "GroupRingCyc") -> "GroupRingCyc":
-        self._check(other)
-        return GroupRingCyc(self.p, self.n, self.table + other.table)
-
-    def __sub__(self, other: "GroupRingCyc") -> "GroupRingCyc":
-        self._check(other)
-        return GroupRingCyc(self.p, self.n, self.table - other.table)
-
-    def __neg__(self) -> "GroupRingCyc":
-        return GroupRingCyc(self.p, self.n, -self.table)
-
-    def mul_binomial(self, v: FpVector, t: int, r: int = 1) -> "GroupRingCyc":
-        """Multiply by (1 - w^t g^v)^r."""
-        if r < 0:
-            raise ValueError("exponent must be nonnegative")
-        # each row is a signed sum of at most (p - 1) * max|entry| roots of unity
-        roots = (self.p - 1) * int(np.abs(self.table).max(initial=0))
-        table = self.table.astype(_coef_dtype(roots * 2**r), copy=False)
-        out = _kernels.cyc_binomial_power(table.T, self.dims, v.coords, t % self.p, r, self.p)
-        return GroupRingCyc(self.p, self.n, out.T)
-
-    def __mul__(self, other: "GroupRingCyc") -> "GroupRingCyc":
-        """General convolution with Z[w] coefficient products (small inputs)."""
-        self._check(other)
-        p, n = self.p, self.n
-        size = p**n
-        acc = [CyclotomicInt.zero(p) for _ in range(size)]
-        rows_other = [CyclotomicInt(p, tuple(int(x) for x in other.table[i])) for i in range(size)]
-        for w in range(size):
-            cw = CyclotomicInt(p, tuple(int(x) for x in self.table[w]))
-            if cw.is_zero():
-                continue
-            wv = FpVector.from_index(p, n, w)
-            for u in range(size):
-                if rows_other[u].is_zero():
-                    continue
-                tgt = (wv + FpVector.from_index(p, n, u)).index
-                acc[tgt] = acc[tgt] + cw * rows_other[u]
-        out = np.array([list(c.coeffs) for c in acc], dtype=object)
-        return GroupRingCyc(p, n, out)
-
-    def dump(self) -> dict:
-        out = {}
-        for i in range(self.table.shape[0]):
-            row = [int(x) for x in self.table[i]]
-            if any(row):
-                out[int(i)] = row
-        return {"ring": f"Z[w][F_{self.p}^{self.n}]", "coeffs": out}
-
-    def __repr__(self) -> str:
-        nz = len(self.dump()["coeffs"])
-        return f"GroupRingCyc(p={self.p}, n={self.n}, nonzero={nz})"
-
-
 def binomial_product_cyc(
     V: FpMultiset, twists: Sequence[int], r: int = 1, cap: Optional[int] = None
-) -> GroupRingCyc:
-    """The product over V of (1 - w^(t_v) g^v)^r, exactly over Z[w]; stops at zero."""
+) -> np.ndarray:
+    """The product over V of (1 - w^(t_v) g^v)^r, exactly over Z[w]; stops at zero.
+
+    Returned as the kernels' coefficient-major (p-1, p^n) table, int64 or,
+    when the `_coef_dtype` bound 2^(r|V|) does not fit, exact Python ints.
+    """
     _check_exponent(r, V.p)
     t = normalize_twists(V, twists)
     p, dims = V.p, (V.p,) * V.n
@@ -483,9 +173,9 @@ def binomial_product_cyc(
     table[0, 0] = 1
     for v, tv in zip(V.entries, t):
         table = _kernels.cyc_binomial_power(table, dims, v.coords, tv, r, p)
-        if not (table != 0).any():
+        if not table.any():
             break
-    return GroupRingCyc(p, V.n, table.T)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +289,7 @@ def is_c_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> Opti
     if hits.size == 0:
         return None
     witness = twist_from_index(V.p, V.size, int(hits[0]))
-    if not binomial_product_cyc(V, witness, r).is_zero():
+    if binomial_product_cyc(V, witness, r).any():
         raise InvariantViolationError("cover-oracle witness failed exact-product certification")
     return witness
 
@@ -649,27 +339,3 @@ def is_c_irredundant(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> Op
         return None
 
     return search(0, 0, 0)
-
-
-# ---------------------------------------------------------------------------
-# Exact Fourier transform over Z[w]
-
-
-def fourier_transform(h: GroupRingCyc) -> np.ndarray:
-    """Table of F(h*)(x) = sum_v w^<x,v> h[v], one Z[w] row per x; exact."""
-    p, n = h.p, h.n
-    cm = coords_matrix(p, n)
-    # each output row is a signed sum of at most table.size * max|entry| roots of unity
-    roots = h.table.size * int(np.abs(h.table).max(initial=0))
-    table = h.table.astype(_coef_dtype(roots), copy=False)
-    acc = np.zeros(table.shape, dtype=table.dtype)
-    for vi in np.nonzero((table != 0).any(axis=1))[0]:
-        shifts = np.stack([_kernels.lambda_shift_rows(table[vi], k, p) for k in range(p)])
-        acc += shifts[(cm @ cm[vi]) % p]
-    return acc
-
-
-def fourier_zero_set(h: GroupRingCyc) -> tuple[FpVector, ...]:
-    """All x with F(h*)(x) = 0 exactly in Z[w], in canonical order."""
-    zero = ~(fourier_transform(h) != 0).any(axis=1)
-    return tuple(FpVector.from_index(h.p, h.n, int(xi)) for xi in np.nonzero(zero)[0])

@@ -1,0 +1,133 @@
+"""Plain reference arithmetic that the group-ring tests check the kernels against.
+
+Elements are raw tables in the kernels' layouts, over the points of F_p^n in
+canonical order (coordinate 0 most significant): an F_p[F_p^n] element is a
+(p^n,) table of residues, a Z[w][F_p^n] element a coefficient-major
+(p-1, p^n) table whose columns are Z[w] elements in the power basis
+w^0..w^(p-2).  A Z[w] element here is a tuple of p-1 Python ints.  All
+arithmetic is schoolbook and exact, O(p^(2n)) for a product, and shares no
+code with the kernels.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+import numpy as np
+
+
+def points(p: int, n: int) -> list[tuple[int, ...]]:
+    """F_p^n in canonical order."""
+    return list(product(range(p), repeat=n))
+
+
+def _index(x, p: int) -> int:
+    return sum(int(c) * p ** (len(x) - 1 - i) for i, c in enumerate(x))
+
+
+def _sum_index(x, y, p: int) -> int:
+    return _index([(a + b) % p for a, b in zip(x, y)], p)
+
+
+# ---------------------------------------------------------------------------
+# F_p[F_p^n]
+
+
+def fp_mul(a, b, p: int, n: int) -> np.ndarray:
+    """General convolution: (a*b)[x + y] = sum of a[x] b[y], mod p."""
+    pts = points(p, n)
+    out = [0] * len(pts)
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            out[_sum_index(x, y, p)] += int(a[i]) * int(b[j])
+    return np.array([c % p for c in out], dtype=np.int64)
+
+
+def fp_binomial(p: int, n: int, v) -> np.ndarray:
+    """The element 1 - g^v."""
+    table = np.zeros(p**n, dtype=np.int64)
+    table[0] += 1
+    table[_index(v, p)] -= 1
+    return table % p
+
+
+# ---------------------------------------------------------------------------
+# Z[w], w = e^(2*pi*i/p)
+
+
+def zw_reduce(raw, p: int) -> tuple[int, ...]:
+    """Power-basis coordinates of sum_e raw[e] w^e, by w^p = 1 and
+    w^(p-1) = -(1 + w + ... + w^(p-2))."""
+    folded = [0] * p
+    for e, c in enumerate(raw):
+        folded[e % p] += int(c)
+    return tuple(c - folded[p - 1] for c in folded[: p - 1])
+
+
+def root_power(p: int, t: int) -> tuple[int, ...]:
+    """w^t."""
+    return zw_reduce([0] * (t % p) + [1], p)
+
+
+def w_shift(c, t: int, p: int) -> tuple[int, ...]:
+    """c * w^t, by moving every exponent up by t."""
+    return zw_reduce([0] * (t % p) + list(c), p)
+
+
+def zw_add(a, b) -> tuple[int, ...]:
+    return tuple(int(x) + int(y) for x, y in zip(a, b))
+
+
+def zw_mul(a, b, p: int) -> tuple[int, ...]:
+    raw = [0] * (2 * p - 3)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            raw[i + j] += int(x) * int(y)
+    return zw_reduce(raw, p)
+
+
+# ---------------------------------------------------------------------------
+# Z[w][F_p^n] and its Fourier transform
+
+
+def cyc_unit(p: int, n: int) -> np.ndarray:
+    table = np.zeros((p - 1, p**n), dtype=object)
+    table[0, 0] = 1
+    return table
+
+
+def cyc_binomial(p: int, n: int, v, t: int) -> np.ndarray:
+    """The element 1 - w^t g^v."""
+    table = cyc_unit(p, n)
+    col = _index(v, p)
+    table[:, col] = zw_add(table[:, col], [-c for c in root_power(p, t)])
+    return table
+
+
+def cyc_mul(a, b, p: int, n: int) -> np.ndarray:
+    """General convolution with exact Z[w] products, as an object table."""
+    pts = points(p, n)
+    support = [[(x, tuple(t[:, i])) for i, x in enumerate(pts) if any(t[:, i])] for t in (a, b)]
+    out = [(0,) * (p - 1)] * len(pts)
+    for x, ax in support[0]:
+        for y, by in support[1]:
+            k = _sum_index(x, y, p)
+            out[k] = zw_add(out[k], zw_mul(ax, by, p))
+    return np.array(out, dtype=object).T
+
+
+def fourier_transform(h, p: int, n: int) -> list[tuple[int, ...]]:
+    """[sum_v w^<x,v> h[v] for x in points(p, n)], exactly in Z[w]."""
+    pts = points(p, n)
+    out = []
+    for x in pts:
+        acc = (0,) * (p - 1)
+        for j, v in enumerate(pts):
+            acc = zw_add(acc, w_shift(h[:, j], sum(a * b for a, b in zip(x, v)), p))
+        out.append(acc)
+    return out
+
+
+def fourier_zero_set(h, p: int, n: int) -> list[tuple[int, ...]]:
+    """The points x at which the transform of h is exactly 0, in canonical order."""
+    return [x for x, f in zip(points(p, n), fourier_transform(h, p, n)) if not any(f)]

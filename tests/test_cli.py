@@ -13,6 +13,8 @@ import fpvanish
 from fpvanish import cli, config
 from fpvanish.cli import main
 
+import reference as ref
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -211,7 +213,7 @@ class TestVanishingCommands:
         from fpvanish import group_ring as gr
 
         # a product that does not vanish for the cover oracle's witness
-        monkeypatch.setattr(gr, "binomial_product_cyc", lambda V, t, r=1, cap=None: gr.GroupRingCyc.unit(V.p, V.n))
+        monkeypatch.setattr(gr, "binomial_product_cyc", lambda V, t, r=1, cap=None: ref.cyc_unit(V.p, V.n))
         code, out, err = run_cli(
             capsys, "vanishing", "--field", "c", "--p", "3", "--n", "1", "--vectors", "[[1],[1],[1]]"
         )

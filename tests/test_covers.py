@@ -8,6 +8,7 @@ from fpvanish.arithmetic_sets import smallest_arithmetic_size
 from fpvanish.errors import CapExceededError, PreconditionError
 from fpvanish.fp_core import FpMultiset, FpVector, enumerate_vectors
 
+import reference as ref
 from conftest import random_multiset
 
 
@@ -294,8 +295,7 @@ class TestHyperplaneInstances:
             V = random_multiset(rng, p, n, size, nonzero=True)
             t = tuple(int(x) for x in rng.integers(0, p, size=size))
             H = cv.multiset_to_hyperplane_cover(V, t)
-            V2, t2 = cv.hyperplane_cover_to_multiset(H)
-            assert V2 == V and t2 == t
+            assert H.normals == V.entries and H.offsets == t
 
     def test_zero_normal_rejected(self):
         V = FpMultiset.from_coords(3, [[0, 0]])
@@ -310,7 +310,10 @@ class TestHyperplaneInstances:
             V = random_multiset(rng, p, n, size, nonzero=True)
             t = tuple(int(x) for x in rng.integers(0, p, size=size))
             H = cv.multiset_to_hyperplane_cover(V, t)
-            assert H.is_cover() == gr.binomial_product_cyc(V, t).is_zero()
+            table = gr.binomial_product_cyc(V, t)
+            assert H.is_cover() == (not table.any())
+            # the transform is injective: zero iff it vanishes at every point
+            assert H.is_cover() == (len(ref.fourier_zero_set(table, p, n)) == p**n)
 
     def test_codim_bound_on_minimal_covers(self):
         for p, n in ((2, 2), (3, 2)):

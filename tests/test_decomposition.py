@@ -261,15 +261,16 @@ class TestBruteForce:
 class TestAdditiveBasisDecompose:
     def test_dimension_zero_base_case(self):
         A = min_arithmetic_set(5)
-        rep = dc.additive_basis_decompose(FpVector(5, ()), [[] for _ in range(5)], A, 1)
+        rep = dc.DecompositionPlan(5, 0, [[] for _ in range(5)], A, 1).decompose(FpVector(5, ()))
         assert rep.coefficients == ()
 
     def test_p5_line_by_brute_force(self):
         A = ArithmeticSet.verified([1, 2, 3, 4], 1, 5)
         bases = [[[1]]] * 5
         V = FpMultiset.from_coords(5, [[1]] * 5)
+        plan = dc.DecompositionPlan(5, 1, bases, A, 1)
         for w in range(5):
-            rep = dc.additive_basis_decompose(FpVector(5, (w,)), bases, A, 1)
+            rep = plan.decompose(FpVector(5, (w,)))
             assert all(c in A.elements for c in rep.coefficients)
             assert dc.brute_force_representable(FpVector(5, (w,)), V, A)
 
@@ -300,17 +301,6 @@ class TestAdditiveBasisDecompose:
         A = min_arithmetic_set(5)
         with pytest.raises(PreconditionError, match="vectors"):
             dc.DecompositionPlan(5, 2, [[[1, 0]]] * 5, A, 1)
-
-    def test_plan_reuse_matches_one_shot(self, rng):
-        A = min_arithmetic_set(5)
-        bases = []
-        while len(bases) < 5:
-            M = rng.integers(0, 5, size=(2, 2)).tolist()
-            if span_dimension(FpMultiset.from_coords(5, M, n=2)) == 2:
-                bases.append(M)
-        plan = dc.DecompositionPlan(5, 2, bases, A, 1)
-        w = FpVector(5, (3, 2))
-        assert plan.decompose(w).coefficients == dc.additive_basis_decompose(w, bases, A, 1).coefficients
 
 
 class TestSizeBound:

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpvanish import _kernels as K
 from fpvanish import config
 from fpvanish import group_ring as gr
-from fpvanish.errors import CapExceededError, PreconditionError
+from fpvanish.errors import CapExceededError, InvariantViolationError, PreconditionError
 from fpvanish.fp_core import FpMultiset, FpVector, enumerate_vectors
 
+import reference as ref
 from conftest import random_multiset
 
 
 def elt(p, n, rng):
-    return gr.GroupRingFp(p, n, rng.integers(0, p, size=p**n))
+    return rng.integers(0, p, size=p**n)
 
 
 class TestRingAxioms:
@@ -26,46 +28,65 @@ class TestRingAxioms:
         p, n = pn
         rng = np.random.default_rng(seed)
         a, b, c = (elt(p, n, rng) for _ in range(3))
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
+
+        def mul(x, y):
+            return ref.fp_mul(x, y, p, n)
+
+        assert np.array_equal(mul(a, b), mul(b, a))
+        assert np.array_equal(mul(mul(a, b), c), mul(a, mul(b, c)))
 
     def test_unit_is_identity(self, rng):
         a = elt(5, 2, rng)
-        one = gr.GroupRingFp.unit(5, 2)
-        assert a * one == a
+        one = gr.binomial_product_fp(FpMultiset(5, 2, ()))
+        assert np.array_equal(ref.fp_mul(a, one, 5, 2), a)
 
     def test_binomial_matches_general_product(self, rng):
         p, n = 3, 2
         a = elt(p, n, rng)
-        v = FpVector(p, (1, 2))
-        factor = gr.GroupRingFp.unit(p, n) - gr.GroupRingFp.monomial(v)
-        assert a.mul_binomial(v, 1) == a * factor
-        assert a.mul_binomial(v, 3) == a * factor * factor * factor
+        v = (1, 2)
+        factor = ref.fp_binomial(p, n, v)
+        want = ref.fp_mul(a, factor, p, n)
+        assert np.array_equal(K.fp_binomial_power(a, (p,) * n, v, 1, p), want)
+        want = ref.fp_mul(ref.fp_mul(want, factor, p, n), factor, p, n)
+        assert np.array_equal(K.fp_binomial_power(a, (p,) * n, v, 3, p), want)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_binomial_pth_power_vanishes(self, p):
+        one = gr.binomial_product_fp(FpMultiset(p, 2, ()))
         for v in enumerate_vectors(p, 2):
             if v.is_zero():
                 continue
-            out = gr.GroupRingFp.unit(p, 2).mul_binomial(v, p)
-            assert out.is_zero()
+            assert not K.fp_binomial_power(one, (p, p), v.coords, p, p).any()
 
 
 class TestBinomialProductFp:
     def test_p_copies_vanish(self):
         for p in (2, 3, 5):
             V = FpMultiset.from_coords(p, [[1, 0]] * p)
-            assert gr.binomial_product_fp(V).is_zero()
+            assert not gr.binomial_product_fp(V).any()
 
-    def test_single_factor_support(self):
+    def test_single_factor_support(self, rng):
         V = FpMultiset.from_coords(5, [[1, 0]])
         prod = gr.binomial_product_fp(V)
-        assert prod.dump()["coeffs"] == {0: 1, 5: 4}
+        assert prod.shape == (25,) and prod.dtype == np.int64
+        assert np.nonzero(prod)[0].tolist() == [0, 5]
+        assert prod[[0, 5]].tolist() == [1, 4]
+        # raw residue tables in [0, p) equal to the reference product
+        for _ in range(10):
+            p, n = int(rng.choice([2, 3, 5])), int(rng.integers(0, 3))
+            V = random_multiset(rng, p, n, int(rng.integers(0, 4)))
+            want = gr.binomial_product_fp(FpMultiset(p, n, ()))
+            for v in V.entries:
+                want = ref.fp_mul(want, ref.fp_binomial(p, n, v.coords), p, n)
+            prod = gr.binomial_product_fp(V)
+            assert prod.shape == (p**n,) and prod.dtype == np.int64
+            assert prod.min() >= 0 and prod.max() < p
+            assert np.array_equal(prod, want)
 
     def test_p_minus_one_copies_give_all_ones(self):
         V = FpMultiset.from_coords(5, [[1]] * 4)
         prod = gr.binomial_product_fp(V)
-        assert np.array_equal(prod.coeffs, np.ones(5, dtype=np.int64))
+        assert prod.dtype == np.int64 and prod.tolist() == [1] * 5
 
     def test_r_range_validated(self):
         V = FpMultiset.from_coords(5, [[1]])
@@ -222,61 +243,67 @@ class TestDivideAndConquerGreedy:
         assert kept == _greedy_reference(entries, 1, p, n)
 
 
+def _one(p: int) -> np.ndarray:
+    return np.eye(p - 1, 1, dtype=np.int64)[:, 0]
+
+
 class TestCyclotomicInt:
+    """Elements of Z[w] in the power basis, as the kernels' w^t shift sees them."""
+
     def test_all_root_powers_sum_to_zero(self):
         for p in (2, 3, 5, 7):
-            acc = gr.CyclotomicInt.zero(p)
-            for t in range(p):
-                acc = acc + gr.CyclotomicInt.root_power(p, t)
-            assert acc.is_zero()
+            acc = sum(K.lambda_shift_rows(_one(p), t, p) for t in range(p))
+            assert not acc.any()
 
     def test_root_has_order_p(self):
         for p in (3, 5, 7):
-            prod = gr.CyclotomicInt.one(p)
+            prod = _one(p)
             for _ in range(p):
-                prod = prod * gr.CyclotomicInt.root_power(p, 1)
-            assert prod == gr.CyclotomicInt.one(p)
+                prod = K.lambda_shift_rows(prod, 1, p)
+            assert prod.tolist() == _one(p).tolist()
 
     def test_root_shift_is_multiplication(self, rng):
         for p in (3, 5, 7):
             for _ in range(10):
-                c = gr.CyclotomicInt(p, [int(x) for x in rng.integers(-9, 10, size=p - 1)])
+                c = rng.integers(-9, 10, size=p - 1)
                 t = int(rng.integers(0, p))
-                assert c.root_shift(t) == c * gr.CyclotomicInt.root_power(p, t)
+                assert tuple(K.lambda_shift_rows(c, t, p).tolist()) == ref.zw_mul(c, ref.root_power(p, t), p)
 
     def test_ring_laws(self, rng):
         p = 5
-        xs = [
-            gr.CyclotomicInt(p, [int(x) for x in rng.integers(-5, 6, size=p - 1)])
-            for _ in range(3)
-        ]
-        a, b, c = xs
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        a, b, c = (tuple(rng.integers(-5, 6, size=p - 1).tolist()) for _ in range(3))
+
+        def mul(x, y):
+            return ref.zw_mul(x, y, p)
+
+        assert ref.zw_add(a, b) == ref.zw_add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, ref.zw_add(b, c)) == ref.zw_add(mul(a, b), mul(a, c))
 
     def test_exact_zero_test(self):
-        c = gr.CyclotomicInt(5, (1, 1, 1, 1))
-        d = gr.CyclotomicInt.root_power(5, 4)
-        assert (c + d).is_zero()
+        c = np.array([1, 1, 1, 1])
+        d = K.lambda_shift_rows(_one(5), 4, 5)
+        assert not (c + d).any()
 
 
 class TestBinomialProductCyc:
     def test_untwisted_single_factor(self):
         V = FpMultiset.from_coords(5, [[1, 0]])
         prod = gr.binomial_product_cyc(V, (0,))
-        assert prod.coefficient(FpVector(5, (0, 0))) == gr.CyclotomicInt.one(5)
-        assert prod.coefficient(FpVector(5, (1, 0))) == -gr.CyclotomicInt.one(5)
+        assert prod.shape == (4, 25) and prod.dtype == gr._coef_dtype(2)
+        assert np.nonzero(prod.any(axis=0))[0].tolist() == [0, 5]
+        assert prod[:, 0].tolist() == [1, 0, 0, 0]
+        assert prod[:, 5].tolist() == [-1, 0, 0, 0]
 
     def test_p2_twisted_pair_vanishes(self):
         V = FpMultiset.from_coords(2, [[1], [1]])
-        assert gr.binomial_product_cyc(V, (0, 1)).is_zero()
-        assert not gr.binomial_product_cyc(V, (0, 0)).is_zero()
+        assert not gr.binomial_product_cyc(V, (0, 1)).any()
+        assert gr.binomial_product_cyc(V, (0, 0)).any()
 
     def test_p3_twisted_triple_vanishes(self):
         V = FpMultiset.from_coords(3, [[1], [1], [1]])
-        assert gr.binomial_product_cyc(V, (0, 1, 2)).is_zero()
+        assert not gr.binomial_product_cyc(V, (0, 1, 2)).any()
 
     def test_twists_must_be_total(self):
         V = FpMultiset.from_coords(3, [[1], [1]])
@@ -289,10 +316,9 @@ class TestBinomialProductCyc:
         expected = gr.binomial_product_cyc(V, t, 2)
         monkeypatch.setattr(config, "INT64_SAFE_BOUND", 4)
         promoted = gr.binomial_product_cyc(V, t, 2)
-        assert promoted.table.dtype == object
-        assert np.array_equal(
-            promoted.table.astype(np.int64), expected.table
-        )
+        assert expected.dtype == np.int64 and promoted.dtype == object
+        assert promoted.shape == expected.shape == (2, 3)
+        assert np.array_equal(promoted.astype(np.int64), expected)
 
     def test_coefficients_within_two_to_the_factor_count(self, rng):
         # a product of k = r|V| binomials is a signed sum of at most 2^k roots
@@ -307,27 +333,17 @@ class TestBinomialProductCyc:
             twists = [int(x) for x in rng.integers(0, p, size=V.size)]
             if rng.random() < 0.5:
                 twists = twists[:1] * V.size
-            table = gr.binomial_product_cyc(V, twists, r).table
-            assert table.dtype == np.int64
+            table = gr.binomial_product_cyc(V, twists, r)
+            assert table.shape == (p - 1, p**n) and table.dtype == np.int64
             assert np.abs(table).max() <= 2 ** (r * V.size)
 
     @pytest.mark.parametrize("m", [1, 5, 60, 61, 62, 63, 64, 70])
     def test_bound_is_reached_and_stays_exact(self, m):
         # p = 2, v = 0, t = 1: each factor is 1 - (-1) = 2, so the product is 2^m
         V = FpMultiset.from_coords(2, [[0]] * m)
-        table = gr.binomial_product_cyc(V, [1] * m).table
-        assert [int(x) for x in table.flat] == [2**m, 0]
+        table = gr.binomial_product_cyc(V, [1] * m)
+        assert table.shape == (1, 2) and table.tolist() == [[2**m, 0]]
         assert table.dtype == (np.int64 if 3 * 2**m < config.INT64_SAFE_BOUND else object)
-
-    def test_mul_binomial_promotes_a_large_table(self):
-        big = 2**61
-        h = gr.GroupRingCyc(3, 1, np.array([[big, -big], [0, 0], [0, 0]], dtype=np.int64))
-        v = FpVector(3, (1,))
-        got = h.mul_binomial(v, 2, 2)
-        assert got.table.dtype == object
-        # the same product with the table scaled down by 2^61, then scaled back up
-        small = gr.GroupRingCyc(3, 1, np.array([[1, -1], [0, 0], [0, 0]])).mul_binomial(v, 2, 2)
-        assert [int(x) for x in got.table.flat] == [big * int(x) for x in small.table.flat]
 
 
 class TestComplexVanishing:
@@ -411,6 +427,13 @@ class TestComplexVanishing:
         with pytest.raises(CapExceededError):
             gr.is_c_vanishing(V, cap=100)
 
+    def test_failed_certification_raises(self, monkeypatch):
+        # the cover oracle's witness (0, 1, 2) meets a product that does not vanish
+        V = FpMultiset.from_coords(3, [[1], [1], [1]])
+        monkeypatch.setattr(gr, "binomial_product_cyc", lambda V, t, r=1, cap=None: ref.cyc_unit(V.p, V.n))
+        with pytest.raises(InvariantViolationError, match="certification"):
+            gr.is_c_vanishing(V)
+
     def test_twist_cap_is_not_the_ring_cap(self):
         # 2^2 twists fit the cap of 10; the 2^4-point ring table is certified under the default
         V = FpMultiset.from_coords(2, [[1, 0, 0, 0]] * 2)
@@ -438,23 +461,30 @@ class TestComplexIrredundance:
             W = scale_multiset(V, scalars)
             t = gr.is_c_vanishing(V)
             if t is not None:
-                moved = gr.transport_twists(scalars, t, p)
-                assert gr.binomial_product_cyc(W, moved).is_zero()
+                # scaling v by a moves its hyperplane <x, v> = -t to <x, av> = -at
+                moved = [a * x % p for a, x in zip(scalars, t)]
+                assert not gr.binomial_product_cyc(W, moved).any()
+
+
+def _product(p, n, rows, twists):
+    return gr.binomial_product_cyc(FpMultiset.from_coords(p, rows, n=n), twists)
+
+
+def _hyperplane(p, n, v, t):
+    return {x for x in ref.points(p, n) if sum(a * b for a, b in zip(x, v)) % p == (-t) % p}
 
 
 class TestFourier:
+    """Kernel products against the reference transform: the zero set of
+    (1 - w^t g^v) is the hyperplane <x, v> = -t."""
+
     def test_unit_has_empty_zero_set(self):
-        h = gr.GroupRingCyc.unit(3, 2)
-        assert gr.fourier_zero_set(h) == ()
+        assert ref.fourier_zero_set(_product(3, 2, [], ()), 3, 2) == []
 
     def test_single_twisted_binomial_gives_hyperplane(self):
-        p, n = 3, 2
-        v = FpVector(p, (1, 2))
-        t = 1
-        h = gr.GroupRingCyc.unit(p, n).mul_binomial(v, t)
-        zeros = set(gr.fourier_zero_set(h))
-        expected = {x for x in enumerate_vectors(p, n) if x.dot(v) == (-t) % p}
-        assert zeros == expected
+        p, n, v, t = 3, 2, (1, 2), 1
+        zeros = set(ref.fourier_zero_set(_product(p, n, [v], (t,)), p, n))
+        assert zeros == _hyperplane(p, n, v, t)
 
     def test_product_zero_set_is_union_of_hyperplanes(self, rng):
         p, n = 3, 2
@@ -462,31 +492,19 @@ class TestFourier:
             size = int(rng.integers(1, 4))
             V = random_multiset(rng, p, n, size, nonzero=True)
             twists = tuple(int(x) for x in rng.integers(0, p, size=size))
-            h = gr.binomial_product_cyc(V, twists)
-            zeros = set(gr.fourier_zero_set(h))
-            union = set()
-            for v, t in zip(V.entries, twists):
-                union |= {x for x in enumerate_vectors(p, n) if x.dot(v) == (-t) % p}
-            assert zeros == union
+            zeros = set(ref.fourier_zero_set(gr.binomial_product_cyc(V, twists), p, n))
+            assert zeros == set().union(*(_hyperplane(p, n, v.coords, t) for v, t in zip(V.entries, twists)))
 
     def test_transform_multiplicativity(self, rng):
         # convolution becomes pointwise product after the transform
         p, n = 3, 1
         for _ in range(5):
-            t1, t2 = (int(x) for x in rng.integers(0, p, size=2))
-            v1 = FpVector(p, (int(rng.integers(0, p)),))
-            v2 = FpVector(p, (int(rng.integers(0, p)),))
-            h1 = gr.GroupRingCyc.unit(p, n).mul_binomial(v1, t1)
-            h2 = gr.GroupRingCyc.unit(p, n).mul_binomial(v2, t2)
-            f1 = gr.fourier_transform(h1)
-            f2 = gr.fourier_transform(h2)
-            f12 = gr.fourier_transform(h1 * h2)
-            for x in range(p**n):
-                a = gr.CyclotomicInt(p, tuple(int(c) for c in f1[x]))
-                b = gr.CyclotomicInt(p, tuple(int(c) for c in f2[x]))
-                ab = gr.CyclotomicInt(p, tuple(int(c) for c in f12[x]))
-                assert a * b == ab
-
+            t1, t2, c1, c2 = (int(x) for x in rng.integers(0, p, size=4))
+            h1, h2 = _product(p, n, [[c1]], (t1,)), _product(p, n, [[c2]], (t2,))
+            h12 = _product(p, n, [[c1], [c2]], (t1, t2))
+            assert h12.tolist() == ref.cyc_mul(h1, h2, p, n).tolist()
+            f1, f2, f12 = (ref.fourier_transform(h, p, n) for h in (h1, h2, h12))
+            assert all(ref.zw_mul(a, b, p) == ab for a, b, ab in zip(f1, f2, f12))
 
     def test_object_path_matches_int64(self, monkeypatch, rng):
         cases = []
@@ -495,23 +513,13 @@ class TestFourier:
             V = random_multiset(rng, p, n, int(rng.integers(1, 4)))
             twists = tuple(int(x) for x in rng.integers(0, p, size=V.size))
             h = gr.binomial_product_cyc(V, twists)
-            cases.append((h, gr.fourier_transform(h), gr.fourier_zero_set(h)))
+            cases.append((V, twists, h, ref.fourier_zero_set(h, p, n)))
         monkeypatch.setattr(config, "INT64_SAFE_BOUND", 4)
-        for h, want, zeros in cases:
-            got = gr.fourier_transform(h)
+        for V, twists, want, zeros in cases:
+            got = gr.binomial_product_cyc(V, twists)
             assert got.dtype == object
             assert np.array_equal(got.astype(np.int64), want)
-            assert gr.fourier_zero_set(h) == zeros
-
-
-class TestDebugDump:
-    def test_dump_shapes(self):
-        V = FpMultiset.from_coords(3, [[1]])
-        fp = gr.binomial_product_fp(V)
-        assert set(fp.dump()) == {"ring", "coeffs"}
-        cyc = gr.binomial_product_cyc(V, (1,))
-        dumped = cyc.dump()["coeffs"]
-        assert all(isinstance(v, list) for v in dumped.values())
+            assert ref.fourier_zero_set(got, V.p, V.n) == zeros
 
 
 def _irredundant_twist_reference(V: FpMultiset):

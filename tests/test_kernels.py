@@ -10,7 +10,8 @@ import pytest
 from fpvanish import _kernels as K
 from fpvanish.arithmetic_sets import is_r_arithmetic
 from fpvanish.fp_core import FpVector
-from fpvanish.group_ring import CyclotomicInt, GroupRingCyc, GroupRingFp
+
+import reference as ref
 
 
 def _random_vector(rng, p, n) -> FpVector:
@@ -69,7 +70,7 @@ class TestRolled:
 
     @pytest.mark.parametrize("p,n", [(3, 3), (3, 2), (5, 2), (7, 1)])
     def test_non_contiguous_transposed_input(self, rng, p, n):
-        # GroupRingCyc.mul_binomial passes its (p^n, p-1) table as a .T view
+        # a (p^n, p-1) table's .T view: coefficient-major but not C-contiguous
         table = rng.integers(-5, 6, size=(p**n, p - 1)).T
         assert not table.flags.c_contiguous
         for v in _shifts(rng, p, n):
@@ -79,28 +80,20 @@ class TestRolled:
 class TestFpBinomialPower:
     @pytest.mark.parametrize("p,n,r", [(2, 2, 1), (3, 2, 2), (5, 1, 1), (5, 2, 3)])
     def test_matches_ring_product(self, rng, p, n, r):
-        a = GroupRingFp(p, n, rng.integers(0, p, size=p**n))
+        a = rng.integers(0, p, size=p**n)
         v = _random_vector(rng, p, n)
-        factor = GroupRingFp.unit(p, n) - GroupRingFp.monomial(v)
         want = a
         for _ in range(r):
-            want = want * factor
-        got = K.fp_binomial_power(a.coeffs, (p,) * n, v.coords, r, p)
-        assert np.array_equal(got, want.coeffs)
+            want = ref.fp_mul(want, ref.fp_binomial(p, n, v.coords), p, n)
+        got = K.fp_binomial_power(a, (p,) * n, v.coords, r, p)
+        assert np.array_equal(got, want)
 
 
-def _binomial(p: int, n: int, v: FpVector, t: int) -> GroupRingCyc:
-    """The ring element 1 - w^t g^v, built from its coefficients."""
-    table = np.zeros((p**n, p - 1), dtype=np.int64)
-    table[0, 0] = 1
-    table[v.index] -= CyclotomicInt.root_power(p, t).coeffs
-    return GroupRingCyc(p, n, table)
-
-
-def _power(a: GroupRingCyc, factor: GroupRingCyc, r: int) -> GroupRingCyc:
+def _power(a, p: int, n: int, v: FpVector, t: int, r: int) -> list:
+    """a * (1 - w^t g^v)^r by the reference convolution, as nested lists."""
     for _ in range(r):
-        a = a * factor
-    return a
+        a = ref.cyc_mul(a, ref.cyc_binomial(p, n, v.coords, t), p, n)
+    return a.tolist()
 
 
 class TestCycBinomialPower:
@@ -108,11 +101,10 @@ class TestCycBinomialPower:
 
     @pytest.mark.parametrize("p,n,t,r", [(2, 1, 1, 1), (3, 2, 2, 1), (5, 2, 3, 2), (3, 1, 0, 2)])
     def test_matches_ring_product(self, rng, p, n, t, r):
-        a = GroupRingCyc(p, n, rng.integers(-4, 5, size=(p**n, p - 1)))
+        a = rng.integers(-4, 5, size=(p - 1, p**n))
         v = _random_vector(rng, p, n)
-        want = _power(a, _binomial(p, n, v, t), r)
-        got = K.cyc_binomial_power(a.table.T, (p,) * n, v.coords, t, r, p)
-        assert np.array_equal(got.T, want.table.astype(np.int64))
+        got = K.cyc_binomial_power(a, (p,) * n, v.coords, t, r, p)
+        assert got.tolist() == _power(a, p, n, v, t, r)
 
     def test_lambda_shift_matches_scalar_cyclotomic(self, rng):
         for p in (3, 5, 7):
@@ -120,8 +112,7 @@ class TestCycBinomialPower:
                 coeffs = [int(c) for c in rng.integers(-5, 6, size=p - 1)]
                 t = int(rng.integers(0, p))
                 got = K.lambda_shift_rows(np.array(coeffs, dtype=np.int64), t, p)
-                want = CyclotomicInt(p, coeffs).root_shift(t)
-                assert tuple(int(x) for x in got) == want.coeffs
+                assert tuple(got.tolist()) == ref.w_shift(coeffs, t, p)
 
     # Every t in 0..p-1: t = 1 and t = p - 1 are the edges of the plane slices.
     @pytest.mark.parametrize("dtype", [np.int64, object])
@@ -133,8 +124,8 @@ class TestCycBinomialPower:
             got = K.lambda_shift_rows(rows, t, p)
             assert got.shape == rows.shape and got.dtype == rows.dtype
             for idx in np.ndindex(rows.shape[1:]):
-                element = CyclotomicInt(p, [int(x) for x in rows[(slice(None),) + idx]])
-                assert tuple(int(x) for x in got[(slice(None),) + idx]) == element.root_shift(t).coeffs
+                element = rows[(slice(None),) + idx]
+                assert tuple(got[(slice(None),) + idx].tolist()) == ref.w_shift(element, t, p)
         assert np.array_equal(rows, before)
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
@@ -148,11 +139,9 @@ class TestCycBinomialPower:
         for t in range(p):
             got = K.cyc_binomial_power(table, (p,) * n, v.coords, t, r, p)
             assert got.shape == table.shape and got.dtype == table.dtype
-            factor = _binomial(p, n, v, t)
             for idx in np.ndindex(batch):
-                a = GroupRingCyc(p, n, table[(slice(None), slice(None)) + idx].T)
-                want = _power(a, factor, r)
-                assert np.array_equal(got[(slice(None), slice(None)) + idx].T, want.table)
+                block = (slice(None), slice(None)) + idx
+                assert got[block].tolist() == _power(table[block], p, n, v, t, r)
         assert np.array_equal(table, before)
 
 
