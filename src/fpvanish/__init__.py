@@ -11,9 +11,7 @@ from .fp_core import (
     FpMultiset,
     FpVector,
     PrimeModulus,
-    SpanDecomposition,
     enumerate_vectors,
-    quotient_split,
     scale_multiset,
     span_dimension,
 )
@@ -29,9 +27,7 @@ __all__ = [
     "FpMultiset",
     "FpVector",
     "PrimeModulus",
-    "SpanDecomposition",
     "enumerate_vectors",
-    "quotient_split",
     "scale_multiset",
     "span_dimension",
     "__version__",

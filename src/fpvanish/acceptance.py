@@ -20,7 +20,15 @@ from . import decomposition as dc
 from . import group_ring as gr
 from . import linear_maps as lm
 from .errors import InvariantViolationError, SearchBudgetExceededError
-from .fp_core import FpMultiset, FpVector, enumerate_vectors, span_dimension
+from .fp_core import (
+    FpMultiset,
+    FpVector,
+    _combination,
+    coords_array,
+    enumerate_vectors,
+    rref_mod_p,
+    span_dimension,
+)
 
 DEFAULT_SEED = 20260810
 
@@ -206,16 +214,9 @@ def _seeded_irredundant(
 
 
 def _span_elements(V: FpMultiset) -> list[FpVector]:
-    from .fp_core import quotient_split
-
-    dec = quotient_split(V)
-    out = []
-    for combo in _all_tuples(V.p, dec.dim_t):
-        acc = FpVector(V.p, (0,) * V.n)
-        for c, b in zip(combo, dec.basis):
-            acc = acc + b.scale(c)
-        out.append(acc)
-    return out
+    """Every combination of the rref rows of V, in _all_tuples order."""
+    basis = rref_mod_p(coords_array(V), V.p)[0].tolist()
+    return [FpVector(V.p, _combination(V.p, V.n, basis, c)) for c in _all_tuples(V.p, len(basis))]
 
 
 def _all_tuples(p: int, k: int):

@@ -13,8 +13,6 @@ import sys
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import arithmetic_sets as ar
 from . import config
 from . import covers as cv

@@ -18,7 +18,9 @@ FpVector is built per term.
 The additive-basis decomposition recurses on dimension: extract an
 irredundant V from the pooled bases, split the space along T = span(V),
 decompose the target's complement part over the projected pool, then solve
-the T-part over V by descent.
+the T-part over V by descent.  Plan levels and the span split run on
+coordinate tuples; FpVector appears only at the API boundary
+(represent_in_set, DecompositionPlan.decompose and Representation).
 
 The oracle brute_force_representable re-certifies representability without
 the descent: a table of every sum reachable over F_p^n, one entry of V at a
@@ -42,9 +44,9 @@ from .errors import (
 from .fp_core import (
     FpMultiset,
     FpVector,
-    SpanDecomposition,
+    _combination,
     check_ring_cap,
-    quotient_split,
+    rref_mod_p,
     solve_combination,
     span_dimension,
 )
@@ -67,7 +69,7 @@ class Representation:
             raise ValueError("target and multiset live in different spaces")
         coeffs = tuple(int(c) % self.V.p for c in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
-        if _combination(self.V, coeffs) != self.x.coords:
+        if _combination(self.V.p, self.V.n, [v.coords for v in self.V], coeffs) != self.x.coords:
             raise InvariantViolationError("representation does not sum to its target")
 
 
@@ -92,18 +94,8 @@ class EpsilonRelation:
         # eps_w b_w w - sum over v != w of eps_v b_v v must be zero
         coeffs = [-e * int(x) for e, x in zip(self.eps, self.b)]
         coeffs[self.w_index] = self.eps_w * int(self.b[self.w_index])
-        if any(_combination(self.V, coeffs)):
+        if any(_combination(p, self.V.n, [v.coords for v in self.V], coeffs)):
             raise InvariantViolationError("relation does not balance")
-
-
-def _combination(V: FpMultiset, coeffs: Sequence[int]) -> tuple[int, ...]:
-    """sum(c_v * v) mod p over the entries of V, one coefficient each, as coordinates."""
-    acc = [0] * V.n
-    for c, v in zip(coeffs, V.entries, strict=True):
-        if c:
-            for i, x in enumerate(v.coords):
-                acc[i] += c * x
-    return tuple(a % V.p for a in acc)
 
 
 def _epsilon_preference(r: int) -> list[int]:
@@ -232,25 +224,41 @@ def represent_in_set(
 # Recursive additive-basis decomposition
 
 
-def _as_basis_list(p: int, n: int, bases: Sequence) -> list[list[FpVector]]:
-    out = []
-    for group in bases:
-        vecs = []
-        for v in group:
-            if isinstance(v, FpVector):
-                vecs.append(v)
-            else:
-                vecs.append(FpVector(p, tuple(int(c) % p for c in v)))
-        out.append(vecs)
-    return out
+_Coords = tuple[int, ...]
+_Split = tuple[list[_Coords], list[int], list[int]]
+
+
+def _span_split(p: int, n: int, rows: Sequence[_Coords]) -> _Split:
+    """Split F_p^n along T = span(rows): T's rref basis rows, their pivot
+    columns, and the free columns that coordinatize the complement S.
+
+    The rows go to rref_mod_p as an (m, n) array even when m = 0.
+    """
+    rref, pivots = rref_mod_p(np.array(rows, dtype=np.int64).reshape(len(rows), n), p)
+    return [tuple(row) for row in rref.tolist()], pivots, [c for c in range(n) if c not in pivots]
+
+
+def _rank(p: int, n: int, rows: Sequence[_Coords]) -> int:
+    return len(_span_split(p, n, rows)[1])
+
+
+def _project(p: int, split: _Split, x: _Coords) -> tuple[_Coords, _Coords]:
+    """(x_S, x_T): x_T in T, and x_S the free-column coordinates of x - x_T.
+
+    The rref basis is the identity on the pivot columns, so x_T takes x's
+    pivot coordinates as its coefficients and x - x_T vanishes there.
+    """
+    basis, pivots, free = split
+    x_t = _combination(p, len(x), basis, [x[c] for c in pivots])
+    return tuple((x[c] - x_t[c]) % p for c in free), x_t
 
 
 @dataclass
 class _Level:
-    dec: SpanDecomposition
+    split: _Split
     v_ids: list[int]
     V: FpMultiset
-    rest: list[tuple[int, FpVector]]
+    rest: list[tuple[int, _Coords]]
     child: "_Level | _Leaf"
 
 
@@ -262,10 +270,10 @@ class _Leaf:
 class DecompositionPlan:
     """Reusable recursion structure for decomposing many targets over one pool.
 
-    The pool is supplied as an explicit list of bases; the union is formed
-    internally.  Building the plan performs the expensive steps (irredundant
-    extraction and span splits) once; decompose() then costs one descent per
-    recursion level per target.
+    The pool is supplied as an explicit list of bases, each a list of n
+    coordinate sequences; the union is formed internally.  Building the plan
+    performs the expensive steps (irredundant extraction and span splits)
+    once; decompose() then costs one descent per recursion level per target.
     """
 
     def __init__(self, p: int, n: int, bases: Sequence, A: ArithmeticSet, r: int = 1):
@@ -277,7 +285,7 @@ class DecompositionPlan:
             raise PreconditionError("arithmetic set modulus does not match")
         if A.r < self.r:
             raise PreconditionError(f"need an arithmetic set with r >= {r}, got r = {A.r}")
-        groups = _as_basis_list(self.p, self.n, bases)
+        groups = [[tuple(int(c) % self.p for c in v) for v in group] for group in bases]
         needed = -(-self.p // self.r)  # ceil(p / r)
         if len(groups) < needed:
             raise PreconditionError(
@@ -286,79 +294,79 @@ class DecompositionPlan:
         for gi, group in enumerate(groups):
             if len(group) != self.n:
                 raise PreconditionError(f"basis {gi} has {len(group)} vectors, expected {self.n}")
-            M = FpMultiset(self.p, self.n, tuple(group))
-            if span_dimension(M) != self.n:
-                raise PreconditionError(f"basis {gi} is not linearly independent")
-        entries: list[tuple[int, FpVector]] = []
-        self.group_of: list[int] = []
-        for gi, group in enumerate(groups):
             for v in group:
-                self.group_of.append(gi)
-                entries.append((len(entries), v))
-        self.pool = FpMultiset(self.p, self.n, tuple(v for _, v in entries))
+                if len(v) != self.n:
+                    raise PreconditionError(
+                        f"basis {gi} has a vector with {len(v)} coordinates, expected {self.n}"
+                    )
+            if _rank(self.p, self.n, group) != self.n:
+                raise PreconditionError(f"basis {gi} is not linearly independent")
+        entries = [v for group in groups for v in group]
+        self.group_of = [gi for gi, group in enumerate(groups) for _ in group]
+        self.pool = FpMultiset.from_coords(self.p, entries, n=self.n)
         self.n_groups = len(groups)
-        self.root = self._build(entries, self.n)
+        self.root = self._build(list(enumerate(entries)), self.n)
 
-    def _build(self, entries: list[tuple[int, FpVector]], n_level: int) -> _Level | _Leaf:
+    def _build(self, entries: list[tuple[int, _Coords]], n_level: int) -> _Level | _Leaf:
         if n_level == 0:
             return _Leaf([eid for eid, _ in entries])
-        nonzero = [(eid, v) for eid, v in entries if not v.is_zero()]
-        ordered = sorted(nonzero, key=lambda iv: iv[1].coords)
-        pool = FpMultiset(self.p, n_level, tuple(v for _, v in ordered))
+        ordered = sorted(((eid, v) for eid, v in entries if any(v)), key=lambda iv: iv[1])
+        pool = FpMultiset.from_coords(self.p, [v for _, v in ordered], n=n_level)
         if not is_fp_vanishing(pool, self.r):
             raise InvariantViolationError(
                 "pooled entries are not vanishing; the basis-count hypothesis broke"
             )
-        kept = _greedy_irredundant_indices([v for _, v in ordered], self.r, self.p, n_level)
+        kept = _greedy_irredundant_indices(pool.entries, self.r, self.p, n_level)
         v_ids = [ordered[i][0] for i in kept]
-        V = FpMultiset(self.p, n_level, tuple(ordered[i][1] for i in kept))
-        dec = quotient_split(V, n_level)
+        V = FpMultiset(self.p, n_level, tuple(pool[i] for i in kept))
+        split = _span_split(self.p, n_level, [v.coords for v in V])
+        dim_s = len(split[2])
         removed = set(v_ids)
         rest = [(eid, v) for eid, v in entries if eid not in removed]
 
         # Recursion invariant: within every group, the projections of the
         # surviving entries still span the complement.
-        by_group: dict[int, list[FpVector]] = {}
-        projected: list[tuple[int, FpVector]] = []
+        by_group: dict[int, list[_Coords]] = {gi: [] for gi in range(self.n_groups)}
+        projected: list[tuple[int, _Coords]] = []
         for eid, v in rest:
-            v_s, _ = dec.project(v)
+            v_s, _ = _project(self.p, split, v)
             projected.append((eid, v_s))
-            by_group.setdefault(self.group_of[eid], []).append(v_s)
-        if dec.dim_s > 0:
-            for gi in range(self.n_groups):
-                vecs = by_group.get(gi, [])
-                M = FpMultiset(self.p, dec.dim_s, tuple(vecs))
-                if span_dimension(M) != dec.dim_s:
+            by_group[self.group_of[eid]].append(v_s)
+        if dim_s > 0:
+            for gi, vecs in by_group.items():
+                if _rank(self.p, dim_s, vecs) != dim_s:
                     raise InvariantViolationError(
                         f"projected basis {gi} no longer spans the complement"
                     )
-        child = self._build(projected, dec.dim_s)
-        return _Level(dec, v_ids, V, rest, child)
+        child = self._build(projected, dim_s)
+        return _Level(split, v_ids, V, rest, child)
 
     def decompose(self, w: FpVector) -> Representation:
         """Coefficients in A over the whole pool with sum(a_v v) = w."""
         if w.p != self.p or w.n != self.n:
             raise PreconditionError("target does not live in the decomposed space")
         coeffs: dict[int, int] = {}
-        steps = self._solve(self.root, w, coeffs)
+        steps = self._solve(self.root, w.coords, coeffs)
         ordered = tuple(coeffs[eid] for eid in range(self.pool.size))
         rep = Representation(w, self.pool, ordered, descent_steps=steps)
         if any(c not in self.A.elements for c in rep.coefficients):
             raise InvariantViolationError("a coefficient escaped the arithmetic set")
         return rep
 
-    def _solve(self, node: _Level | _Leaf, x: FpVector, coeffs: dict[int, int]) -> int:
+    def _solve(self, node: _Level | _Leaf, x: _Coords, coeffs: dict[int, int]) -> int:
         if isinstance(node, _Leaf):
             fill = min(self.A.elements)
             for eid in node.ids:
                 coeffs[eid] = fill
             return 0
-        x_s, x_t = node.dec.project(x)
+        x_s, _ = _project(self.p, node.split, x)
         steps = self._solve(node.child, x_s, coeffs)
-        x_prime = x_t
-        for eid, v in node.rest:
-            x_prime = x_prime - node.dec.t_component(v).scale(coeffs[eid])
-        rep = represent_in_set(x_prime, node.V, self.A, self.r)
+        # The T-part of x minus the rest's share, t(x - sum c v), by linearity of t.
+        residual = _combination(
+            self.p, len(x), [x] + [v for _, v in node.rest], [1] + [-coeffs[eid] for eid, _ in node.rest]
+        )
+        _, x_t = _project(self.p, node.split, residual)
+        rep = represent_in_set(FpVector(self.p, x_t), node.V, self.A, self.r)
         for pos, eid in enumerate(node.v_ids):
             coeffs[eid] = rep.coefficients[pos]
         return steps + rep.descent_steps

@@ -1,20 +1,22 @@
-"""Exact arithmetic over F_p: vectors, multisets, and span decompositions.
+"""Exact arithmetic over F_p: vectors, multisets, and elimination mod p.
 
 Everything here is immutable after construction and safe to share across
 threads.  Dense tables elsewhere in the package are indexed by the canonical
 mixed-radix encoding fixed in this module: coordinate 0 is most significant,
-so index(v) = sum(v[i] * p**(n-1-i)).
+so index(v) = sum(v[i] * p**(n-1-i)).  FpVector validates a point of F_p^n
+at the API boundary; arithmetic on vectors runs on plain coordinate tuples
+(`_combination`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import config
-from .errors import CapExceededError, InvariantViolationError, NotInSpanError
+from .errors import CapExceededError, InvariantViolationError
 
 
 # Miller-Rabin with the first thirteen prime bases has no false positive below
@@ -106,7 +108,7 @@ def check_ring_cap(p: int, n: int, cap: Optional[int] = None) -> int:
 
 @dataclass(frozen=True)
 class FpVector:
-    """An immutable vector in F_p^n with componentwise arithmetic mod p."""
+    """An immutable, validated vector in F_p^n."""
 
     p: int
     coords: tuple[int, ...]
@@ -141,34 +143,6 @@ class FpVector:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)
-
-    def __add__(self, other: "FpVector") -> "FpVector":
-        self._check_compatible(other)
-        return FpVector(self.p, tuple((a + b) % self.p for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "FpVector") -> "FpVector":
-        self._check_compatible(other)
-        return FpVector(self.p, tuple((a - b) % self.p for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "FpVector":
-        return FpVector(self.p, tuple((-a) % self.p for a in self.coords))
-
-    def scale(self, c: int) -> "FpVector":
-        c = c % self.p
-        return FpVector(self.p, tuple((c * a) % self.p for a in self.coords))
-
-    def __rmul__(self, c: int) -> "FpVector":
-        return self.scale(c)
-
-    def dot(self, other: "FpVector") -> int:
-        self._check_compatible(other)
-        return sum(a * b for a, b in zip(self.coords, other.coords)) % self.p
-
-    def _check_compatible(self, other: "FpVector") -> None:
-        if self.p != other.p or self.n != other.n:
-            raise ValueError(
-                f"incompatible vectors: F_{self.p}^{self.n} vs F_{other.p}^{other.n}"
-            )
 
     def __repr__(self) -> str:
         return f"FpVector(p={self.p}, {list(self.coords)})"
@@ -289,6 +263,16 @@ def span_dimension(V: FpMultiset) -> int:
     return len(pivots)
 
 
+def _combination(p: int, n: int, rows: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, ...]:
+    """sum(c_i * rows[i]) mod p as a coordinate tuple in F_p^n, one coefficient per row."""
+    acc = [0] * n
+    for c, row in zip(coeffs, rows, strict=True):
+        if c:
+            for i, x in enumerate(row):
+                acc[i] += c * x
+    return tuple(a % p for a in acc)
+
+
 def solve_combination(vectors: Sequence[FpVector], x: FpVector) -> Optional[list[int]]:
     """Coefficients c with sum(c_i * v_i) = x, or None if x is not in the span.
 
@@ -314,80 +298,9 @@ def solve_combination(vectors: Sequence[FpVector], x: FpVector) -> Optional[list
     for row, col in enumerate(pivots):
         coeffs[col] = int(rref[row, m])
     # Re-verify (cheap): a mismatch is an elimination bug, not a verdict.
-    acc = FpVector(p, (0,) * n)
-    for c, v in zip(coeffs, vectors):
-        acc = acc + v.scale(c)
-    if acc != x:
+    if _combination(p, n, [v.coords for v in vectors], coeffs) != x.coords:
         raise InvariantViolationError(f"solved coefficients {coeffs} fail re-verification for {x}")
     return coeffs
-
-
-@dataclass(frozen=True)
-class SpanDecomposition:
-    """Split of F_p^n into T = span(V) and a complement coordinate system.
-
-    The basis of T is in reduced echelon form with pivot columns
-    `pivot_cols`; the complement S is coordinatized by the remaining
-    (free) columns.  For any x, project gives (x_S, x_T) with
-    x_T in T, x - x_T supported on the free columns, and x_S the free-column
-    coordinates of x - x_T.  reassemble(project(x)) == x.
-    """
-
-    p: int
-    n: int
-    basis: tuple[FpVector, ...]
-    pivot_cols: tuple[int, ...]
-    free_cols: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        free = tuple(c for c in range(self.n) if c not in set(self.pivot_cols))
-        object.__setattr__(self, "free_cols", free)
-
-    @property
-    def dim_t(self) -> int:
-        return len(self.basis)
-
-    @property
-    def dim_s(self) -> int:
-        return self.n - len(self.basis)
-
-    def t_component(self, x: FpVector) -> FpVector:
-        acc = FpVector(self.p, (0,) * self.n)
-        for b, col in zip(self.basis, self.pivot_cols):
-            acc = acc + b.scale(x.coords[col])
-        return acc
-
-    def project(self, x: FpVector) -> tuple[FpVector, FpVector]:
-        if x.p != self.p or x.n != self.n:
-            raise ValueError("vector does not live in the decomposed space")
-        x_t = self.t_component(x)
-        rem = x - x_t
-        x_s = FpVector(self.p, tuple(rem.coords[c] for c in self.free_cols))
-        return x_s, x_t
-
-    def reassemble(self, x_s: FpVector, x_t: FpVector) -> FpVector:
-        if x_s.n != self.dim_s:
-            raise ValueError(f"complement part must have {self.dim_s} coordinates")
-        coords = list(x_t.coords)
-        for val, col in zip(x_s.coords, self.free_cols):
-            coords[col] = (coords[col] + val) % self.p
-        return FpVector(self.p, tuple(coords))
-
-    def contains(self, x: FpVector) -> bool:
-        x_s, x_t = self.project(x)
-        return x_s.is_zero() and x == x_t
-
-
-def quotient_split(V: FpMultiset, n: Optional[int] = None) -> SpanDecomposition:
-    """Deterministic SpanDecomposition of the ambient space along span(V)."""
-    n = V.n if n is None else n
-    if n != V.n:
-        raise ValueError(f"ambient dimension {n} does not match multiset dimension {V.n}")
-    if not V.entries:
-        return SpanDecomposition(V.p, n, (), ())
-    rref, pivots = rref_mod_p(coords_array(V), V.p)
-    basis = tuple(FpVector(V.p, tuple(int(x) for x in row)) for row in rref)
-    return SpanDecomposition(V.p, n, basis, tuple(pivots))
 
 
 def scale_multiset(V: FpMultiset, scalars: Sequence[int]) -> FpMultiset:
@@ -399,7 +312,7 @@ def scale_multiset(V: FpMultiset, scalars: Sequence[int]) -> FpMultiset:
         a = int(a) % V.p
         if a == 0:
             raise ValueError("scaling coefficients must be nonzero mod p")
-        out.append(v.scale(a))
+        out.append(FpVector(V.p, tuple(a * x % V.p for x in v.coords)))
     return FpMultiset(V.p, V.n, tuple(out))
 
 

@@ -1,12 +1,12 @@
-"""Plain reference arithmetic that the group-ring tests check the kernels against.
+"""Plain reference arithmetic that the tests check the package against.
 
-Elements are raw tables in the kernels' layouts, over the points of F_p^n in
-canonical order (coordinate 0 most significant): an F_p[F_p^n] element is a
-(p^n,) table of residues, a Z[w][F_p^n] element a coefficient-major
-(p-1, p^n) table whose columns are Z[w] elements in the power basis
-w^0..w^(p-2).  A Z[w] element here is a tuple of p-1 Python ints.  All
-arithmetic is schoolbook and exact, O(p^(2n)) for a product, and shares no
-code with the kernels.
+Vectors of F_p^n are coordinate tuples.  Group-ring elements are raw tables
+in the kernels' layouts, over the points of F_p^n in canonical order
+(coordinate 0 most significant): an F_p[F_p^n] element is a (p^n,) table of
+residues, a Z[w][F_p^n] element a coefficient-major (p-1, p^n) table whose
+columns are Z[w] elements in the power basis w^0..w^(p-2).  A Z[w] element
+here is a tuple of p-1 Python ints.  All arithmetic is schoolbook and exact,
+O(p^(2n)) for a product, and shares no code with the package.
 """
 
 from __future__ import annotations
@@ -27,6 +27,17 @@ def _index(x, p: int) -> int:
 
 def _sum_index(x, y, p: int) -> int:
     return _index([(a + b) % p for a, b in zip(x, y)], p)
+
+
+def combination(p: int, coeffs, rows) -> tuple[int, ...]:
+    """sum(c * row) mod p over a nonempty list of coordinate rows, one coefficient each."""
+    assert len(coeffs) == len(rows) > 0
+    return tuple(sum(int(c) * int(row[i]) for c, row in zip(coeffs, rows)) % p for i in range(len(rows[0])))
+
+
+def dot(p: int, x, y) -> int:
+    """<x, y> mod p: the combination of y's coordinates, as 1-rows, by x."""
+    return combination(p, x, [(c,) for c in y])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -269,8 +269,10 @@ class TestVanishingCommands:
 
 # decompose inputs drawn with numpy default_rng(1), (2), (3): F_5^3 and F_7^2
 # with r = 1 over a least arithmetic set, F_11^2 with r = 4 over F_11^*.
-# Each expected row is (coefficients, descent_steps) per target, recorded
-# from the FpVector-based descent; stdout must stay byte-identical.
+# Their plans have one level.  The fourth, F_5^2 with (1, 0) in every basis,
+# has two, and its second level's coefficients enter the first level's
+# T-part.  Each expected row is (coefficients, descent_steps) per target,
+# recorded from the FpVector-based descent; stdout must stay byte-identical.
 PINNED_DECOMPOSE = [
     (
         {"p": 5, "n": 3, "r": 1, "A": [0, 1, 2, 3],
@@ -299,6 +301,15 @@ PINNED_DECOMPOSE = [
          "targets": [[7, 8], [0, 1], [4, 4], [9, 5]]},
         [([1, 6, 6, 1, 1, 3], 4), ([1, 9, 9, 1, 1, 9], 3), ([1, 7, 2, 1, 1, 1], 4), ([1, 3, 6, 10, 1, 3], 3)],
     ),
+    (
+        {"p": 5, "n": 2, "r": 1, "A": [0, 1, 2, 3],
+         "bases": [[[2, 4], [1, 0]], [[1, 0], [2, 2]], [[4, 2], [1, 0]], [[1, 0], [4, 1]], [[0, 2], [1, 0]]],
+         "targets": [[4, 4], [2, 2], [0, 1], [3, 1]]},
+        [([0, 0, 0, 2, 0, 0, 0, 0, 0, 0], 1),
+         ([0, 0, 2, 0, 0, 2, 0, 2, 0, 0], 1),
+         ([0, 1, 0, 0, 0, 0, 0, 1, 0, 0], 0),
+         ([0, 0, 2, 0, 0, 2, 0, 1, 0, 0], 1)],
+    ),
 ]
 
 
@@ -324,7 +335,7 @@ class TestDecomposeCommand:
         for row in payload["results"]:
             assert all(c in {1, 2, 3, 4} for c in row["coefficients"])
 
-    @pytest.mark.parametrize("data,rows", PINNED_DECOMPOSE, ids=["p5n3", "p7n2", "p11n2r4"])
+    @pytest.mark.parametrize("data,rows", PINNED_DECOMPOSE, ids=["p5n3", "p7n2", "p11n2r4", "p5n2two_levels"])
     def test_pinned_output(self, capsys, tmp_path, data, rows):
         path = tmp_path / "dec.json"
         path.write_text(json.dumps(data))
@@ -337,6 +348,14 @@ class TestDecomposeCommand:
         payload = {"n": data["n"], "p": data["p"], "pool_size": len(rows[0][0]),
                    "r": data["r"], "results": results, "version": 1}
         assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_wrong_vector_length_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "dec.json"
+        bases = [[[1, 0], [0, 1]]] * 4 + [[[0, 1, 3], [1, 0]]]
+        path.write_text(json.dumps({"p": 5, "n": 2, "bases": bases, "A": [0, 1, 2, 3], "targets": [[1, 1]]}))
+        code, out, err = run_cli(capsys, "decompose", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: basis 4 has a vector with 3 coordinates, expected 2\n"
 
 
 class TestPhiAndCovers:

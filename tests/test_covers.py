@@ -353,8 +353,8 @@ class TestHyperplaneInstances:
 
                 cosets = []
                 for v, t in zip(normals, offsets):
-                    kernel = frozenset(x.index for x in points if x.dot(v) == 0)
-                    rep = next(x.index for x in points if x.dot(v) == (-t) % p)
+                    kernel = frozenset(x.index for x in points if ref.dot(p, x.coords, v.coords) == 0)
+                    rep = next(x.index for x in points if ref.dot(p, x.coords, v.coords) == (-t) % p)
                     cosets.append((cv.Subgroup(group, kernel), rep))
                 # put the family in canonical coset order so both shrinks visit it alike
                 keys = cv.CosetCover(group, tuple(cosets)).canonical_keys()
@@ -367,7 +367,7 @@ class TestHyperplaneInstances:
                 shrunk = H.shrink_to_irredundant()
                 want = cv.shrink_to_irredundant(C)
                 assert [sorted(K.coset_elements(x)) for K, x in want.cosets] == [
-                    sorted(x.index for x in points if x.dot(v) == (-t) % p)
+                    sorted(x.index for x in points if ref.dot(p, x.coords, v.coords) == (-t) % p)
                     for v, t in zip(shrunk.normals, shrunk.offsets)
                 ]
 
@@ -420,7 +420,7 @@ class TestAgainstReference:
         points = list(enumerate_vectors(p, n))
         normals = [v for v in points if not v.is_zero() and next(c for c in v.coords if c) == 1]
         pool = [(v.coords, t) for v in normals for t in range(p)]
-        masks = [sum(1 << x.index for x in points if x.dot(FpVector(p, v)) == (-t) % p) for v, t in pool]
+        masks = [sum(1 << x.index for x in points if ref.dot(p, x.coords, v) == (-t) % p) for v, t in pool]
         want = [[pool[i] for i in chosen] for chosen in reference_cover_dfs(masks, (1 << p**n) - 1, len(pool))]
         got = [
             [(v.coords, t) for v, t in zip(H.normals, H.offsets)]

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpvanish import decomposition as dc
 from fpvanish import group_ring as gr
@@ -16,6 +18,7 @@ from fpvanish.errors import (
 )
 from fpvanish.fp_core import FpMultiset, FpVector, enumerate_vectors, span_dimension
 
+import reference as ref
 from conftest import random_multiset
 
 
@@ -75,27 +78,29 @@ class TestEpsilonRelation:
 
 
 def _reference_relation(V, r, b, w_index):
-    """The FpVector reachability backtrack: (w_index, eps_w, eps, b).
+    """The set-based reachability backtrack: (w_index, eps_w, eps, b).
 
-    Level sets are plain sets of FpVectors; the backtrack tries eps in the
-    order 0, 1, -1, ..., r, -r, as the descent must.
+    Level sets are plain sets of coordinate tuples; the backtrack tries eps
+    in the order 0, 1, -1, ..., r, -r, as the descent must.
     """
     p, n = V.p, V.n
     bb = [int(x) % p for x in b]
-    steps = [(j, V[j].scale(bb[j])) for j in range(V.size) if j != w_index]
-    levels = [{FpVector(p, (0,) * n)}]
+    rows = [v.coords for v in V.entries]
+    steps = [(j, ref.combination(p, [bb[j]], [rows[j]])) for j in range(V.size) if j != w_index]
+    levels = [{(0,) * n}]
     for _, sv in steps:
-        levels.append({x + sv.scale(e) for x in levels[-1] for e in range(-r, r + 1)})
-    eps_w = next(c for c in range(1, r + 1) if V[w_index].scale(c * bb[w_index]) in levels[-1])
-    cur = V[w_index].scale(eps_w * bb[w_index])
+        levels.append({ref.combination(p, [1, e], [x, sv]) for x in levels[-1] for e in range(-r, r + 1)})
+    w_row = rows[w_index]
+    eps_w = next(c for c in range(1, r + 1) if ref.combination(p, [c * bb[w_index]], [w_row]) in levels[-1])
+    cur = ref.combination(p, [eps_w * bb[w_index]], [w_row])
     pref = [0] + [s * k for k in range(1, r + 1) for s in (1, -1)]
     eps = [0] * V.size
     for lvl in range(len(steps) - 1, -1, -1):
         j, sv = steps[lvl]
-        e = next(e for e in pref if cur - sv.scale(e) in levels[lvl])
+        e = next(e for e in pref if ref.combination(p, [1, -e], [cur, sv]) in levels[lvl])
         eps[j] = e
-        cur = cur - sv.scale(e)
-    assert cur.is_zero()
+        cur = ref.combination(p, [1, -e], [cur, sv])
+    assert not any(cur)
     return w_index, eps_w, tuple(eps), tuple(bb)
 
 
@@ -109,7 +114,7 @@ def _repeated_irredundant(rng, p, n, r):
 
 
 class TestDescentAgainstReference:
-    """find_epsilon_relation on coordinate tuples against the FpVector backtrack."""
+    """find_epsilon_relation against the set-based reference backtrack."""
 
     @pytest.mark.parametrize("p,r", [(p, r) for p in (5, 7, 11, 13) for r in (1, 2, 4) if r < p])
     def test_relations_match(self, rng, p, r):
@@ -301,6 +306,77 @@ class TestAdditiveBasisDecompose:
         A = min_arithmetic_set(5)
         with pytest.raises(PreconditionError, match="vectors"):
             dc.DecompositionPlan(5, 2, [[[1, 0]]] * 5, A, 1)
+        bases = [[[1, 0], [0, 1]]] * 3 + [[[0, 1, 3], [1, 0]]] + [[[1, 0], [0, 1]]]
+        with pytest.raises(PreconditionError, match="basis 3 has a vector with 3 coordinates, expected 2"):
+            dc.DecompositionPlan(5, 2, bases, A, 1)
+
+
+def _embed(free, x_s, n):
+    """The complement coordinates x_S placed on the free columns of F_p^n."""
+    out = [0] * n
+    for col, val in zip(free, x_s):
+        out[col] = val
+    return tuple(out)
+
+
+def _assert_split_properties(p, n, rows, split, x):
+    """x = x_T + embed(x_S), x_T in span(rows), and dim T + dim S = n."""
+    basis, pivots, free = split
+    assert len(basis) + len(free) == n and sorted(pivots + free) == list(range(n))
+    x_s, x_t = dc._project(p, split, x)
+    assert len(x_s) == len(free)
+    assert tuple((a + b) % p for a, b in zip(x_t, _embed(free, x_s, n))) == x
+    span = span_dimension(FpMultiset.from_coords(p, list(rows), n=n))
+    assert span == len(basis)
+    assert span_dimension(FpMultiset.from_coords(p, list(rows) + [x_t], n=n)) == span
+    assert dc._project(p, split, x_t) == ((0,) * len(free), x_t)
+
+
+class TestSpanSplit:
+    """The split of F_p^n along T = span(V) that each plan level stores."""
+
+    def test_full_span_makes_trivial_complement(self):
+        split = dc._span_split(3, 2, [(1, 0), (0, 1)])
+        assert len(split[0]) == 2 and split[2] == []
+        assert dc._project(3, split, (2, 1)) == ((), (2, 1))
+
+    def test_empty_multiset_gives_identity_complement(self):
+        split = dc._span_split(3, 2, [])
+        assert split == ([], [], [0, 1])
+        assert dc._project(3, split, (2, 1)) == ((2, 1), (0, 0))
+
+    def test_single_vector_split(self):
+        split = dc._span_split(3, 3, [(2, 0, 0)])
+        assert split == ([(1, 0, 0)], [0], [1, 2])
+        assert dc._project(3, split, (2, 1, 2)) == ((1, 2), (2, 0, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_roundtrip_property(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        n = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(0, 5))
+        rows = data.draw(
+            st.lists(st.tuples(*[st.integers(0, p - 1)] * n), min_size=k, max_size=k)
+        )
+        x = data.draw(st.tuples(*[st.integers(0, p - 1)] * n))
+        _assert_split_properties(p, n, rows, dc._span_split(p, n, rows), x)
+
+    def test_plan_levels(self):
+        # (1, 0) is in every basis, so the first level's V spans a line and the
+        # second level's coefficients enter the first level's T-part
+        bases = [[[2, 4], [1, 0]], [[1, 0], [2, 2]], [[4, 2], [1, 0]], [[1, 0], [4, 1]], [[0, 2], [1, 0]]]
+        plan = dc.DecompositionPlan(5, 2, bases, min_arithmetic_set(5), 1)
+        node, n, levels = plan.root, 2, 0
+        while isinstance(node, dc._Level):
+            rows = [v.coords for v in node.V]
+            assert node.split == dc._span_split(5, n, rows)
+            for x in itertools.product(range(5), repeat=n):
+                _assert_split_properties(5, n, rows, node.split, x)
+            node, n, levels = node.child, len(node.split[2]), levels + 1
+        assert (n, levels) == (0, 2)
+        for w in enumerate_vectors(5, 2):
+            assert plan.decompose(w).x == w  # Representation re-checks the sum
 
 
 class TestSizeBound:

@@ -155,7 +155,10 @@ class TestReachExpand:
         want = np.zeros(size, dtype=np.uint8)
         for y in range(size):
             yv = FpVector.from_index(p, n, y)
-            want[y] = any(reach[(yv - step.scale(e)).index] for e in range(-r, r + 1))
+            want[y] = any(
+                reach[FpVector(p, ref.combination(p, [1, -e], [yv.coords, step.coords])).index]
+                for e in range(-r, r + 1)
+            )
         got = K.reach_expand(reach, (p,) * n, step.coords, r, p)
         assert np.array_equal(got, want)
 
