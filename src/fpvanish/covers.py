@@ -28,24 +28,21 @@ from .fp_core import (
 from .group_ring import normalize_twists
 
 
-def _prime_power_split(m: int) -> list[int]:
+def _factorize(m: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of m in ascending prime order, by trial division; [] for m < 2."""
     out = []
     d = 2
     while d * d <= m:
-        if m % d == 0:
-            q = 1
-            while m % d == 0:
-                m //= d
-                q *= d
-            out.append(q)
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e:
+            out.append((d, e))
         d += 1
     if m > 1:
-        out.append(m)
+        out.append((m, 1))
     return out
-
-
-def _is_prime_power(m: int) -> bool:
-    return len(_prime_power_split(m)) == 1 and m >= 2
 
 
 class AbelianGroup:
@@ -56,7 +53,7 @@ class AbelianGroup:
         if not fs:
             fs = (1,)
         for d in fs:
-            if d != 1 and not _is_prime_power(d):
+            if d != 1 and len(_factorize(d)) != 1:
                 raise ValueError(
                     f"factor {d} is not a prime power; use from_orders to split composites"
                 )
@@ -77,7 +74,7 @@ class AbelianGroup:
                 raise ValueError(f"cyclic order must be positive, got {m}")
             if m == 1:
                 continue
-            fs.extend(_prime_power_split(m))
+            fs.extend(q**e for q, e in _factorize(m))
         return cls(sorted(fs))
 
     # -- element encoding ---------------------------------------------------
@@ -113,11 +110,7 @@ class AbelianGroup:
         return range(self.order)
 
     def prime_divisors(self) -> list[int]:
-        ps = set()
-        for d in self.factors:
-            if d > 1:
-                ps.add(_smallest_prime(d))
-        return sorted(ps)
+        return sorted({_factorize(d)[0][0] for d in self.factors if d > 1})
 
     # -- subgroup lattice ----------------------------------------------------
 
@@ -175,15 +168,6 @@ class AbelianGroup:
         if self.order == 1:
             return "AbelianGroup(trivial)"
         return "AbelianGroup(" + " x ".join(f"Z_{d}" for d in self.factors) + ")"
-
-
-def _smallest_prime(q: int) -> int:
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 1
-    return q
 
 
 class Subgroup:
@@ -368,19 +352,7 @@ def abelian_groups_up_to(max_order: int) -> list[tuple[int, ...]]:
 
     out = []
     for order in range(2, max_order + 1):
-        split: dict[int, int] = {}
-        m = order
-        d = 2
-        while d * d <= m:
-            while m % d == 0:
-                split[d] = split.get(d, 0) + 1
-                m //= d
-            d += 1
-        if m > 1:
-            split[m] = split.get(m, 0) + 1
-        per_prime = []
-        for prime, exp in sorted(split.items()):
-            per_prime.append([[prime**e for e in part] for part in partitions(exp)])
+        per_prime = [[[q**e for e in part] for part in partitions(k)] for q, k in _factorize(order)]
         for combo in iproduct(*per_prime):
             factors = sorted(f for group in combo for f in group)
             out.append(tuple(factors))

@@ -18,9 +18,11 @@ FpVector is built per term.
 The additive-basis decomposition recurses on dimension: extract an
 irredundant V from the pooled bases, split the space along T = span(V),
 decompose the target's complement part over the projected pool, then solve
-the T-part over V by descent.  Plan levels and the span split run on
-coordinate tuples; FpVector appears only at the API boundary
-(represent_in_set, DecompositionPlan.decompose and Representation).
+the T-part over V by descent.  DecompositionPlan extracts each level's V
+and its span split once, on coordinate tuples, and certifies V vanishing
+there; a level then runs the descent core that represent_in_set also runs
+(_descend) on the T-part without proving V again.  represent_in_set
+re-checks vanishing only because its V comes from the caller.
 
 The oracle brute_force_representable re-certifies representability without
 the descent: a table of every sum reachable over F_p^n, one entry of V at a
@@ -50,7 +52,7 @@ from .fp_core import (
     solve_combination,
     span_dimension,
 )
-from .group_ring import _greedy_irredundant_indices, is_fp_vanishing
+from .group_ring import _fp_product, _greedy_irredundant_indices, is_fp_vanishing
 
 
 @dataclass(frozen=True)
@@ -177,19 +179,29 @@ def represent_in_set(
 ) -> Representation:
     """Represent x over V with every coefficient in A, by coefficient descent.
 
-    Preconditions: V is irredundant for exponent r (caller-certified; the
-    vanishing part is re-checked), A is r-arithmetic with A.r >= r, and x
-    lies in span(V).
+    Preconditions: V is irredundant for exponent r (caller-certified; since
+    V comes from the caller, its vanishing part is re-checked here), A is
+    r-arithmetic with A.r >= r, and x lies in span(V).
     """
-    p = V.p
-    if (x.p, x.n) != (p, V.n):
+    if (x.p, x.n) != (V.p, V.n):
         raise PreconditionError("target and multiset live in different spaces")
-    if A.p != p:
+    if A.p != V.p:
         raise PreconditionError("arithmetic set and multiset moduli differ")
     if A.r < r:
         raise PreconditionError(f"need an arithmetic set with r >= {r}, got r = {A.r}")
     if not is_fp_vanishing(V, r):
         raise PreconditionError("V is not vanishing for this exponent")
+    coeffs, steps = _descend(x, V, A, r)
+    return Representation(x, V, tuple(coeffs), descent_steps=steps)
+
+
+def _descend(x: FpVector, V: FpMultiset, A: ArithmeticSet, r: int) -> tuple[list[int], int]:
+    """Coefficients over V, all in A, summing to x, and the number of rewrites.
+
+    The descent core shared by represent_in_set and the plan levels; V must
+    already be certified irredundant for exponent r.
+    """
+    p = V.p
     coeffs = solve_combination(list(V.entries), x)
     if coeffs is None:
         raise NotInSpanError("target does not lie in the span of V")
@@ -217,7 +229,7 @@ def represent_in_set(
         if len(new_out) >= len(out):
             raise InvariantViolationError("descent failed to shrink the out-of-A count")
         out = new_out
-    return Representation(x, V, tuple(coeffs), descent_steps=steps)
+    return coeffs, steps
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +323,18 @@ class DecompositionPlan:
         if n_level == 0:
             return _Leaf([eid for eid, _ in entries])
         ordered = sorted(((eid, v) for eid, v in entries if any(v)), key=lambda iv: iv[1])
-        pool = FpMultiset.from_coords(self.p, [v for _, v in ordered], n=n_level)
-        if not is_fp_vanishing(pool, self.r):
+        pool = [v for _, v in ordered]
+        if _fp_product(pool, self.r, self.p, n_level).any():
             raise InvariantViolationError(
                 "pooled entries are not vanishing; the basis-count hypothesis broke"
             )
-        kept = _greedy_irredundant_indices(pool.entries, self.r, self.p, n_level)
+        kept = _greedy_irredundant_indices(pool, self.r, self.p, n_level)
         v_ids = [ordered[i][0] for i in kept]
-        V = FpMultiset(self.p, n_level, tuple(pool[i] for i in kept))
-        split = _span_split(self.p, n_level, [v.coords for v in V])
+        # V is certified irredundant here, once; _solve runs the descent on it
+        # without re-checking.
+        v_rows = [pool[i] for i in kept]
+        V = FpMultiset.from_coords(self.p, v_rows, n=n_level)
+        split = _span_split(self.p, n_level, v_rows)
         dim_s = len(split[2])
         removed = set(v_ids)
         rest = [(eid, v) for eid, v in entries if eid not in removed]
@@ -366,10 +381,9 @@ class DecompositionPlan:
             self.p, len(x), [x] + [v for _, v in node.rest], [1] + [-coeffs[eid] for eid, _ in node.rest]
         )
         _, x_t = _project(self.p, node.split, residual)
-        rep = represent_in_set(FpVector(self.p, x_t), node.V, self.A, self.r)
-        for pos, eid in enumerate(node.v_ids):
-            coeffs[eid] = rep.coefficients[pos]
-        return steps + rep.descent_steps
+        level_coeffs, level_steps = _descend(FpVector(self.p, x_t), node.V, self.A, self.r)
+        coeffs.update(zip(node.v_ids, level_coeffs))
+        return steps + level_steps
 
 
 # ---------------------------------------------------------------------------

@@ -194,14 +194,6 @@ class FpMultiset:
     def __getitem__(self, i: int) -> FpVector:
         return self.entries[i]
 
-    def sorted(self) -> "FpMultiset":
-        """Canonical form: entries in ascending lexicographic coordinate order."""
-        return FpMultiset(self.p, self.n, tuple(sorted(self.entries, key=lambda v: v.coords)))
-
-    def support(self) -> tuple[FpVector, ...]:
-        """Distinct vectors, in ascending coordinate order."""
-        return tuple(sorted(set(self.entries), key=lambda v: v.coords))
-
     def to_dict(self) -> dict:
         return {"p": self.p, "n": self.n, "vectors": [list(v.coords) for v in self.entries]}
 

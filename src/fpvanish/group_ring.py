@@ -26,7 +26,6 @@ from . import _kernels, config
 from .errors import CapExceededError, InvariantViolationError, PreconditionError
 from .fp_core import (
     FpMultiset,
-    FpVector,
     check_ring_cap,
     coords_array,
     coords_matrix,
@@ -55,12 +54,12 @@ def _check_exponent(r: int, p: int) -> None:
 
 
 def _times_binomials(
-    table: np.ndarray, entries: Sequence[FpVector], r: int, p: int, n: int
+    table: np.ndarray, entries: Sequence[tuple[int, ...]], r: int, p: int, n: int
 ) -> np.ndarray:
-    """Multiply a raw table by (1 - g^v)^r for each v in `entries`; stop at zero."""
+    """Multiply a raw table by (1 - g^v)^r for each coordinate tuple v; stop at zero."""
     dims = (p,) * n
     for v in entries:
-        table = _kernels.fp_binomial_power(table, dims, v.coords, r, p)
+        table = _kernels.fp_binomial_power(table, dims, v, r, p)
         if not table.any():
             break
     return table
@@ -73,10 +72,17 @@ def _fp_unit(p: int, n: int, cap: Optional[int] = None) -> np.ndarray:
     return table
 
 
+def _fp_product(
+    entries: Sequence[tuple[int, ...]], r: int, p: int, n: int, cap: Optional[int] = None
+) -> np.ndarray:
+    """The product over coordinate tuples of (1 - g^v)^r in F_p[F_p^n]; stops at zero."""
+    _check_exponent(r, p)
+    return _times_binomials(_fp_unit(p, n, cap), entries, r, p, n)
+
+
 def binomial_product_fp(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> np.ndarray:
     """The product over V of (1 - g^v)^r as a (p^n,) int64 table of residues; stops at zero."""
-    _check_exponent(r, V.p)
-    return _times_binomials(_fp_unit(V.p, V.n, cap), V.entries, r, V.p, V.n)
+    return _fp_product([v.coords for v in V.entries], r, V.p, V.n, cap)
 
 
 def is_fp_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> bool:
@@ -85,9 +91,9 @@ def is_fp_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> boo
 
 
 def _greedy_irredundant_indices(
-    entries: Sequence[FpVector], r: int, p: int, n: int, cap: Optional[int] = None
+    entries: Sequence[tuple[int, ...]], r: int, p: int, n: int, cap: Optional[int] = None
 ) -> list[int]:
-    """One-pass greedy removal in index order; returns the kept indices.
+    """One-pass greedy removal of coordinate tuples in index order; returns the kept indices.
 
     Entry i is dropped iff its context, the product over the kept entries
     before i and every entry after i, is zero.  One pass suffices: supersets
@@ -125,7 +131,9 @@ def is_fp_irredundant(V: FpMultiset, r: int = 1) -> bool:
     With V vanishing, the greedy keeps every entry iff no V minus one entry
     vanishes, so the check costs |V| + |V|*ceil(log2 |V|) binomial multiplies.
     """
-    return is_fp_vanishing(V, r) and len(_greedy_irredundant_indices(V.entries, r, V.p, V.n)) == V.size
+    if not is_fp_vanishing(V, r):
+        return False
+    return len(_greedy_irredundant_indices([v.coords for v in V.entries], r, V.p, V.n)) == V.size
 
 
 def extract_irredundant_fp(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> FpMultiset:
@@ -138,7 +146,7 @@ def extract_irredundant_fp(V: FpMultiset, r: int = 1, cap: Optional[int] = None)
     if not is_fp_vanishing(V, r, cap):
         raise PreconditionError("input multiset is not vanishing; nothing to extract")
     ordered = sorted(V.entries, key=lambda v: v.coords)
-    kept = _greedy_irredundant_indices(ordered, r, V.p, V.n, cap)
+    kept = _greedy_irredundant_indices([v.coords for v in ordered], r, V.p, V.n, cap)
     return FpMultiset(V.p, V.n, tuple(ordered[i] for i in kept))
 
 

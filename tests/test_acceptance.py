@@ -33,7 +33,8 @@ def test_caught_exception_types_reported(criterion, monkeypatch):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("injected")
 
-    monkeypatch.setattr(dc, "represent_in_set", broken)
+    # the descent core that represent_in_set and every plan level share
+    monkeypatch.setattr(dc, "_descend", broken)
     result = criterion(ac.DEFAULT_SEED)
     assert not result.passed
     assert result.detail.endswith("; raised ZeroDivisionError")

@@ -389,6 +389,13 @@ class TestGroupCatalog:
         assert factors.count((2, 2, 2, 2)) == 1
         assert (4, 4) in factors
 
+    def test_pinned_order(self):
+        assert cv.abelian_groups_up_to(16) == [
+            (2,), (3,), (4,), (2, 2), (5,), (2, 3), (7,), (8,), (2, 4), (2, 2, 2), (9,), (3, 3),
+            (2, 5), (11,), (3, 4), (2, 2, 3), (13,), (2, 7), (3, 5), (16,), (2, 8), (4, 4),
+            (2, 2, 4), (2, 2, 2, 2),
+        ]
+
 
 GROUPS_UP_TO_16 = cv.abelian_groups_up_to(16)
 

@@ -379,6 +379,71 @@ class TestSpanSplit:
             assert plan.decompose(w).x == w  # Representation re-checks the sum
 
 
+def _shared_vector_bases(rng, p, n):
+    """p random bases of F_p^n that all contain one shared nonzero vector."""
+    shared = [0] * n
+    while not any(shared):
+        shared = [int(c) for c in rng.integers(0, p, size=n)]
+    bases = []
+    while len(bases) < p:
+        rows = [shared] + rng.integers(0, p, size=(n - 1, n)).tolist()
+        if span_dimension(FpMultiset.from_coords(p, rows, n=n)) == n:
+            bases.append(rows)
+    return bases
+
+
+def _plan_depth(plan):
+    node, depth = plan.root, 0
+    while isinstance(node, dc._Level):
+        node, depth = node.child, depth + 1
+    return depth
+
+
+class TestPlanLevels:
+    """Plans whose first V spans less than F_p^n, so the recursion runs."""
+
+    @pytest.mark.parametrize("p,n", [(5, 2), (5, 3), (7, 2)])
+    def test_multi_level_plans_decompose_every_target(self, p, n):
+        rng = np.random.default_rng(100 * p + n)
+        A = min_arithmetic_set(p)
+        depths = []
+        for _ in range(3):
+            bases = _shared_vector_bases(rng, p, n)
+            plan = dc.DecompositionPlan(p, n, bases, A, 1)
+            depths.append(_plan_depth(plan))
+            rows = [tuple(v) for basis in bases for v in basis]
+            for w in ref.points(p, n):
+                coeffs = plan.decompose(FpVector(p, w)).coefficients
+                assert all(c in A.elements for c in coeffs)
+                assert ref.combination(p, coeffs, rows) == w
+        assert max(depths) >= 2, depths
+
+    @pytest.mark.parametrize(
+        "bases,depth",
+        [
+            ([[[1, 2], [0, 1]], [[2, 1], [1, 0]], [[1, 1], [3, 0]], [[0, 3], [4, 1]], [[2, 0], [1, 4]]], 1),
+            # (1, 0) is in every basis, so the first V spans a line
+            ([[[2, 4], [1, 0]], [[1, 0], [2, 2]], [[4, 2], [1, 0]], [[1, 0], [4, 1]], [[0, 2], [1, 0]]], 2),
+        ],
+        ids=["one_level", "p5n2two_levels"],
+    )
+    def test_decompose_makes_no_binomial_products(self, monkeypatch, bases, depth):
+        # every level's V is certified vanishing once, when the plan is built
+        plan = dc.DecompositionPlan(5, 2, bases, min_arithmetic_set(5), 1)
+        assert _plan_depth(plan) == depth
+        calls = []
+        multiply = dc._kernels.fp_binomial_power
+
+        def counted(*args):
+            calls.append(1)
+            return multiply(*args)
+
+        monkeypatch.setattr(dc._kernels, "fp_binomial_power", counted)
+        for w in enumerate_vectors(5, 2):
+            plan.decompose(w)
+        assert calls == []
+
+
 class TestSizeBound:
     def test_p_copies(self):
         V = FpMultiset.from_coords(5, [[1]] * 5)

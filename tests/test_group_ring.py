@@ -163,13 +163,13 @@ class TestExtractIrredundant:
 
 
 def _greedy_reference(entries, r, p, n):
-    """The one-pass greedy that rebuilds the product for every trial removal."""
+    """The one-pass greedy over coordinate tuples that rebuilds the product for every trial removal."""
     kept = list(range(len(entries)))
     for i in range(len(entries)):
         if i not in kept:
             continue
         trial = [j for j in kept if j != i]
-        W = FpMultiset(p, n, tuple(entries[j] for j in trial))
+        W = FpMultiset.from_coords(p, [entries[j] for j in trial], n=n)
         if gr.is_fp_vanishing(W, r):
             kept = trial
     return kept
@@ -214,7 +214,7 @@ class TestDivideAndConquerGreedy:
 
     def test_matches_reference(self):
         for V, r in _greedy_family():
-            entries = list(V.entries)
+            entries = [v.coords for v in V.entries]
             kept = gr._greedy_irredundant_indices(entries, r, V.p, V.n)
             assert kept == _greedy_reference(entries, r, V.p, V.n), (V, r)
             assert gr.is_fp_irredundant(V, r) == _irredundant_reference(V, r), (V, r)
@@ -236,7 +236,7 @@ class TestDivideAndConquerGreedy:
 
         monkeypatch.setattr(gr._kernels, "fp_binomial_power", counted)
         rng = np.random.default_rng(m)
-        entries = list(random_multiset(rng, p, n, m, nonzero=True).entries)
+        entries = [v.coords for v in random_multiset(rng, p, n, m, nonzero=True).entries]
         kept = gr._greedy_irredundant_indices(entries, 1, p, n)
         assert len(calls) <= m * math.ceil(math.log2(m))
         monkeypatch.setattr(gr._kernels, "fp_binomial_power", multiply)

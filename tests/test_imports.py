@@ -1,4 +1,5 @@
-"""Every name a package module imports is referenced in that module.
+"""Every name a package module imports is referenced in that module, and
+every module-level private function or class is referenced in the package.
 
 A static scan: a name counts as referenced when it appears as an identifier
 anywhere in the module or as a string in its `__all__`.  `__future__`
@@ -51,3 +52,29 @@ def test_scan_catches_an_unused_import():
     assert set(imported_names(tree)) - referenced_names(tree) == {"NotInSpanError"}
     tree = ast.parse('from .x import a, b\n__all__ = ["a"]\nprint(b)\n')
     assert set(imported_names(tree)) - referenced_names(tree) == set()
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of each module-level function or class whose name starts with `_`."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+
+
+def test_no_unused_private_definitions():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    used = set().union(*(referenced_names(tree) for tree in trees.values()))
+    unused = {
+        f"{name}:{defn}": line
+        for name, tree in trees.items()
+        for defn, line in private_definitions(tree).items()
+        if defn not in used
+    }
+    assert not unused, f"private definitions nothing in the package references: {unused}"
+
+
+def test_scan_catches_an_unused_private_definition():
+    tree = ast.parse("def _used():\n    pass\ndef _dead():\n    pass\nclass _Dead:\n    pass\n_used()\n")
+    assert set(private_definitions(tree)) - referenced_names(tree) == {"_dead", "_Dead"}
