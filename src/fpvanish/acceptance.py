@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,10 +24,10 @@ from .fp_core import (
     FpMultiset,
     FpVector,
     _combination,
+    _rank,
     coords_array,
     enumerate_vectors,
     rref_mod_p,
-    span_dimension,
 )
 
 DEFAULT_SEED = 20260810
@@ -214,18 +214,10 @@ def _seeded_irredundant(
 
 
 def _span_elements(V: FpMultiset) -> list[FpVector]:
-    """Every combination of the rref rows of V, in _all_tuples order."""
+    """Every combination of the rref rows of V, in lexicographic coefficient order."""
     basis = rref_mod_p(coords_array(V), V.p)[0].tolist()
-    return [FpVector(V.p, _combination(V.p, V.n, basis, c)) for c in _all_tuples(V.p, len(basis))]
-
-
-def _all_tuples(p: int, k: int):
-    if k == 0:
-        yield ()
-        return
-    for head in range(p):
-        for rest in _all_tuples(p, k - 1):
-            yield (head,) + rest
+    coeffs = product(range(V.p), repeat=len(basis))
+    return [FpVector(V.p, _combination(V.p, V.n, basis, c)) for c in coeffs]
 
 
 def _with_raised(detail: str, raised: set[str]) -> str:
@@ -276,7 +268,7 @@ def criterion_7_additive_basis(seed: int = DEFAULT_SEED) -> CriterionResult:
     def random_basis(p: int, n: int) -> list[list[int]]:
         while True:
             M = rng.integers(0, p, size=(n, n)).tolist()
-            if span_dimension(FpMultiset.from_coords(p, M, n=n)) == n:
+            if _rank(p, n, M) == n:
                 return M
 
     checked = failed = 0

@@ -79,18 +79,35 @@ def _parse_residues(text: str, p: int) -> list[int]:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise PreconditionError(f"{path} must hold a JSON object")
+    return data
+
+
+def _is_ints(value) -> bool:
+    """True for a JSON list of integers."""
+    return isinstance(value, list) and all(isinstance(c, int) for c in value)
+
+
+def _is_rows(value) -> bool:
+    """True for a JSON list of lists of integers."""
+    return isinstance(value, list) and all(_is_ints(row) for row in value)
 
 
 def _multiset_from_args(args) -> FpMultiset:
     if args.input:
         data = _load_json(args.input)
     elif args.vectors:
+        if args.p is None:
+            raise PreconditionError("--vectors needs --p")
         data = {"p": args.p, "n": args.n, "vectors": json.loads(args.vectors)}
-        if data["n"] is None:
-            data["n"] = len(data["vectors"][0]) if data["vectors"] else 0
     else:
         raise PreconditionError("supply --input FILE or --vectors JSON")
+    if not _is_rows(data.get("vectors")):
+        raise PreconditionError("vectors must be a JSON list of integer coordinate lists")
+    if not args.input and data["n"] is None:
+        data["n"] = len(data["vectors"][0]) if data["vectors"] else 0
     return FpMultiset.from_dict(data)
 
 
@@ -203,6 +220,12 @@ def _cmd_decompose(args) -> int:
     data = _load_json(args.input)
     p, n = data["p"], data["n"]
     r = data.get("r", 1)
+    if not all(isinstance(v, int) for v in (p, n, r)) or not _is_ints(data["A"]):
+        raise PreconditionError("p, n and r must be integers and A a list of integers")
+    if not isinstance(data["bases"], list) or not all(_is_rows(b) for b in data["bases"]):
+        raise PreconditionError("bases must be a list of lists of integer coordinate lists")
+    if not _is_rows(data["targets"]):
+        raise PreconditionError("targets must be a list of integer coordinate lists")
     A = ar.ArithmeticSet.verified(data["A"], r, p)
     plan = dc.DecompositionPlan(p, n, data["bases"], A, r)
     rows = []
@@ -344,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--maximal", action="store_true", help="maximal-subgroup cosets only")
     sp.set_defaults(fn=_cmd_phi)
 
-    sp = sub.add_parser("covers", parents=[common], help="coset-cover utilities")
+    # the options go on `check`: given to the group parser too, the subparser's
+    # defaults would overwrite them
+    sp = sub.add_parser("covers", help="coset-cover utilities")
     covers_sub = sp.add_subparsers(dest="covers_command", required=True)
     spc = covers_sub.add_parser("check", parents=[common], help="validate a cover file")
     spc.add_argument("--input", type=str, required=True)

@@ -18,12 +18,12 @@ from .errors import CapExceededError, InvariantViolationError, PreconditionError
 from .fp_core import (
     FpMultiset,
     FpVector,
+    _rank,
     enumerate_vectors,
     hyperplane_masks,
     is_irredundant_mask_cover,
     is_prime,
     shrink_mask_cover,
-    span_dimension,
 )
 from .group_ring import normalize_twists
 
@@ -585,8 +585,8 @@ class HyperplaneCoverInstance:
         )
 
     def codimension(self) -> int:
-        V = FpMultiset(self.p, self.n, self.normals)
-        return span_dimension(V)
+        """Rank of the normals: the codimension of the directions' intersection."""
+        return _rank(self.p, self.n, [v.coords for v in self.normals])
 
 
 def multiset_to_hyperplane_cover(V: FpMultiset, twists: Sequence[int]) -> HyperplaneCoverInstance:

@@ -9,20 +9,25 @@ out-of-A coefficient using a relation
 
 with eps_w in [1, r] and the other eps in [-r, r], whose existence
 irredundance guarantees for any nonzero scaling b.  Choosing b from A's
-witness table makes the rewrite strictly shrink the out-of-A count.  The
-relation search works on plain coordinate tuples: it indexes the (p,)*n
-views of its reachability levels with them and backtracks with tuple
-arithmetic mod p, and the balance checks sum integer combinations, so no
-FpVector is built per term.
+witness table makes the rewrite strictly shrink the out-of-A count.
+
+The descent core (_descend), the span solve (solve_combination) and the
+relation search (find_epsilon_relation) take V as a list of coordinate
+tuples and the target as one tuple: the search indexes the (p,)*n views of
+its reachability levels with them, backtracks with tuple arithmetic mod p
+and re-checks that its relation balances by summing an integer combination.
+FpVector and FpMultiset appear only at the API boundary: represent_in_set
+and brute_force_representable take them, Representation holds them, and
+DecompositionPlan.decompose takes a target FpVector.
 
 The additive-basis decomposition recurses on dimension: extract an
 irredundant V from the pooled bases, split the space along T = span(V),
 decompose the target's complement part over the projected pool, then solve
 the T-part over V by descent.  DecompositionPlan extracts each level's V
-and its span split once, on coordinate tuples, and certifies V vanishing
-there; a level then runs the descent core that represent_in_set also runs
-(_descend) on the T-part without proving V again.  represent_in_set
-re-checks vanishing only because its V comes from the caller.
+rows and its span split once, on coordinate tuples, and certifies V
+vanishing there; a level then runs _descend on the T-part without proving V
+again.  represent_in_set re-checks vanishing only because its V comes from
+the caller.
 
 The oracle brute_force_representable re-certifies representability without
 the descent: a table of every sum reachable over F_p^n, one entry of V at a
@@ -47,12 +52,16 @@ from .fp_core import (
     FpMultiset,
     FpVector,
     _combination,
+    _rank,
     check_ring_cap,
     rref_mod_p,
     solve_combination,
     span_dimension,
 )
 from .group_ring import _fp_product, _greedy_irredundant_indices, is_fp_vanishing
+
+
+_Coords = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -75,31 +84,6 @@ class Representation:
             raise InvariantViolationError("representation does not sum to its target")
 
 
-@dataclass(frozen=True)
-class EpsilonRelation:
-    """A relation eps_w b_w w = sum(eps_v b_v v) over the other entries."""
-
-    V: FpMultiset
-    w_index: int
-    eps_w: int
-    eps: tuple[int, ...]  # indexed like V.entries; entry w_index is 0 and unused
-    b: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = self.V.p
-        if not 0 <= self.w_index < self.V.size:
-            raise ValueError("w_index out of range")
-        if len(self.eps) != self.V.size or len(self.b) != self.V.size:
-            raise ValueError("eps and b must be total on V")
-        if any(int(x) % p == 0 for x in self.b):
-            raise ValueError("scalings must be nonzero")
-        # eps_w b_w w - sum over v != w of eps_v b_v v must be zero
-        coeffs = [-e * int(x) for e, x in zip(self.eps, self.b)]
-        coeffs[self.w_index] = self.eps_w * int(self.b[self.w_index])
-        if any(_combination(p, self.V.n, [v.coords for v in self.V], coeffs)):
-            raise InvariantViolationError("relation does not balance")
-
-
 def _epsilon_preference(r: int) -> list[int]:
     order = [0]
     for k in range(1, r + 1):
@@ -108,33 +92,38 @@ def _epsilon_preference(r: int) -> list[int]:
 
 
 def find_epsilon_relation(
-    V: FpMultiset,
+    p: int,
+    rows: Sequence[_Coords],
     r: int,
     b: Sequence[int],
     w_index: int,
-) -> EpsilonRelation:
-    """Find a balanced relation singling out entry w, by reachability DP.
+) -> tuple[int, _Coords]:
+    """A balanced relation singling out entry w, as (eps_w, eps), by reachability DP.
 
+    The relation is eps_w b_w w = sum over v != w of eps_v b_v v over the
+    coordinate rows of V; eps is indexed like rows, with eps[w_index] = 0.
     The DP computes, level by level, which group elements are expressible as
     sum(eps_v b_v v) over the processed entries with eps in [-r, r], then
     tests eps_w b_w w for eps_w = 1..r and backtracks one witness, in the
     preference order 0, 1, -1, ..., r, -r, on coordinate tuples that index
     the levels' (p,)*n views.  The caller certifies that V is irredundant
     for exponent r; if so a relation is guaranteed to exist, and failure
-    certifies the precondition was violated.
+    certifies the precondition was violated.  The relation is re-checked by
+    summing it over the rows; a relation that does not balance raises
+    InvariantViolationError.
     """
-    p, n = V.p, V.n
-    if not 0 <= w_index < V.size:
+    if not 0 <= w_index < len(rows):
         raise ValueError("w_index out of range")
+    n = len(rows[w_index])
     bb = [int(x) % p for x in b]
-    if len(bb) != V.size or any(x == 0 for x in bb):
+    if len(bb) != len(rows) or any(x == 0 for x in bb):
         raise PreconditionError("scalings b must be total on V and nonzero")
     dims = (p,) * n
 
-    def scaled(coords: tuple[int, ...], c: int) -> tuple[int, ...]:
+    def scaled(coords: _Coords, c: int) -> _Coords:
         return tuple(c * a % p for a in coords)
 
-    steps = [(j, scaled(V[j].coords, bb[j])) for j in range(V.size) if j != w_index]
+    steps = [(j, scaled(row, bb[j])) for j, row in enumerate(rows) if j != w_index]
     reach = np.zeros(p**n, dtype=np.uint8)
     reach[0] = 1
     levels = [reach.reshape(dims)]
@@ -142,11 +131,10 @@ def find_epsilon_relation(
         reach = _kernels.reach_expand(reach, dims, sv, r, p)
         levels.append(reach.reshape(dims))
 
-    w_coords = V[w_index].coords
     target = None
     eps_w = None
     for cand in range(1, r + 1):
-        tv = scaled(w_coords, cand * bb[w_index])
+        tv = scaled(rows[w_index], cand * bb[w_index])
         if levels[-1][tv]:
             target = tv
             eps_w = cand
@@ -156,7 +144,7 @@ def find_epsilon_relation(
             "no balanced relation exists: V is not irredundant for this exponent"
         )
 
-    eps = [0] * V.size
+    eps = [0] * len(rows)
     cur = target
     pref = _epsilon_preference(r)
     for lvl in range(len(steps) - 1, -1, -1):
@@ -169,9 +157,12 @@ def find_epsilon_relation(
                 break
         else:
             raise InvariantViolationError("reachability backtrack failed")
-    if any(cur):
-        raise InvariantViolationError("reachability backtrack did not reach zero")
-    return EpsilonRelation(V, w_index, eps_w, tuple(eps), tuple(bb))
+    # eps_w b_w w - sum over v != w of eps_v b_v v must be zero
+    coeffs = [-e * x for e, x in zip(eps, bb)]
+    coeffs[w_index] = eps_w * bb[w_index]
+    if any(_combination(p, n, rows, coeffs)):
+        raise InvariantViolationError("relation does not balance")
+    return eps_w, tuple(eps)
 
 
 def represent_in_set(
@@ -191,20 +182,23 @@ def represent_in_set(
         raise PreconditionError(f"need an arithmetic set with r >= {r}, got r = {A.r}")
     if not is_fp_vanishing(V, r):
         raise PreconditionError("V is not vanishing for this exponent")
-    coeffs, steps = _descend(x, V, A, r)
+    coeffs, steps = _descend(V.p, [v.coords for v in V], x.coords, A, r)
     return Representation(x, V, tuple(coeffs), descent_steps=steps)
 
 
-def _descend(x: FpVector, V: FpMultiset, A: ArithmeticSet, r: int) -> tuple[list[int], int]:
-    """Coefficients over V, all in A, summing to x, and the number of rewrites.
+def _descend(
+    p: int, rows: Sequence[_Coords], x: _Coords, A: ArithmeticSet, r: int
+) -> tuple[list[int], int]:
+    """Coefficients over the rows of V, all in A, summing to x, and the number
+    of rewrites.
 
     The descent core shared by represent_in_set and the plan levels; V must
     already be certified irredundant for exponent r.
     """
-    p = V.p
-    coeffs = solve_combination(list(V.entries), x)
-    if coeffs is None:
+    solved = solve_combination(p, rows, x)
+    if solved is None:
         raise NotInSpanError("target does not lie in the span of V")
+    coeffs = list(solved)
 
     members = A.elements
     steps = 0
@@ -219,11 +213,9 @@ def _descend(x: FpVector, V: FpMultiset, A: ArithmeticSet, r: int) -> tuple[list
                 b.append(A.in_witness(c))
             else:
                 b.append(1)
-        rel = find_epsilon_relation(V, r, b, w)
-        coeffs[w] = (coeffs[w] + rel.eps_w * b[w]) % p
-        for j in range(V.size):
-            if j != w:
-                coeffs[j] = (coeffs[j] - rel.eps[j] * b[j]) % p
+        eps_w, eps = find_epsilon_relation(p, rows, r, b, w)
+        coeffs = [(c - e * bj) % p for c, e, bj in zip(coeffs, eps, b)]
+        coeffs[w] = (coeffs[w] + eps_w * b[w]) % p
         steps += 1
         new_out = [i for i, c in enumerate(coeffs) if c not in members]
         if len(new_out) >= len(out):
@@ -236,7 +228,6 @@ def _descend(x: FpVector, V: FpMultiset, A: ArithmeticSet, r: int) -> tuple[list
 # Recursive additive-basis decomposition
 
 
-_Coords = tuple[int, ...]
 _Split = tuple[list[_Coords], list[int], list[int]]
 
 
@@ -248,10 +239,6 @@ def _span_split(p: int, n: int, rows: Sequence[_Coords]) -> _Split:
     """
     rref, pivots = rref_mod_p(np.array(rows, dtype=np.int64).reshape(len(rows), n), p)
     return [tuple(row) for row in rref.tolist()], pivots, [c for c in range(n) if c not in pivots]
-
-
-def _rank(p: int, n: int, rows: Sequence[_Coords]) -> int:
-    return len(_span_split(p, n, rows)[1])
 
 
 def _project(p: int, split: _Split, x: _Coords) -> tuple[_Coords, _Coords]:
@@ -269,7 +256,7 @@ def _project(p: int, split: _Split, x: _Coords) -> tuple[_Coords, _Coords]:
 class _Level:
     split: _Split
     v_ids: list[int]
-    V: FpMultiset
+    v_rows: list[_Coords]
     rest: list[tuple[int, _Coords]]
     child: "_Level | _Leaf"
 
@@ -333,7 +320,6 @@ class DecompositionPlan:
         # V is certified irredundant here, once; _solve runs the descent on it
         # without re-checking.
         v_rows = [pool[i] for i in kept]
-        V = FpMultiset.from_coords(self.p, v_rows, n=n_level)
         split = _span_split(self.p, n_level, v_rows)
         dim_s = len(split[2])
         removed = set(v_ids)
@@ -354,7 +340,7 @@ class DecompositionPlan:
                         f"projected basis {gi} no longer spans the complement"
                     )
         child = self._build(projected, dim_s)
-        return _Level(split, v_ids, V, rest, child)
+        return _Level(split, v_ids, v_rows, rest, child)
 
     def decompose(self, w: FpVector) -> Representation:
         """Coefficients in A over the whole pool with sum(a_v v) = w."""
@@ -381,7 +367,7 @@ class DecompositionPlan:
             self.p, len(x), [x] + [v for _, v in node.rest], [1] + [-coeffs[eid] for eid, _ in node.rest]
         )
         _, x_t = _project(self.p, node.split, residual)
-        level_coeffs, level_steps = _descend(FpVector(self.p, x_t), node.V, self.A, self.r)
+        level_coeffs, level_steps = _descend(self.p, node.v_rows, x_t, self.A, self.r)
         coeffs.update(zip(node.v_ids, level_coeffs))
         return steps + level_steps
 

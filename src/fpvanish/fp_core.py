@@ -5,12 +5,13 @@ threads.  Dense tables elsewhere in the package are indexed by the canonical
 mixed-radix encoding fixed in this module: coordinate 0 is most significant,
 so index(v) = sum(v[i] * p**(n-1-i)).  FpVector validates a point of F_p^n
 at the API boundary; arithmetic on vectors runs on plain coordinate tuples
-(`_combination`).
+(`_combination`, `solve_combination`, and `_rank` on `rref_mod_p`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -247,12 +248,14 @@ def rref_mod_p(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m[:rank] % p, pivots
 
 
+def _rank(p: int, n: int, rows: Sequence[Sequence[int]]) -> int:
+    """Rank mod p of the coordinate rows, each of length n; [] has rank 0."""
+    return len(rref_mod_p(np.array(rows, dtype=np.int64).reshape(len(rows), n), p)[1])
+
+
 def span_dimension(V: FpMultiset) -> int:
     """Rank of the multiset's support, by elimination mod p."""
-    if not V.entries:
-        return 0
-    _, pivots = rref_mod_p(coords_array(V), V.p)
-    return len(pivots)
+    return _rank(V.p, V.n, [v.coords for v in V.entries])
 
 
 def _combination(p: int, n: int, rows: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -265,23 +268,19 @@ def _combination(p: int, n: int, rows: Sequence[Sequence[int]], coeffs: Sequence
     return tuple(a % p for a in acc)
 
 
-def solve_combination(vectors: Sequence[FpVector], x: FpVector) -> Optional[list[int]]:
-    """Coefficients c with sum(c_i * v_i) = x, or None if x is not in the span.
+def solve_combination(
+    p: int, rows: Sequence[Sequence[int]], x: tuple[int, ...]
+) -> Optional[tuple[int, ...]]:
+    """Coefficients c with sum(c_i * rows[i]) = x mod p, or None if x is not in the span.
 
-    Deterministic: elimination with canonical pivoting; coefficients of
-    entries unused by the pivot structure are 0.  Coefficients that fail the
-    final re-check raise InvariantViolationError.
+    Rows and x are coordinate tuples of one length n.  Deterministic:
+    elimination with canonical pivoting; coefficients of rows unused by the
+    pivot structure are 0.  Coefficients that fail the final re-check raise
+    InvariantViolationError.
     """
-    p = x.p
-    n = x.n
-    if not vectors:
-        return [] if x.is_zero() else None
-    # Solve M^T c = x where columns of M^T are the vectors, on [M^T | x].
-    m = len(vectors)
-    aug = np.zeros((n, m + 1), dtype=np.int64)
-    for j, v in enumerate(vectors):
-        aug[:, j] = v.coords
-    aug[:, m] = x.coords
+    n, m = len(x), len(rows)
+    # Solve M^T c = x where the columns of M^T are the rows, on [M^T | x].
+    aug = np.array([*rows, x], dtype=np.int64).reshape(m + 1, n).T
     rref, pivots = rref_mod_p(aug, p)
     # A pivot in the right-hand column: x is not in the span.
     if pivots and pivots[-1] == m:
@@ -290,9 +289,9 @@ def solve_combination(vectors: Sequence[FpVector], x: FpVector) -> Optional[list
     for row, col in enumerate(pivots):
         coeffs[col] = int(rref[row, m])
     # Re-verify (cheap): a mismatch is an elimination bug, not a verdict.
-    if _combination(p, n, [v.coords for v in vectors], coeffs) != x.coords:
+    if _combination(p, n, rows, coeffs) != x:
         raise InvariantViolationError(f"solved coefficients {coeffs} fail re-verification for {x}")
-    return coeffs
+    return tuple(coeffs)
 
 
 def scale_multiset(V: FpMultiset, scalars: Sequence[int]) -> FpMultiset:
@@ -312,16 +311,8 @@ def enumerate_vectors(p: int, n: int, cap: Optional[int] = None) -> Iterator[FpV
     """All p^n vectors in canonical index order (lexicographic on coords)."""
     p = _as_prime(p)
     check_ring_cap(p, n, cap)
-    coords = [0] * n
-    while True:
-        yield FpVector(p, tuple(coords))
-        i = n - 1
-        while i >= 0 and coords[i] == p - 1:
-            coords[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        coords[i] += 1
+    for coords in product(range(p), repeat=n):
+        yield FpVector(p, coords)
 
 
 def coords_matrix(p: int, n: int, cap: Optional[int] = None) -> np.ndarray:

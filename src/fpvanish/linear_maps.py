@@ -19,25 +19,18 @@ import numpy as np
 from .covers import HyperplaneCoverInstance
 from .errors import InvariantViolationError, PreconditionError
 from .fp_core import (
-    FpMultiset,
     FpVector,
     _as_prime,
+    _rank,
     coords_matrix,
     hyperplane_masks,
-    rref_mod_p,
     shrink_mask_cover,
-    span_dimension,
 )
-
-
-def matrix_rank(M: np.ndarray, p: int) -> int:
-    _, pivots = rref_mod_p(np.asarray(M, dtype=np.int64) % p, p)
-    return len(pivots)
 
 
 def is_invertible(M: np.ndarray, p: int) -> bool:
     M = np.asarray(M)
-    return M.shape[0] == M.shape[1] and matrix_rank(M, p) == M.shape[0]
+    return M.shape[0] == M.shape[1] and _rank(p, M.shape[1], M) == M.shape[0]
 
 
 class ChoiceSystem:
@@ -69,8 +62,9 @@ class ChoiceSystem:
     def nonzero(cls, p: int, matrices: Sequence) -> "ChoiceSystem":
         """All allowed sets equal to F_p^* (the classical non-vanishing case)."""
         mats = list(matrices)
-        n = np.asarray(mats[0]).shape[0]
-        allowed = [[list(range(1, p))] * n for _ in mats]
+        # one row of sets per matrix row: with no matrices there are no rows,
+        # and the constructor's "at least one matrix" check reports it
+        allowed = [[list(range(1, p))] * np.asarray(M).shape[0] for M in mats]
         return cls(p, mats, allowed)
 
     @property
@@ -139,9 +133,6 @@ class CoverCertificate:
     def size(self) -> int:
         return len(self.triples)
 
-    def normals_multiset(self) -> FpMultiset:
-        return FpMultiset(self.instance.p, self.instance.n, self.instance.normals)
-
     def to_dict(self) -> dict:
         return {
             "J": [list(t) for t in self.triples],
@@ -183,8 +174,7 @@ def failure_certificate(S: ChoiceSystem, cap: Optional[int] = None) -> CoverCert
 
 def check_pigeonhole_bound(cert: CoverCertificate, k: int, r: int) -> bool:
     """dim span(normals) >= |J| / (k r): at most k r hyperplanes per direction."""
-    dim = span_dimension(cert.normals_multiset())
-    return dim * k * r >= cert.size
+    return cert.instance.codimension() * k * r >= cert.size
 
 
 def check_contradiction_condition(cert: CoverCertificate, k: int, r: int, s: int) -> bool:

@@ -438,6 +438,18 @@ class TestPhiAndCovers:
         assert out == ""
         assert message in err and "Traceback" not in err
 
+    def test_covers_check_cap_group_before_check(self, tmp_path):
+        # the options belong to `check`: parsed at group level, check's
+        # defaults would overwrite them and the cap would be dropped
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps({"factors": [2, 2], "cosets": [{"subgroup_gens": [], "rep": [0, 0]}]}))
+        code, out, err = run_fresh("covers", "--cap-group", "2", "check", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "fpvanish covers: error:" in err
+        code, out, err = run_fresh("covers", "check", "--cap-group", "2", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert "group order 4 exceeds cap 2" in err
+
     def test_covers_check_wrong_coordinate_length(self, capsys, tmp_path):
         path = tmp_path / "cover.json"
         path.write_text(
@@ -493,6 +505,33 @@ class TestAjtCommand:
         assert code == 2
         assert out == ""
         assert "modulus must be a prime" in err and "Traceback" not in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv,content,message",
+        [
+            (["vanishing", "--p", "3", "--vectors", "5"], None, "vectors must be"),
+            (["vanishing", "--p", "3", "--vectors", "[1, 2]"], None, "vectors must be"),
+            (["vanishing", "--vectors", "[[1, 2]]"], None, "--vectors needs --p"),
+            (["vanishing", "--input"], [[1, 0], [0, 1]], "must hold a JSON object"),
+            (
+                ["decompose", "--input"],
+                {"p": 5, "n": 1, "r": 1, "A": [0, 1, 2, 3], "bases": 5, "targets": [[1]]},
+                "bases must be",
+            ),
+            (["ajt", "--hunt", "--k", "0"], None, "at least one matrix required"),
+        ],
+        ids=["vectors_int", "vectors_flat", "vectors_no_p", "input_list", "bases_int", "hunt_k0"],
+    )
+    def test_exits_2_without_traceback(self, capsys, tmp_path, argv, content, message):
+        if content is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(content))
+            argv = argv + [str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
 
 
 class TestOutputModes:

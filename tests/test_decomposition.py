@@ -40,45 +40,58 @@ def seeded_irredundant(rng, p, n, r=1):
     return gr.extract_irredundant_fp(V, r)
 
 
+def _rows(V):
+    return [v.coords for v in V.entries]
+
+
+def _balance(p, rows, b, w, eps_w, eps):
+    """eps_w b_w w - sum over v != w of eps_v b_v v, by the reference arithmetic."""
+    coeffs = [-e * x for e, x in zip(eps, b)]
+    coeffs[w] = eps_w * b[w]
+    return ref.combination(p, coeffs, rows)
+
+
 class TestEpsilonRelation:
     def test_p_copies_prefers_single_step(self):
-        V = FpMultiset.from_coords(5, [[1]] * 5)
-        rel = dc.find_epsilon_relation(V, 1, [1] * 5, 0)
-        assert rel.eps_w == 1
-        assert sorted(rel.eps[1:]) == [0, 0, 0, 1]
+        eps_w, eps = dc.find_epsilon_relation(5, [(1,)] * 5, 1, [1] * 5, 0)
+        assert eps_w == 1
+        assert sorted(eps[1:]) == [0, 0, 0, 1]
 
     def test_f2_pair_structure(self):
-        V = FpMultiset.from_coords(2, [[1, 0], [1, 0], [0, 1], [0, 1]])
-        rel = dc.find_epsilon_relation(V, 1, [1] * 4, 0)
-        assert rel.eps_w == 1
+        eps_w, eps = dc.find_epsilon_relation(2, [(1, 0), (1, 0), (0, 1), (0, 1)], 1, [1] * 4, 0)
+        assert eps_w == 1
         # the relation e1 = e1 uses only the duplicate copy
-        assert rel.eps[1] == 1 and rel.eps[2] == 0 and rel.eps[3] == 0
+        assert eps == (0, 1, 0, 0)
 
-    def test_constructor_reverifies(self):
-        V = FpMultiset.from_coords(5, [[1], [1]])
-        with pytest.raises(InvariantViolationError):
-            dc.EpsilonRelation(V, 0, 1, (0, 2), (1, 1))
+    def test_balance_recheck(self, monkeypatch):
+        # the relation is re-summed over the rows before it is returned; a sum
+        # that comes out nonzero is an invariant violation, not a relation
+        rows = [(1,), (1,)]
+        assert dc.find_epsilon_relation(5, rows, 1, [1, 1], 0) == (1, (0, 1))
+        monkeypatch.setattr(dc, "_combination", lambda p, n, rows, coeffs: (1,) * n)
+        with pytest.raises(InvariantViolationError, match="does not balance"):
+            dc.find_epsilon_relation(5, rows, 1, [1, 1], 0)
 
     def test_non_irredundant_input_detected(self):
         # a basis never vanishes, so no relation can exist
-        V = FpMultiset.from_coords(5, [[1, 0], [0, 1]])
         with pytest.raises(PreconditionError):
-            dc.find_epsilon_relation(V, 1, [1, 1], 0)
+            dc.find_epsilon_relation(5, [(1, 0), (0, 1)], 1, [1, 1], 0)
 
     def test_random_relations_reverify(self, rng):
         for _ in range(15):
             p = int(rng.choice([3, 5, 7]))
             n = int(rng.integers(1, 3))
-            V = seeded_irredundant(rng, p, n)
-            b = [int(rng.integers(1, p)) for _ in range(V.size)]
-            w = int(rng.integers(V.size))
-            rel = dc.find_epsilon_relation(V, 1, b, w)
-            assert 1 <= rel.eps_w <= 1
-            assert all(-1 <= e <= 1 for e in rel.eps)
+            rows = _rows(seeded_irredundant(rng, p, n))
+            b = [int(rng.integers(1, p)) for _ in rows]
+            w = int(rng.integers(len(rows)))
+            eps_w, eps = dc.find_epsilon_relation(p, rows, 1, b, w)
+            assert 1 <= eps_w <= 1
+            assert all(-1 <= e <= 1 for e in eps) and eps[w] == 0
+            assert not any(_balance(p, rows, b, w, eps_w, eps))
 
 
 def _reference_relation(V, r, b, w_index):
-    """The set-based reachability backtrack: (w_index, eps_w, eps, b).
+    """The set-based reachability backtrack: (eps_w, eps).
 
     Level sets are plain sets of coordinate tuples; the backtrack tries eps
     in the order 0, 1, -1, ..., r, -r, as the descent must.
@@ -101,7 +114,7 @@ def _reference_relation(V, r, b, w_index):
         eps[j] = e
         cur = ref.combination(p, [1, -e], [cur, sv])
     assert not any(cur)
-    return w_index, eps_w, tuple(eps), tuple(bb)
+    return eps_w, tuple(eps)
 
 
 def _repeated_irredundant(rng, p, n, r):
@@ -122,21 +135,12 @@ class TestDescentAgainstReference:
             for V in (seeded_irredundant(rng, p, n, r), _repeated_irredundant(rng, p, n, r)):
                 for w in {0, V.size - 1, int(rng.integers(V.size))}:
                     b = [int(x) for x in rng.integers(1, p, size=V.size)]
-                    rel = dc.find_epsilon_relation(V, r, b, w)
-                    assert (rel.w_index, rel.eps_w, rel.eps, rel.b) == _reference_relation(V, r, b, w)
-                    self._assert_corruptions_caught(rel, rng)
+                    relation = dc.find_epsilon_relation(p, _rows(V), r, b, w)
+                    assert relation == _reference_relation(V, r, b, w)
+                self._assert_corruptions_caught(V, rng)
 
     @staticmethod
-    def _assert_corruptions_caught(rel, rng):
-        V, w = rel.V, rel.w_index
-        with pytest.raises(InvariantViolationError):
-            dc.EpsilonRelation(V, w, rel.eps_w + 1, rel.eps, rel.b)
-        if V.size > 1:
-            j = next(j for j in range(V.size) if j != w)
-            eps = list(rel.eps)
-            eps[j] += 1
-            with pytest.raises(InvariantViolationError):
-                dc.EpsilonRelation(V, w, rel.eps_w, tuple(eps), rel.b)
+    def _assert_corruptions_caught(V, rng):
         coeffs = [int(c) for c in rng.integers(0, V.p, size=V.size)]
         x = FpVector(V.p, tuple(sum(c * v.coords[i] for c, v in zip(coeffs, V.entries)) % V.p for i in range(V.n)))
         assert dc.Representation(x, V, tuple(coeffs)).coefficients == tuple(coeffs)
@@ -369,7 +373,7 @@ class TestSpanSplit:
         plan = dc.DecompositionPlan(5, 2, bases, min_arithmetic_set(5), 1)
         node, n, levels = plan.root, 2, 0
         while isinstance(node, dc._Level):
-            rows = [v.coords for v in node.V]
+            rows = node.v_rows
             assert node.split == dc._span_split(5, n, rows)
             for x in itertools.product(range(5), repeat=n):
                 _assert_split_properties(5, n, rows, node.split, x)
@@ -399,15 +403,28 @@ def _plan_depth(plan):
     return depth
 
 
+_ONE_AND_TWO_LEVELS = pytest.mark.parametrize(
+    "bases,depth",
+    [
+        ([[[1, 2], [0, 1]], [[2, 1], [1, 0]], [[1, 1], [3, 0]], [[0, 3], [4, 1]], [[2, 0], [1, 4]]], 1),
+        # (1, 0) is in every basis, so the first V spans a line
+        ([[[2, 4], [1, 0]], [[1, 0], [2, 2]], [[4, 2], [1, 0]], [[1, 0], [4, 1]], [[0, 2], [1, 0]]], 2),
+    ],
+    ids=["one_level", "p5n2two_levels"],
+)
+
+
 class TestPlanLevels:
     """Plans whose first V spans less than F_p^n, so the recursion runs."""
 
-    @pytest.mark.parametrize("p,n", [(5, 2), (5, 3), (7, 2)])
+    @pytest.mark.parametrize("p,n", [(5, 2), (5, 3), (7, 2), (7, 3)])
     def test_multi_level_plans_decompose_every_target(self, p, n):
+        # draw plans until three of them recurse; every plan drawn is checked
         rng = np.random.default_rng(100 * p + n)
         A = min_arithmetic_set(p)
         depths = []
-        for _ in range(3):
+        while sum(d >= 2 for d in depths) < 3:
+            assert len(depths) < 10, depths
             bases = _shared_vector_bases(rng, p, n)
             plan = dc.DecompositionPlan(p, n, bases, A, 1)
             depths.append(_plan_depth(plan))
@@ -416,17 +433,8 @@ class TestPlanLevels:
                 coeffs = plan.decompose(FpVector(p, w)).coefficients
                 assert all(c in A.elements for c in coeffs)
                 assert ref.combination(p, coeffs, rows) == w
-        assert max(depths) >= 2, depths
 
-    @pytest.mark.parametrize(
-        "bases,depth",
-        [
-            ([[[1, 2], [0, 1]], [[2, 1], [1, 0]], [[1, 1], [3, 0]], [[0, 3], [4, 1]], [[2, 0], [1, 4]]], 1),
-            # (1, 0) is in every basis, so the first V spans a line
-            ([[[2, 4], [1, 0]], [[1, 0], [2, 2]], [[4, 2], [1, 0]], [[1, 0], [4, 1]], [[0, 2], [1, 0]]], 2),
-        ],
-        ids=["one_level", "p5n2two_levels"],
-    )
+    @_ONE_AND_TWO_LEVELS
     def test_decompose_makes_no_binomial_products(self, monkeypatch, bases, depth):
         # every level's V is certified vanishing once, when the plan is built
         plan = dc.DecompositionPlan(5, 2, bases, min_arithmetic_set(5), 1)
@@ -442,6 +450,27 @@ class TestPlanLevels:
         for w in enumerate_vectors(5, 2):
             plan.decompose(w)
         assert calls == []
+
+    @_ONE_AND_TWO_LEVELS
+    def test_fp_vectors_only_at_the_boundary(self, monkeypatch, bases, depth):
+        # a plan wraps each pool entry once, for the Representation that
+        # decompose returns; the levels and the descent run on coordinate tuples
+        built = []
+        check = FpVector.__post_init__
+
+        def counted(self):
+            built.append(self.coords)
+            check(self)
+
+        targets = list(enumerate_vectors(5, 2))
+        monkeypatch.setattr(FpVector, "__post_init__", counted)
+        plan = dc.DecompositionPlan(5, 2, bases, min_arithmetic_set(5), 1)
+        assert _plan_depth(plan) == depth
+        assert len(built) == plan.pool.size
+        built.clear()
+        for w in targets:
+            plan.decompose(w)
+        assert built == []
 
 
 class TestSizeBound:

@@ -6,7 +6,7 @@ import pytest
 from fpvanish import config
 from fpvanish import linear_maps as lm
 from fpvanish.errors import PreconditionError
-from fpvanish.fp_core import FpVector, enumerate_vectors
+from fpvanish.fp_core import FpVector, _rank, enumerate_vectors
 
 
 class TestChoiceSystem:
@@ -118,8 +118,11 @@ class TestEnumerators:
         assert lm.hunt_counterexample(5, 2, 2, trials=10, seed=1) is None
 
     def test_matrix_rank(self):
-        assert lm.matrix_rank(np.array([[1, 2], [2, 4]]), 5) == 1
-        assert lm.matrix_rank(np.array([[1, 2], [2, 5]]), 7) == 2
+        # the rank that is_invertible takes, from the one mod-p elimination
+        assert _rank(5, 2, np.array([[1, 2], [2, 4]])) == 1
+        assert _rank(7, 2, np.array([[1, 2], [2, 5]])) == 2
+        assert not lm.is_invertible(np.array([[1, 2], [2, 4]]), 5)
+        assert lm.is_invertible(np.array([[1, 2], [2, 5]]), 7)
 
 
 class TestCertificateReference:
