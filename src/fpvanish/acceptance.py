@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import wraps
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Optional, Sequence
 
@@ -52,6 +53,17 @@ class CriterionResult:
         return f"{mark}  {self.number:2d}. {self.name}: {self.detail} [{self.seconds:.1f}s]"
 
 
+def _timed(body: Callable[[int], tuple[int, str, bool, str]]) -> Callable[[int], CriterionResult]:
+    """A criterion from its body, which returns (number, name, passed, detail): the run is timed here."""
+
+    @wraps(body)
+    def criterion(seed: int = DEFAULT_SEED) -> CriterionResult:
+        t0 = time.perf_counter()
+        return CriterionResult(*body(seed), time.perf_counter() - t0)
+
+    return criterion
+
+
 def _random_multiset(
     rng: np.random.Generator, p: int, n: int, size: int, nonzero: bool = False
 ) -> FpMultiset:
@@ -64,9 +76,9 @@ def _random_multiset(
     return FpMultiset.from_coords(p, rows, n=n)
 
 
-def criterion_1_olson(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_timed
+def criterion_1_olson(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
     """Threshold-size random multisets all vanish with r = 1."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     checked = failed = 0
     for p in (2, 3, 5):
@@ -77,18 +89,13 @@ def criterion_1_olson(seed: int = DEFAULT_SEED) -> CriterionResult:
                 checked += 1
                 if not gr.is_fp_vanishing(V, 1):
                     failed += 1
-    return CriterionResult(
-        1,
-        "olson vanishing at threshold size",
-        failed == 0,
-        f"{checked - failed}/{checked} vanishing",
-        time.perf_counter() - t0,
-    )
+    detail = f"{checked - failed}/{checked} vanishing"
+    return 1, "olson vanishing at threshold size", failed == 0, detail
 
 
-def criterion_2_power_threshold(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_timed
+def criterion_2_power_threshold(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
     """Same protocol with exponent r and size ceil(((p-1)n+1)/r)."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 1)
     checked = failed = 0
     for p in (2, 3, 5):
@@ -101,29 +108,18 @@ def criterion_2_power_threshold(seed: int = DEFAULT_SEED) -> CriterionResult:
                     checked += 1
                     if not gr.is_fp_vanishing(V, r):
                         failed += 1
-    return CriterionResult(
-        2,
-        "power-threshold vanishing",
-        failed == 0,
-        f"{checked - failed}/{checked} vanishing",
-        time.perf_counter() - t0,
-    )
+    return 2, "power-threshold vanishing", failed == 0, f"{checked - failed}/{checked} vanishing"
 
 
-def criterion_3_fpstar(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_timed
+def criterion_3_fpstar(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
     """F_p^* passes the verifier with the centered exponent (p-3)/2."""
-    t0 = time.perf_counter()
     bad = []
     for p in (5, 7, 11, 13, 17, 19):
         if not ar.is_r_arithmetic(range(1, p), (p - 3) // 2, p):
             bad.append(p)
-    return CriterionResult(
-        3,
-        "F_p^* is (p-3)/2-arithmetic",
-        not bad,
-        "exact for p in {5,7,11,13,17,19}" if not bad else f"failed at {bad}",
-        time.perf_counter() - t0,
-    )
+    detail = "exact for p in {5,7,11,13,17,19}" if not bad else f"failed at {bad}"
+    return 3, "F_p^* is (p-3)/2-arithmetic", not bad, detail
 
 
 def _oracle_min_arithmetic_size(p: int, r: int = 1) -> int:
@@ -153,9 +149,9 @@ def _oracle_min_arithmetic_size(p: int, r: int = 1) -> int:
     raise InvariantViolationError("unreachable: the whole field is always r-arithmetic")
 
 
-def criterion_4_min_arithmetic(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_timed
+def criterion_4_min_arithmetic(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
     """Exact minima match an independent oracle and the known anchors."""
-    t0 = time.perf_counter()
     problems = []
     sizes = {}
     for p in (2, 3, 5, 7, 11, 13):
@@ -173,19 +169,17 @@ def criterion_4_min_arithmetic(seed: int = DEFAULT_SEED) -> CriterionResult:
     detail = ", ".join(f"s({p})={s}" for p, s in sorted(sizes.items()))
     if problems:
         detail = "; ".join(problems)
-    return CriterionResult(
-        4, "minimal arithmetic sets vs oracle", not problems, detail, time.perf_counter() - t0
-    )
+    return 4, "minimal arithmetic sets vs oracle", not problems, detail
 
 
-def criterion_5_small_sets(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_timed
+def criterion_5_small_sets(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
     """Verified sets of size <= 2*floor(log2 p) for every prime 5 <= p <= 199.
 
     Known mathematical exception: F_7 has no arithmetic set smaller than 5,
     while 2*floor(log2 7) = 4, so this criterion cannot pass at p = 7; the
     search reports that nonexistence definitively rather than silently.
     """
-    t0 = time.perf_counter()
     failures = []
     for p in PRIMES_TO_199:
         target = 2 * ar.floor_log2(p)
@@ -200,9 +194,7 @@ def criterion_5_small_sets(seed: int = DEFAULT_SEED) -> CriterionResult:
         if not failures
         else "; ".join(failures)
     )
-    return CriterionResult(
-        5, "small arithmetic sets up to p=199", not failures, detail, time.perf_counter() - t0
-    )
+    return 5, "small arithmetic sets up to p=199", not failures, detail
 
 
 def _seeded_irredundant(
@@ -225,9 +217,9 @@ def _with_raised(detail: str, raised: set[str]) -> str:
     return f"{detail}; raised {', '.join(sorted(raised))}" if raised else detail
 
 
-def criterion_6_descent(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_timed
+def criterion_6_descent(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
     """Descent representation succeeds on every span element of 100 instances."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 6)
     checked = failed = 0
     instances = 0
@@ -251,18 +243,13 @@ def criterion_6_descent(seed: int = DEFAULT_SEED) -> CriterionResult:
                         continue
                     if not dc.brute_force_representable(x, V, A):
                         failed += 1
-    return CriterionResult(
-        6,
-        "coefficient descent vs brute force",
-        failed == 0,
-        _with_raised(f"{instances} instances, {checked - failed}/{checked} targets", raised),
-        time.perf_counter() - t0,
-    )
+    detail = _with_raised(f"{instances} instances, {checked - failed}/{checked} targets", raised)
+    return 6, "coefficient descent vs brute force", failed == 0, detail
 
 
-def criterion_7_additive_basis(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_timed
+def criterion_7_additive_basis(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
     """Basis-union decomposition with constrained coefficients, both regimes."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 7)
 
     def random_basis(p: int, n: int) -> list[list[int]]:
@@ -310,18 +297,13 @@ def criterion_7_additive_basis(seed: int = DEFAULT_SEED) -> CriterionResult:
                 continue
             if 0 in rep.coefficients:
                 failed += 1
-    return CriterionResult(
-        7,
-        "additive-basis decomposition",
-        failed == 0,
-        _with_raised(f"{checked - failed}/{checked} targets decomposed", raised),
-        time.perf_counter() - t0,
-    )
+    detail = _with_raised(f"{checked - failed}/{checked} targets decomposed", raised)
+    return 7, "additive-basis decomposition", failed == 0, detail
 
 
-def criterion_8_codim_bound(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_timed
+def criterion_8_codim_bound(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
     """Codimension bound over every irredundant affine hyperplane cover."""
-    t0 = time.perf_counter()
     checked = failed = 0
     for p, n in ((2, 2), (2, 3), (3, 2)):
         s = ar.smallest_arithmetic_size(p)
@@ -329,18 +311,13 @@ def criterion_8_codim_bound(seed: int = DEFAULT_SEED) -> CriterionResult:
             checked += 1
             if not cv.check_codim_bound(inst, s):
                 failed += 1
-    return CriterionResult(
-        8,
-        "hyperplane-cover codimension bound",
-        failed == 0,
-        f"{checked - failed}/{checked} covers within bound",
-        time.perf_counter() - t0,
-    )
+    detail = f"{checked - failed}/{checked} covers within bound"
+    return 8, "hyperplane-cover codimension bound", failed == 0, detail
 
 
-def criterion_9_cyc_cover_equivalence(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_timed
+def criterion_9_cyc_cover_equivalence(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
     """Exact cyclotomic products agree with the cover oracle on every twist."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 9)
     instances = disagreements = 0
 
@@ -365,18 +342,13 @@ def criterion_9_cyc_cover_equivalence(seed: int = DEFAULT_SEED) -> CriterionResu
         for _ in range(75):
             size = int(rng.integers(1, 5))
             check(_random_multiset(rng, 5, n, size))
-    return CriterionResult(
-        9,
-        "cyclotomic product vs cover oracle",
-        disagreements == 0,
-        f"{instances} instances, {disagreements} disagreements",
-        time.perf_counter() - t0,
-    )
+    detail = f"{instances} instances, {disagreements} disagreements"
+    return 9, "cyclotomic product vs cover oracle", disagreements == 0, detail
 
 
-def criterion_10_covers_suite(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_timed
+def criterion_10_covers_suite(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
     """Exact minimal covers, the drop-one-subgroup claim, and efficiency facts."""
-    t0 = time.perf_counter()
     problems = []
     for p in (2, 3, 5):
         k, _ = cv.phi_exact(cv.AbelianGroup((p,)))
@@ -412,14 +384,12 @@ def criterion_10_covers_suite(seed: int = DEFAULT_SEED) -> CriterionResult:
         if not problems
         else "; ".join(problems)
     )
-    return CriterionResult(
-        10, "coset-cover suite (order <= 16)", not problems, detail, time.perf_counter() - t0
-    )
+    return 10, "coset-cover suite (order <= 16)", not problems, detail
 
 
-def criterion_11_choosability(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_timed
+def criterion_11_choosability(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
     """Witness/certificate consistency over every invertible 2x2, p in {2,3}."""
-    t0 = time.perf_counter()
     problems = []
     checked = 0
     k = r = 1
@@ -442,18 +412,13 @@ def criterion_11_choosability(seed: int = DEFAULT_SEED) -> CriterionResult:
                     problems.append(f"p={p} M={M.tolist()}: span bound violated")
                 if not lm.check_contradiction_condition(cert, k, r, s):
                     problems.append(f"p={p} M={M.tolist()}: inconsistent with s^kr")
-    return CriterionResult(
-        11,
-        "non-vanishing maps consistency",
-        not problems,
-        f"{checked} matrices, 0 inconsistencies" if not problems else "; ".join(problems),
-        time.perf_counter() - t0,
-    )
+    detail = f"{checked} matrices, 0 inconsistencies" if not problems else "; ".join(problems)
+    return 11, "non-vanishing maps consistency", not problems, detail
 
 
-def criterion_12_scaling_invariance(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_timed
+def criterion_12_scaling_invariance(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
     """Irredundance is preserved by nonzero entrywise scaling, both notions."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 12)
     from .fp_core import scale_multiset
 
@@ -479,13 +444,8 @@ def criterion_12_scaling_invariance(seed: int = DEFAULT_SEED) -> CriterionResult
         c_checked += 1
         if (gr.is_c_irredundant(V) is None) != (gr.is_c_irredundant(W) is None):
             violations += 1
-    return CriterionResult(
-        12,
-        "scaling invariance of irredundance",
-        violations == 0,
-        f"{fp_checked} modular + {c_checked} complex instances, {violations} violations",
-        time.perf_counter() - t0,
-    )
+    detail = f"{fp_checked} modular + {c_checked} complex instances, {violations} violations"
+    return 12, "scaling invariance of irredundance", violations == 0, detail
 
 
 ALL_CRITERIA: list[Callable[[int], CriterionResult]] = [

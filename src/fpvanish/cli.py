@@ -79,20 +79,50 @@ def _parse_residues(text: str, p: int) -> list[int]:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise PreconditionError(f"{path} nests its JSON too deeply") from None
     if not isinstance(data, dict):
         raise PreconditionError(f"{path} must hold a JSON object")
     return data
 
 
-def _is_ints(value) -> bool:
-    """True for a JSON list of integers."""
-    return isinstance(value, list) and all(isinstance(c, int) for c in value)
+def _field(data: dict, key: str, depth: int = 0, default=None):
+    """data[key] as an integer (depth 0) or a list of integers nested `depth` deep.
+
+    Booleans and floats are refused; a missing key or any other value raises
+    PreconditionError naming the key.
+    """
+
+    def ok(value, depth: int) -> bool:
+        if depth == 0:
+            return type(value) is int
+        return isinstance(value, list) and all(ok(v, depth - 1) for v in value)
+
+    value = data.get(key, default)
+    if not ok(value, depth):
+        shape = "an integer" if depth == 0 else "a list of " + "lists of " * (depth - 1) + "integers"
+        raise PreconditionError(f"{key} must be {shape}")
+    return value
 
 
-def _is_rows(value) -> bool:
-    """True for a JSON list of lists of integers."""
-    return isinstance(value, list) and all(_is_ints(row) for row in value)
+def _space(data: dict, cap: Optional[int]) -> tuple[int, int]:
+    """The modulus p and dimension n of an input, p^n held to `cap` before any primality test."""
+    p, n = _field(data, "p"), _field(data, "n")
+    if p < 2 or n < 0:
+        raise PreconditionError(f"need p >= 2 and n >= 0, got p = {p}, n = {n}")
+    check_ring_cap(p, n, cap)
+    return p, n
+
+
+def _group(orders: list[int], cap: int) -> cv.AbelianGroup:
+    """The group of the cyclic orders, refused above `cap` before from_orders
+    trial-divides them; a non-positive order is left to from_orders' input error."""
+    order = math.prod(orders)
+    if order > cap and min(orders) >= 1:
+        raise CapExceededError(f"group order {order} exceeds cap {cap}")
+    return cv.AbelianGroup.from_orders(orders)
 
 
 def _multiset_from_args(args) -> FpMultiset:
@@ -104,11 +134,11 @@ def _multiset_from_args(args) -> FpMultiset:
         data = {"p": args.p, "n": args.n, "vectors": json.loads(args.vectors)}
     else:
         raise PreconditionError("supply --input FILE or --vectors JSON")
-    if not _is_rows(data.get("vectors")):
-        raise PreconditionError("vectors must be a JSON list of integer coordinate lists")
-    if not args.input and data["n"] is None:
-        data["n"] = len(data["vectors"][0]) if data["vectors"] else 0
-    return FpMultiset.from_dict(data)
+    vectors = _field(data, "vectors", 2)
+    if not args.input and args.n is None:
+        data["n"] = len(vectors[0]) if vectors else 0
+    p, n = _space(data, args.cap_ring)
+    return FpMultiset.from_coords(p, vectors, n=n)
 
 
 def _split_range(spec: str, cap: int) -> tuple[range, Optional[int]]:
@@ -131,6 +161,8 @@ def _split_range(spec: str, cap: int) -> tuple[range, Optional[int]]:
 
 def _cmd_arithmetic_set(args) -> int:
     r = args.r if args.r is not None else 1
+    if not args.min and (args.small or args.p_range) and r != 1:
+        raise PreconditionError(f"--small searches r = 1 only, got --r {r}")
     if args.p_range:
         cap = config.MIN_ARITHMETIC_P_CAP if args.min else config.RING_SIZE_CAP
         below, above = _split_range(args.p_range, cap)
@@ -189,7 +221,6 @@ def _cmd_vanishing(args) -> int:
         verdict = gr.is_fp_vanishing(V, r, cap=args.cap_ring)
         _emit({"field": "fp", "p": V.p, "n": V.n, "r": r, "vanishing": verdict}, args)
     else:
-        check_ring_cap(V.p, V.n, args.cap_ring)
         witness = gr.is_c_vanishing(V, r)
         payload = {"field": "c", "p": V.p, "n": V.n, "r": r, "vanishing": witness is not None}
         if witness is not None:
@@ -218,19 +249,14 @@ def _cmd_irredundant(args) -> int:
 
 def _cmd_decompose(args) -> int:
     data = _load_json(args.input)
-    p, n = data["p"], data["n"]
-    r = data.get("r", 1)
-    if not all(isinstance(v, int) for v in (p, n, r)) or not _is_ints(data["A"]):
-        raise PreconditionError("p, n and r must be integers and A a list of integers")
-    if not isinstance(data["bases"], list) or not all(_is_rows(b) for b in data["bases"]):
-        raise PreconditionError("bases must be a list of lists of integer coordinate lists")
-    if not _is_rows(data["targets"]):
-        raise PreconditionError("targets must be a list of integer coordinate lists")
-    A = ar.ArithmeticSet.verified(data["A"], r, p)
-    plan = dc.DecompositionPlan(p, n, data["bases"], A, r)
+    p, n = _space(data, None)
+    r, elements = _field(data, "r", default=1), _field(data, "A", 1)
+    bases, targets = _field(data, "bases", 3), _field(data, "targets", 2)
+    A = ar.ArithmeticSet.verified(elements, r, p)
+    plan = dc.DecompositionPlan(p, n, bases, A, r)
     rows = []
-    for target in data["targets"]:
-        w = FpVector(p, tuple(int(c) % p for c in target))
+    for target in targets:
+        w = FpVector(p, tuple(c % p for c in target))
         rep = plan.decompose(w)
         rows.append(
             {
@@ -244,14 +270,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    orders = [int(x) for x in args.factors.split(",")]
-    # refuse a large group before from_orders trial-divides its factors;
-    # a non-positive order is left to from_orders' input error
-    order = math.prod(orders)
     cap = config.GROUP_ORDER_CAP if args.cap_group is None else args.cap_group
-    if order > cap and min(orders) >= 1:
-        raise CapExceededError(f"group order {order} exceeds cap {cap}")
-    group = cv.AbelianGroup.from_orders(orders)
+    group = _group([int(x) for x in args.factors.split(",")], cap)
     if args.maximal:
         if len(set(group.factors)) != 1:
             raise PreconditionError("--maximal requires an elementary abelian group")
@@ -266,13 +286,15 @@ def _cmd_phi(args) -> int:
 def _cmd_covers_check(args) -> int:
     data = _load_json(args.input)
     # each coset is a |G|-bit mask: refuse a large group before any subgroup closure
-    # a non-positive order is left to from_orders' input error
-    orders = [int(m) for m in data["factors"]]
-    order = math.prod(orders)
     cap = config.RING_SIZE_CAP if args.cap_group is None else args.cap_group
-    if order > cap and min(orders) >= 1:
-        raise CapExceededError(f"group order {order} exceeds cap {cap}")
-    cover = cv.CosetCover.from_dict(data)
+    g = _group(_field(data, "factors", 1), cap)
+    items = data.get("cosets")
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise PreconditionError("cosets must be a list of objects")
+    cosets = [(_field(item, "subgroup_gens", 2), _field(item, "rep", 1)) for item in items]
+    cover = cv.CosetCover(
+        g, tuple((g.subgroup([g.encode(c) for c in gens]), g.encode(x)) for gens, x in cosets)
+    )
     payload = {
         "factors": list(cover.group.factors),
         "size": cover.size,
@@ -289,14 +311,19 @@ def _cmd_ajt(args) -> int:
         report = lm.hunt_counterexample(args.p, args.n, args.k, args.trials, seed=args.seed)
         _emit({"counterexample": report}, args)
         return 0
+    if not args.input:
+        raise PreconditionError("supply --input FILE or --hunt")
     data = _load_json(args.input)
-    p, n = data["p"], data["n"]
-    matrices = data["matrices"]
-    X = data.get("X", "nonzero")
-    if X == "nonzero":
+    p, n = _space(data, args.cap_ring)
+    matrices = _field(data, "matrices", 3)
+    if any(len(M) != n or any(len(row) != n for row in M) for M in matrices):
+        raise PreconditionError(f"matrices must be {n}x{n} integer matrices")
+    # reduced here, so an entry past int64 never reaches numpy
+    matrices = [[[c % p for c in row] for row in M] for M in matrices]
+    if data.get("X", "nonzero") == "nonzero":
         S = lm.ChoiceSystem.nonzero(p, matrices)
     else:
-        S = lm.ChoiceSystem(p, matrices, X)
+        S = lm.ChoiceSystem(p, matrices, _field(data, "X", 3))
     witness = lm.find_witness(S, cap=args.cap_ring)
     if witness is not None:
         _emit({"p": p, "n": n, "witness": list(witness.coords)}, args)
@@ -328,17 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact vanishing products over F_p^n, arithmetic sets, "
         "additive-basis decomposition, coset covers, and non-vanishing maps.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # every handler reads `common`; each other option goes only where it is read
+    common, seed, budget, cap_ring, cap_group = (argparse.ArgumentParser(add_help=False) for _ in range(5))
     common.add_argument("--format", choices=("rows", "json-like"), default="json-like")
     common.add_argument("--out", type=str, default=None, help="write the report to a file")
-    common.add_argument("--cap-ring", type=int, default=None, help="max dense table size p^n")
-    common.add_argument("--cap-group", type=int, default=None, help="max group order for cover search")
-    common.add_argument("--budget", type=int, default=None, help="search budget (verifier calls)")
+    seed.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    budget.add_argument("--budget", type=int, default=None, help="search budget (verifier calls)")
+    cap_ring.add_argument("--cap-ring", type=int, default=None, help="max dense table size p^n")
+    cap_group.add_argument("--cap-group", type=int, default=None, help="max group order for cover search")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("arithmetic-set", parents=[common], help="verify or search arithmetic sets")
+    sp = sub.add_parser(
+        "arithmetic-set", parents=[common, seed, budget], help="verify or search arithmetic sets"
+    )
     sp.add_argument("--p", type=int)
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--set", type=str, help='residues, e.g. "1..10" or "0,1,3"')
@@ -348,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_arithmetic_set)
 
     for name, fn in (("vanishing", _cmd_vanishing), ("irredundant", _cmd_irredundant)):
-        sp = sub.add_parser(name, parents=[common])
+        sp = sub.add_parser(name, parents=[common, cap_ring])
         sp.add_argument("--input", type=str, help="multiset JSON file")
         sp.add_argument("--vectors", type=str, help="inline JSON vector list")
         sp.add_argument("--p", type=int, default=None)
@@ -362,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", type=str, required=True, help="JSON: p, n, r, bases, A, targets")
     sp.set_defaults(fn=_cmd_decompose)
 
-    sp = sub.add_parser("phi", parents=[common], help="minimal irredundant trivial-intersection cover")
+    sp = sub.add_parser(
+        "phi", parents=[common, cap_group], help="minimal irredundant trivial-intersection cover"
+    )
     sp.add_argument("--factors", type=str, required=True, help='cyclic orders, e.g. "2,2"')
     sp.add_argument("--maximal", action="store_true", help="maximal-subgroup cosets only")
     sp.set_defaults(fn=_cmd_phi)
@@ -371,11 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     # defaults would overwrite them
     sp = sub.add_parser("covers", help="coset-cover utilities")
     covers_sub = sp.add_subparsers(dest="covers_command", required=True)
-    spc = covers_sub.add_parser("check", parents=[common], help="validate a cover file")
+    spc = covers_sub.add_parser("check", parents=[common, cap_group], help="validate a cover file")
     spc.add_argument("--input", type=str, required=True)
     spc.set_defaults(fn=_cmd_covers_check)
 
-    sp = sub.add_parser("ajt", parents=[common], help="non-vanishing witness search")
+    sp = sub.add_parser("ajt", parents=[common, seed, cap_ring], help="non-vanishing witness search")
     sp.add_argument("--input", type=str, help="JSON: p, n, matrices, X")
     sp.add_argument("--hunt", action="store_true", help="randomized counterexample probe")
     sp.add_argument("--p", type=int, default=5)
@@ -384,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100)
     sp.set_defaults(fn=_cmd_ajt)
 
-    sp = sub.add_parser("acceptance", parents=[common], help="run the acceptance suite")
+    sp = sub.add_parser("acceptance", parents=[common, seed], help="run the acceptance suite")
     sp.add_argument("--only", type=str, default=None, help='criteria numbers, e.g. "1,4,9"')
     sp.set_defaults(fn=_cmd_acceptance)
 

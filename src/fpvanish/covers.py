@@ -16,7 +16,6 @@ from . import config
 from .arithmetic_sets import smallest_arithmetic_size
 from .errors import CapExceededError, InvariantViolationError, PreconditionError
 from .fp_core import (
-    FpMultiset,
     FpVector,
     _rank,
     enumerate_vectors,
@@ -25,7 +24,6 @@ from .fp_core import (
     is_prime,
     shrink_mask_cover,
 )
-from .group_ring import normalize_twists
 
 
 def _factorize(m: int) -> list[tuple[int, int]]:
@@ -270,16 +268,6 @@ class CosetCover:
                 for H, x in self.cosets
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CosetCover":
-        g = AbelianGroup.from_orders(data["factors"])
-        cosets = []
-        for item in data["cosets"]:
-            gens = [g.encode(c) for c in item["subgroup_gens"]]
-            rep = g.encode(item["rep"])
-            cosets.append((g.subgroup(gens), rep))
-        return cls(g, tuple(cosets))
 
 
 def _full_mask(group: AbelianGroup) -> int:
@@ -587,12 +575,6 @@ class HyperplaneCoverInstance:
     def codimension(self) -> int:
         """Rank of the normals: the codimension of the directions' intersection."""
         return _rank(self.p, self.n, [v.coords for v in self.normals])
-
-
-def multiset_to_hyperplane_cover(V: FpMultiset, twists: Sequence[int]) -> HyperplaneCoverInstance:
-    """Translate a twisted multiset to its affine hyperplane family."""
-    t = normalize_twists(V, twists)
-    return HyperplaneCoverInstance(V.p, V.n, V.entries, t)
 
 
 def check_codim_bound(H: HyperplaneCoverInstance, s: int) -> bool:

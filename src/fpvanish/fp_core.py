@@ -94,14 +94,15 @@ def _as_prime(p) -> int:
     return p
 
 
-def ring_size(p: int, n: int) -> int:
-    return p**n
-
-
 def check_ring_cap(p: int, n: int, cap: Optional[int] = None) -> int:
-    """Return p**n, raising CapExceededError above the configured cap."""
+    """Return p**n, raising CapExceededError above the configured cap.
+
+    As p >= 2, every n > cap.bit_length() is past the cap; p**n is not built then.
+    """
     cap = config.RING_SIZE_CAP if cap is None else cap
-    size = ring_size(p, n)
+    if n > cap.bit_length():
+        raise CapExceededError(f"p^n = {p}^{n} exceeds cap {cap}")
+    size = p**n
     if size > cap:
         raise CapExceededError(f"p^n = {p}^{n} = {size} exceeds cap {cap}")
     return size
@@ -197,10 +198,6 @@ class FpMultiset:
 
     def to_dict(self) -> dict:
         return {"p": self.p, "n": self.n, "vectors": [list(v.coords) for v in self.entries]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FpMultiset":
-        return cls.from_coords(data["p"], data["vectors"], n=data["n"])
 
     def __repr__(self) -> str:
         return f"FpMultiset(p={self.p}, n={self.n}, {[list(v.coords) for v in self.entries]})"

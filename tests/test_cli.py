@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import argparse
+import ast
+import copy
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -161,6 +166,14 @@ class TestArithmeticSetCommand:
             assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
         assert cli._parser() is cli._parser()
 
+    @pytest.mark.parametrize("where", [["--p", "13"], ["--p-range", "11:13"]])
+    def test_small_search_takes_r_1_only(self, capsys, where):
+        # the randomized search finds 1-arithmetic sets; it used to print one for any --r
+        code, out, err = run_cli(capsys, "arithmetic-set", *where, "--small", "--r", "3")
+        assert (code, out) == (2, "")
+        assert "--small searches r = 1 only, got --r 3" in err
+        assert run_cli(capsys, "arithmetic-set", *where, "--small", "--r", "1")[0] == 0
+
     def test_determinism(self, capsys):
         a = run_cli(capsys, "arithmetic-set", "--p", "31", "--small", "--seed", "5")
         b = run_cli(capsys, "arithmetic-set", "--p", "31", "--small", "--seed", "5")
@@ -236,6 +249,23 @@ class TestVanishingCommands:
         )
         assert code == 3
         assert "cap" in err
+
+    def test_large_n_hits_the_cap_at_once(self, capsys):
+        # 3^(10^8) has 47 million digits: the cap must not build it
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "vanishing", "--p", "3", "--n", "100000000", "--vectors", "[]")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"cap exceeded: p^n = 3^100000000 exceeds cap {config.RING_SIZE_CAP}\n"
+
+    @pytest.mark.parametrize("field", ["fp", "c"])
+    def test_cap_comes_before_primality(self, field):
+        # 2^89 - 1 is prime and past 3.3e24, where is_prime trial-divides
+        code, out, err = run_fresh(
+            "vanishing", "--field", field, "--p", "618970019642690137449562111", "--vectors", "[[1]]", timeout=30
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("cap exceeded: p^n = 618970019642690137449562111^1") and "Traceback" not in err
 
     @pytest.mark.parametrize("r", ["0", "3"])
     @pytest.mark.parametrize("vectors", ["[[1],[1]]", "[[1],[1],[1]]"])
@@ -490,6 +520,22 @@ class TestAjtCommand:
         assert payload["witness"] is None
         assert len(payload["certificate"]["J"]) == 2
 
+    def test_matrices_must_be_n_by_n(self, capsys, tmp_path):
+        # the file's n used to be printed beside a witness of another length
+        path = tmp_path / "ajt.json"
+        path.write_text(json.dumps({"p": 5, "n": 3, "matrices": [[[1, 0], [0, 1]]]}))
+        code, out, err = run_cli(capsys, "ajt", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: matrices must be 3x3 integer matrices\n"
+
+    def test_cap_comes_before_primality(self, tmp_path):
+        # 2^89 - 1: is_prime trial-divides it, and range(1, p) overflows
+        path = tmp_path / "ajt.json"
+        path.write_text(json.dumps({"p": 618970019642690137449562111, "n": 1, "matrices": [[[1]]]}))
+        code, out, err = run_fresh("ajt", "--input", str(path), timeout=30)
+        assert (code, out) == (3, "")
+        assert err.startswith("cap exceeded: p^n = 618970019642690137449562111^1") and "Traceback" not in err
+
     def test_hunt_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "ajt", "--hunt", "--p", "5", "--n", "2", "--k", "2", "--trials", "5"
@@ -521,8 +567,9 @@ class TestMalformedInput:
                 "bases must be",
             ),
             (["ajt", "--hunt", "--k", "0"], None, "at least one matrix required"),
+            (["ajt"], None, "supply --input FILE or --hunt"),
         ],
-        ids=["vectors_int", "vectors_flat", "vectors_no_p", "input_list", "bases_int", "hunt_k0"],
+        ids=["vectors_int", "vectors_flat", "vectors_no_p", "input_list", "bases_int", "hunt_k0", "ajt_no_input"],
     )
     def test_exits_2_without_traceback(self, capsys, tmp_path, argv, content, message):
         if content is not None:
@@ -532,6 +579,165 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert message in err and "Traceback" not in err
+
+    def test_deep_nesting_exits_2(self, capsys, tmp_path):
+        # json.load recurses once per level of nesting
+        path = tmp_path / "deep.json"
+        path.write_text('{"factors": ' + "[" * 100000 + "]" * 100000 + "}")
+        code, out, err = run_cli(capsys, "covers", "check", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} nests its JSON too deeply\n"
+
+
+# One valid input per file reader and the exact stdout recorded for it.
+MULTISET = {"p": 3, "n": 2, "vectors": [[1, 0], [0, 1], [1, 0], [1, 1], [1, 0], [2, 1]]}
+KLEIN_COVER = {
+    "factors": [2, 2],
+    "cosets": [
+        {"subgroup_gens": [[0, 1]], "rep": [0, 0]},
+        {"subgroup_gens": [[1, 0]], "rep": [0, 1]},
+        {"subgroup_gens": [[1, 1]], "rep": [0, 1]},
+    ],
+}
+AJT_WITNESS = {"p": 5, "n": 2, "matrices": [[[1, 0], [0, 1]], [[1, 1], [0, 1]]], "X": "nonzero"}
+AJT_CERTIFICATE = {"p": 2, "n": 1, "matrices": [[[1]], [[1]]], "X": [[[0]], [[1]]]}
+PINNED_READERS = [
+    (["vanishing"], MULTISET, {"field": "fp", "n": 2, "p": 3, "r": 1, "vanishing": True}),
+    (
+        ["vanishing", "--field", "c"],
+        {"p": 3, "n": 2, "vectors": [[1, 1], [0, 1], [1, 0], [2, 0], [1, 0]]},
+        {"field": "c", "n": 2, "p": 3, "r": 1, "twists": [0, 0, 0, 1, 1], "vanishing": True},
+    ),
+    (
+        ["irredundant"],
+        MULTISET,
+        {"input_size": 6, "kept_size": 3, "n": 2, "p": 3, "r": 1, "vectors": [[1, 0], [1, 0], [1, 0]]},
+    ),
+    (
+        ["covers", "check"],
+        KLEIN_COVER,
+        {"cover": True, "factors": [2, 2], "intersection_index": 4, "irredundant": True, "size": 3},
+    ),
+    (["ajt"], AJT_WITNESS, {"n": 2, "p": 5, "witness": [1, 1]}),
+    (
+        ["ajt"],
+        AJT_CERTIFICATE,
+        {
+            "certificate": {"J": [[0, 0, 1], [1, 0, 0]], "normals": [[1], [1]], "offsets": [1, 0]},
+            "n": 1, "p": 2, "witness": None,
+        },
+    ),
+]
+
+
+class TestReaders:
+    @pytest.mark.parametrize(
+        "argv,data,payload", PINNED_READERS,
+        ids=["vanishing_fp", "vanishing_c", "irredundant", "covers_check", "ajt_witness", "ajt_certificate"],
+    )
+    def test_pinned_output(self, capsys, tmp_path, argv, data, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, *argv, "--input", str(path))
+        assert code == 0
+        assert out == json.dumps({**payload, "version": 1}, sort_keys=True, indent=2) + "\n"
+
+    def test_fuzzed_leaves_exit_cleanly(self, capsys, tmp_path):
+        """Every node of one valid file per reader, replaced by each junk value.
+
+        Exhaustive, so it is the same run every time: no exception may leave
+        main, the exit code is 0, 2 or 3, and no traceback reaches stderr.
+        """
+        junk = [5, -1, 0, 1.5, "x", None, [], [5], [[]], {}, True, [[1.5]], 10**30]
+        files = [
+            (["vanishing"], MULTISET),
+            (["irredundant"], MULTISET),
+            (["decompose"], {"p": 5, "n": 1, "r": 1, "bases": [[[1]], [[2]], [[1]], [[3]], [[1]]],
+                             "A": [1, 2, 3, 4], "targets": [[0], [3]]}),
+            (["covers", "check"], KLEIN_COVER),
+            (["ajt"], AJT_WITNESS),
+            (["ajt"], AJT_CERTIFICATE),
+        ]
+        path = tmp_path / "input.json"
+        failures = []
+        runs = 0
+        for argv, data in files:
+            for where in _node_paths(data):
+                for value in junk:
+                    mutated = copy.deepcopy(data)
+                    node = mutated
+                    for key in where[:-1]:
+                        node = node[key]
+                    node[where[-1]] = value
+                    path.write_text(json.dumps(mutated))
+                    runs += 1
+                    try:
+                        code, _, err = run_cli(capsys, *argv, "--input", str(path))
+                    except BaseException as exc:  # noqa: BLE001  (any escape is the failure)
+                        capsys.readouterr()
+                        failures.append((argv, where, value, type(exc).__name__))
+                        continue
+                    if code not in (0, 2, 3) or "Traceback" in err:
+                        failures.append((argv, where, value, code))
+        assert runs > 1000
+        assert failures == []
+
+
+def _node_paths(node, prefix=()):
+    """Key paths of every node of a JSON value below the root, leaves included."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _subcommands(parser):
+    """Name -> parser of every leaf subcommand ("covers check" for nested ones)."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sp in action.choices.items():
+                inner = _subcommands(sp)
+                out.update({f"{name} {k}": v for k, v in inner.items()} if inner else {name: sp})
+    return out
+
+
+def _reads(fn):
+    """Attributes of `args` that fn reads, following the cli helpers it passes `args` to."""
+    names = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if any(isinstance(a, ast.Name) and a.id == "args" for a in node.args):
+                names |= _reads(getattr(cli, node.func.id))
+    return names
+
+
+class TestOptions:
+    def test_each_subcommand_takes_the_options_its_handler_reads(self):
+        parsers = _subcommands(cli.build_parser())
+        assert len(parsers) == 8
+        for name, sp in parsers.items():
+            options = {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
+            assert options == _reads(sp.get_default("fn")), name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--input", "x.json", "--cap-ring", "1"],
+            ["acceptance", "--budget", "1", "--cap-group", "1"],
+            ["phi", "--factors", "2,2", "--seed", "1"],
+            ["vanishing", "--vectors", "[[1]]", "--p", "3", "--cap-group", "1"],
+        ],
+    )
+    def test_unread_option_is_a_usage_error(self, capsys, argv):
+        # an option the handler does not read is refused, not dropped
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "unrecognized arguments" in captured.err
 
 
 class TestOutputModes:

