@@ -3,8 +3,11 @@
 Group-ring tables index F_p^n along one group axis by the canonical
 mixed-radix encoding (coordinate 0 most significant), so "subtract the
 constant vector v" is a cyclic shift by v over the (p,)*n view of that axis:
-two slice copies per coordinate with v_i != 0 mod p.  F_p tables are that
-axis alone.  Z[w] tables are coefficient-major, of shape
+two slice copies per coordinate with v_i != 0 mod p.  The slices of a
+shift depend only on the table's shape, the axis and v, so they are built
+once per shift and kept in a small cache.  F_p tables are that axis alone;
+fp_binomial_power takes and returns them as int64 residues in [0, p).
+Z[w] tables are coefficient-major, of shape
 (p-1, p^n, *batch): the power basis w^0..w^(p-2) comes first, so multiplying
 by w^t moves whole planes.  The arithmetic-set kernels check subset masks of
 F_p against the verifier's progression conditions, one mask or a batch at
@@ -20,6 +23,34 @@ from itertools import combinations, islice
 import numpy as np
 
 
+@lru_cache(maxsize=64)
+def _roll_plan(
+    shape: tuple[int, ...], axis: int, dims: tuple[int, ...], v: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple] | None:
+    """The (p,)*n view shape of `shape` and, per pass, the (destination,
+    source) index blocks of _rolled's copies; None when v is 0 mod dims.
+
+    The plan depends only on shapes and v, never on strides, so views and
+    contiguous tables share entries.  The descent and the binomial products
+    repeat a few shifts many times: with 64 entries (a few kB each) about
+    four lookups in five hit, and more entries buy little for their memory.
+    """
+    moves = [(axis + i, c % q) for i, (c, q) in enumerate(zip(v, dims, strict=True)) if c % q]
+    if not moves:
+        return None
+    passes = []
+    for k in range(0, len(moves), 2):
+        blocks = [((), ())]
+        done = 0
+        for ax, c in moves[k : k + 2]:
+            gap = (slice(None),) * (ax - done)
+            halves = ((slice(c, None), slice(None, -c)), (slice(None, c), slice(-c, None)))
+            blocks = [(to + gap + (d,), frm + gap + (f,)) for to, frm in blocks for d, f in halves]
+            done = ax + 1
+        passes.append(tuple(blocks))
+    return shape[:axis] + dims + shape[axis + 1 :], tuple(passes)
+
+
 def _rolled(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...], axis: int = 0) -> np.ndarray:
     """Table of y -> table[y - v] for the group on axis `axis`; other axes are untouched.
 
@@ -30,29 +61,21 @@ def _rolled(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...], axis: 
     One pass needs no scratch table: on a batched twist slice a second live
     table costs more in fresh pages than the copies it would save.  More
     passes alternate between the result and one scratch table, so that the
-    last lands in the result.
+    last lands in the result.  The blocks come from _roll_plan's cache.
     """
-    moves = [(axis + i, c % q) for i, (c, q) in enumerate(zip(v, dims, strict=True)) if c % q]
-    if not moves:
+    plan = _roll_plan(table.shape, axis, dims, tuple(v))
+    if plan is None:
         return table.copy()
-    shape = table.shape
-    src = table.reshape(shape[:axis] + dims + shape[axis + 1 :])
+    view, passes = plan
+    src = table.reshape(view)
     out = np.empty_like(src)
-    passes = [moves[k : k + 2] for k in range(0, len(moves), 2)]
     bufs = (out, np.empty_like(src)) if len(passes) > 1 else (out,)
-    for k, pair in enumerate(passes):
+    for k, blocks in enumerate(passes):
         dst = bufs[(len(passes) - 1 - k) % 2]
-        blocks = [((), ())]  # (destination, source) index tuples
-        done = 0
-        for ax, c in pair:
-            gap = (slice(None),) * (ax - done)
-            halves = ((slice(c, None), slice(None, -c)), (slice(None, c), slice(-c, None)))
-            blocks = [(to + gap + (d,), frm + gap + (f,)) for to, frm in blocks for d, f in halves]
-            done = ax + 1
         for to, frm in blocks:
             dst[to] = src[frm]
         src = dst
-    return out.reshape(shape)
+    return out.reshape(table.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +83,19 @@ def _rolled(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...], axis: 
 
 
 def fp_binomial_power(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...], r: int, p: int) -> np.ndarray:
-    """Multiply a dense F_p[F_p^n] table by (1 - g^v)^r. Returns a new table."""
+    """Multiply a dense F_p[F_p^n] table by (1 - g^v)^r. Returns a new table.
+
+    `table` must be an int64 table of residues in [0, p): then cur - shifted
+    lies in (-p, p), and adding p where the sign bit is set (x >> 63 is -1
+    there, 0 elsewhere) folds it back into [0, p), several times cheaper than
+    np.remainder on mixed signs.  The kernel's outputs are residues again.
+    """
     cur = table
     for _ in range(r):
         shifted = _rolled(cur, dims, v)
         np.subtract(cur, shifted, out=shifted)
-        cur = np.remainder(shifted, p, out=shifted)
+        shifted += (shifted >> 63) & p
+        cur = shifted
     return cur
 
 

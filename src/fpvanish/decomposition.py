@@ -106,11 +106,17 @@ def find_epsilon_relation(
     sum(eps_v b_v v) over the processed entries with eps in [-r, r], then
     tests eps_w b_w w for eps_w = 1..r and backtracks one witness, in the
     preference order 0, 1, -1, ..., r, -r, on coordinate tuples that index
-    the levels' (p,)*n views.  The caller certifies that V is irredundant
-    for exponent r; if so a relation is guaranteed to exist, and failure
-    certifies the precondition was violated.  The relation is re-checked by
-    summing it over the rows; a relation that does not balance raises
-    InvariantViolationError.
+    the levels' (p,)*n views.  The DP stops at the first level that holds
+    the eps_w = 1 target b_w w and backtracks from there; only if no level
+    holds it does every level run, and the least eps_w reached is taken.
+    The relation is the one the full DP gives: levels only grow, since
+    eps = 0 is allowed, so every later level holds the target and the
+    backtrack, which tries 0 first, sets eps = 0 on all of their entries.
+
+    The caller certifies that V is irredundant for exponent r; if so a
+    relation is guaranteed to exist, and failure certifies the precondition
+    was violated.  The relation is re-checked by summing it over the rows; a
+    relation that does not balance raises InvariantViolationError.
     """
     if not 0 <= w_index < len(rows):
         raise ValueError("w_index out of range")
@@ -124,10 +130,13 @@ def find_epsilon_relation(
         return tuple(c * a % p for a in coords)
 
     steps = [(j, scaled(row, bb[j])) for j, row in enumerate(rows) if j != w_index]
+    first = scaled(rows[w_index], bb[w_index])  # the eps_w = 1 target
     reach = np.zeros(p**n, dtype=np.uint8)
     reach[0] = 1
     levels = [reach.reshape(dims)]
     for _, sv in steps:
+        if levels[-1][first]:
+            break
         reach = _kernels.reach_expand(reach, dims, sv, r, p)
         levels.append(reach.reshape(dims))
 
@@ -147,7 +156,7 @@ def find_epsilon_relation(
     eps = [0] * len(rows)
     cur = target
     pref = _epsilon_preference(r)
-    for lvl in range(len(steps) - 1, -1, -1):
+    for lvl in range(len(levels) - 2, -1, -1):
         j, sv = steps[lvl]
         for e in pref:
             cand = tuple((a - e * s) % p for a, s in zip(cur, sv))

@@ -98,13 +98,17 @@ def check_ring_cap(p: int, n: int, cap: Optional[int] = None) -> int:
     """Return p**n, raising CapExceededError above the configured cap.
 
     As p >= 2, every n > cap.bit_length() is past the cap; p**n is not built then.
+    The message names p**n only when it has no more bits than p and the cap
+    together: a longer p**n can have more digits than Python converts to a
+    string.
     """
     cap = config.RING_SIZE_CAP if cap is None else cap
     if n > cap.bit_length():
         raise CapExceededError(f"p^n = {p}^{n} exceeds cap {cap}")
     size = p**n
     if size > cap:
-        raise CapExceededError(f"p^n = {p}^{n} = {size} exceeds cap {cap}")
+        shown = f" = {size}" if size.bit_length() <= p.bit_length() + cap.bit_length() else ""
+        raise CapExceededError(f"p^n = {p}^{n}{shown} exceeds cap {cap}")
     return size
 
 

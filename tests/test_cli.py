@@ -213,6 +213,15 @@ class TestVanishingCommands:
         assert out == ""
         assert err == "cap exceeded: p^n = 3^3 = 27 exceeds cap 10\n"
 
+    def test_cap_message_does_not_print_a_huge_p_to_the_n(self, capsys, tmp_path):
+        # (10^200 + 1)^24 has 4,801 digits, past Python's int-to-str limit;
+        # n = 24 is within the default cap's bit length, so p^n is built
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"p": 10**200 + 1, "n": 24, "vectors": []}))
+        code, out, err = run_cli(capsys, "vanishing", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"cap exceeded: p^n = {10**200 + 1}^24 exceeds cap 10000000\n"
+
     def test_irredundant_cap_ring_raised(self, capsys, monkeypatch):
         monkeypatch.setattr(config, "RING_SIZE_CAP", 4)
         code, out, _ = run_cli(
@@ -343,6 +352,87 @@ PINNED_DECOMPOSE = [
 ]
 
 
+# decompose inputs at the shapes where the relation search runs the most
+# reachability levels: F_7^5, F_5^6 and F_13^3 with r = 1 over a least
+# arithmetic set, F_11^4 with r = 4 over F_11^*.  Bases and targets were drawn
+# with numpy default_rng(71), (56), (133), (114); every target needs at least
+# one descent step.  Rows are (coefficients, descent_steps) as above.
+PINNED_DECOMPOSE_LARGE = [
+    (
+        {"p": 7, "n": 5, "r": 1, "A": [0, 1, 2, 3, 4],
+         "bases": [
+             [[6, 1, 3, 3, 3], [5, 2, 4, 4, 1], [0, 0, 6, 3, 3], [1, 1, 4, 2, 0], [4, 5, 0, 2, 1]],
+             [[2, 3, 4, 2, 6], [3, 1, 5, 3, 6], [6, 2, 1, 6, 1], [0, 2, 1, 1, 6], [4, 1, 2, 1, 6]],
+             [[0, 3, 3, 2, 0], [5, 5, 6, 6, 3], [5, 3, 0, 4, 1], [3, 6, 4, 1, 1], [6, 5, 4, 4, 4]],
+             [[6, 0, 6, 5, 1], [4, 6, 2, 1, 5], [4, 5, 5, 5, 3], [3, 6, 1, 3, 6], [1, 6, 0, 2, 5]],
+             [[4, 3, 5, 6, 3], [2, 0, 4, 2, 4], [5, 0, 5, 3, 5], [5, 2, 1, 2, 4], [3, 5, 1, 0, 2]],
+             [[4, 0, 0, 2, 2], [6, 1, 0, 4, 3], [0, 4, 6, 1, 2], [2, 6, 2, 1, 1], [1, 2, 0, 4, 1]],
+             [[1, 0, 2, 3, 5], [2, 2, 6, 4, 5], [3, 2, 4, 1, 2], [3, 1, 6, 4, 0], [4, 4, 6, 1, 1]],
+         ],
+         "targets": [[6, 5, 2, 6, 0], [6, 0, 3, 1, 5], [6, 0, 5, 6, 0]]},
+        [
+            ([0, 0, 0, 0, 0, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 4, 0, 4, 0], 2),
+            ([0, 0, 0, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 3, 1, 0, 2, 0, 4, 0], 1),
+            ([0, 0, 0, 4, 0, 2, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 3, 2, 4, 0, 1, 0], 2),
+        ],
+    ),
+    (
+        {"p": 5, "n": 6, "r": 1, "A": [0, 1, 2, 3],
+         "bases": [
+             [[2, 1, 1, 3, 1, 1], [3, 2, 4, 2, 3, 1], [4, 3, 0, 3, 1, 2], [2, 3, 4, 4, 1, 4], [3, 4, 3, 2, 0, 2], [0, 4, 0, 0, 1, 2]],
+             [[3, 3, 2, 1, 4, 2], [1, 3, 0, 2, 2, 1], [3, 0, 2, 4, 2, 2], [1, 2, 0, 3, 2, 3], [4, 3, 2, 2, 0, 2], [2, 4, 4, 1, 0, 1]],
+             [[1, 1, 2, 1, 3, 4], [3, 2, 4, 4, 0, 1], [3, 1, 3, 0, 0, 4], [4, 3, 0, 2, 0, 3], [0, 0, 4, 3, 3, 3], [1, 0, 4, 2, 2, 1]],
+             [[4, 4, 1, 3, 0, 0], [0, 4, 2, 2, 0, 4], [1, 3, 1, 2, 0, 1], [0, 3, 4, 0, 1, 2], [3, 2, 3, 1, 4, 1], [1, 1, 0, 2, 1, 1]],
+             [[2, 4, 4, 0, 3, 4], [2, 1, 1, 0, 4, 3], [2, 3, 4, 4, 2, 1], [4, 2, 2, 4, 4, 1], [0, 1, 4, 0, 2, 1], [3, 2, 1, 0, 1, 2]],
+         ],
+         "targets": [[3, 0, 4, 0, 0, 1], [2, 1, 2, 2, 3, 4], [3, 2, 4, 1, 2, 4]]},
+        [
+            ([2, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 0], 1),
+            ([1, 0, 0, 1, 0, 0, 0, 1, 0, 2, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 3, 0, 2, 0, 0, 0], 2),
+            ([0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 3, 0, 0, 0], 1),
+        ],
+    ),
+    (
+        {"p": 13, "n": 3, "r": 1, "A": [0, 1, 2, 3, 5, 8],
+         "bases": [
+             [[6, 12, 0], [6, 3, 4], [10, 7, 9]],
+             [[7, 4, 3], [6, 10, 9], [11, 10, 7]],
+             [[3, 7, 7], [9, 9, 8], [0, 2, 10]],
+             [[8, 10, 2], [7, 6, 1], [10, 7, 3]],
+             [[1, 1, 9], [8, 5, 11], [5, 9, 0]],
+             [[3, 2, 4], [8, 7, 9], [9, 1, 2]],
+             [[12, 1, 0], [10, 9, 10], [8, 9, 5]],
+             [[2, 3, 0], [9, 7, 3], [6, 4, 10]],
+             [[3, 0, 3], [10, 1, 6], [8, 4, 4]],
+             [[12, 12, 8], [1, 7, 2], [10, 4, 0]],
+             [[6, 11, 8], [3, 3, 3], [8, 8, 10]],
+             [[10, 3, 10], [1, 0, 3], [2, 2, 11]],
+             [[9, 11, 7], [7, 0, 10], [8, 11, 1]],
+         ],
+         "targets": [[9, 11, 1], [12, 6, 11], [3, 10, 2]]},
+        [
+            ([0, 8, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 3, 0, 0, 0], 2),
+            ([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 8, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 5, 0, 0, 0], 1),
+            ([0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 5, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0], 2),
+        ],
+    ),
+    (
+        {"p": 11, "n": 4, "r": 4, "A": list(range(1, 11)),
+         "bases": [
+             [[1, 8, 9, 1], [0, 4, 4, 7], [9, 6, 4, 7], [6, 4, 3, 5]],
+             [[0, 9, 7, 1], [4, 1, 1, 0], [8, 6, 7, 1], [0, 3, 2, 10]],
+             [[7, 9, 3, 0], [4, 10, 0, 4], [4, 5, 6, 9], [2, 4, 8, 1]],
+         ],
+         "targets": [[2, 2, 3, 3], [8, 5, 6, 0], [7, 0, 6, 8]]},
+        [
+            ([10, 1, 1, 1, 6, 2, 1, 1, 1, 3, 1, 2], 5),
+            ([6, 1, 1, 10, 3, 2, 1, 1, 1, 1, 2, 4], 5),
+            ([6, 1, 1, 1, 1, 10, 1, 1, 1, 1, 6, 1], 6),
+        ],
+    ),
+]
+
+
 class TestDecomposeCommand:
     def test_fixture(self, capsys, tmp_path):
         path = tmp_path / "dec.json"
@@ -365,7 +455,11 @@ class TestDecomposeCommand:
         for row in payload["results"]:
             assert all(c in {1, 2, 3, 4} for c in row["coefficients"])
 
-    @pytest.mark.parametrize("data,rows", PINNED_DECOMPOSE, ids=["p5n3", "p7n2", "p11n2r4", "p5n2two_levels"])
+    @pytest.mark.parametrize(
+        "data,rows",
+        PINNED_DECOMPOSE + PINNED_DECOMPOSE_LARGE,
+        ids=["p5n3", "p7n2", "p11n2r4", "p5n2two_levels", "p7n5", "p5n6", "p13n3", "p11n4r4"],
+    )
     def test_pinned_output(self, capsys, tmp_path, data, rows):
         path = tmp_path / "dec.json"
         path.write_text(json.dumps(data))

@@ -90,12 +90,10 @@ class TestEpsilonRelation:
             assert not any(_balance(p, rows, b, w, eps_w, eps))
 
 
-def _reference_relation(V, r, b, w_index):
-    """The set-based reachability backtrack: (eps_w, eps).
-
-    Level sets are plain sets of coordinate tuples; the backtrack tries eps
-    in the order 0, 1, -1, ..., r, -r, as the descent must.
-    """
+def _reference_levels(V, r, b, w_index):
+    """Every reachability level of the relation search, as plain sets of
+    coordinate tuples, with the scaled steps and the eps_w targets b_w w,
+    2 b_w w, ..., r b_w w."""
     p, n = V.p, V.n
     bb = [int(x) % p for x in b]
     rows = [v.coords for v in V.entries]
@@ -103,9 +101,20 @@ def _reference_relation(V, r, b, w_index):
     levels = [{(0,) * n}]
     for _, sv in steps:
         levels.append({ref.combination(p, [1, e], [x, sv]) for x in levels[-1] for e in range(-r, r + 1)})
-    w_row = rows[w_index]
-    eps_w = next(c for c in range(1, r + 1) if ref.combination(p, [c * bb[w_index]], [w_row]) in levels[-1])
-    cur = ref.combination(p, [eps_w * bb[w_index]], [w_row])
+    targets = [ref.combination(p, [c * bb[w_index]], [rows[w_index]]) for c in range(1, r + 1)]
+    return steps, levels, targets
+
+
+def _reference_relation(V, r, b, w_index):
+    """The set-based reachability backtrack over every level: (eps_w, eps).
+
+    The backtrack tries eps in the order 0, 1, -1, ..., r, -r, as the
+    descent must.
+    """
+    p = V.p
+    steps, levels, targets = _reference_levels(V, r, b, w_index)
+    eps_w = next(c for c, t in enumerate(targets, 1) if t in levels[-1])
+    cur = targets[eps_w - 1]
     pref = [0] + [s * k for k in range(1, r + 1) for s in (1, -1)]
     eps = [0] * V.size
     for lvl in range(len(steps) - 1, -1, -1):
@@ -131,7 +140,8 @@ class TestDescentAgainstReference:
 
     @pytest.mark.parametrize("p,r", [(p, r) for p in (5, 7, 11, 13) for r in (1, 2, 4) if r < p])
     def test_relations_match(self, rng, p, r):
-        for n in (1, 2):
+        # n = 3 only for p <= 7: the set-based reference takes ~1 s a relation at p = 13
+        for n in (1, 2, 3) if p <= 7 else (1, 2):
             for V in (seeded_irredundant(rng, p, n, r), _repeated_irredundant(rng, p, n, r)):
                 for w in {0, V.size - 1, int(rng.integers(V.size))}:
                     b = [int(x) for x in rng.integers(1, p, size=V.size)]
@@ -147,6 +157,64 @@ class TestDescentAgainstReference:
         coeffs[int(rng.integers(V.size))] += 1
         with pytest.raises(InvariantViolationError):
             dc.Representation(x, V, tuple(coeffs))
+
+
+def _counting_reach_expand(monkeypatch) -> list[int]:
+    """Count the calls into the reachability kernel; returns the counter."""
+    calls = [0]
+    expand = dc._kernels.reach_expand
+
+    def counted(*args):
+        calls[0] += 1
+        return expand(*args)
+
+    monkeypatch.setattr(dc._kernels, "reach_expand", counted)
+    return calls
+
+
+class TestEarlyStop:
+    """The relation search runs levels only until one holds the eps_w = 1 target."""
+
+    def test_stops_at_the_first_level_holding_the_target(self, monkeypatch):
+        # F_5^2, w = (1, 1): level 2 holds (1, 0) + (0, 1); the last three
+        # entries are never expanded, and their eps stay 0
+        V = FpMultiset.from_coords(5, [(1, 1), (1, 0), (0, 1), (1, 2), (2, 1), (3, 3)])
+        calls = _counting_reach_expand(monkeypatch)
+        relation = dc.find_epsilon_relation(5, _rows(V), 1, [1] * 6, 0)
+        assert calls[0] == 2
+        assert relation == (1, (0, 1, 1, 0, 0, 0)) == _reference_relation(V, 1, [1] * 6, 0)
+
+    def test_level_count_matches_the_reference(self, monkeypatch, rng):
+        calls = _counting_reach_expand(monkeypatch)
+        early = 0
+        for p, n in ((5, 1), (5, 2), (7, 2), (5, 3)):
+            for _ in range(4):
+                V = seeded_irredundant(rng, p, n)
+                b = [int(x) for x in rng.integers(1, p, size=V.size)]
+                w = int(rng.integers(V.size))
+                _, levels, targets = _reference_levels(V, 1, b, w)
+                k = next(k for k, level in enumerate(levels) if targets[0] in level)
+                calls[0] = 0
+                assert dc.find_epsilon_relation(p, _rows(V), 1, b, w) == _reference_relation(V, 1, b, w)
+                assert calls[0] == k
+                early += k < V.size - 1
+        assert early  # some relation stops before the last level
+
+    def test_unreachable_first_target_runs_every_level(self, monkeypatch):
+        # r = 2 in F_7^2: draw three entries until b_w w is in no level but a
+        # larger multiple of it is; then every level runs and eps_w >= 2
+        rng = np.random.default_rng(7)
+        calls = _counting_reach_expand(monkeypatch)
+        while True:
+            V = random_multiset(rng, 7, 2, 3, nonzero=True)
+            b = [int(x) for x in rng.integers(1, 7, size=3)]
+            _, levels, targets = _reference_levels(V, 2, b, 0)
+            if targets[0] not in levels[-1] and targets[1] in levels[-1]:
+                break
+        eps_w, eps = dc.find_epsilon_relation(7, _rows(V), 2, b, 0)
+        assert calls[0] == 2
+        assert eps_w == 2
+        assert (eps_w, eps) == _reference_relation(V, 2, b, 0)
 
 
 class TestRepresentInSet:

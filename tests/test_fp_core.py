@@ -154,6 +154,11 @@ class TestRingCap:
         with pytest.raises(CapExceededError, match=rf"^p\^n = 2\^{n}( = \d+)? exceeds cap 10$"):
             fc.check_ring_cap(2, n, 10)
 
+    def test_huge_size_is_not_named(self):
+        # 1,000,003^3 has 60 bits, more than p's 20 and cap 10's 4 together
+        with pytest.raises(CapExceededError, match=r"^p\^n = 1000003\^3 exceeds cap 10$"):
+            fc.check_ring_cap(1000003, 3, 10)
+
 
 class TestSerialization:
     def test_roundtrip(self):

@@ -76,6 +76,30 @@ class TestRolled:
         for v in _shifts(rng, p, n):
             self._check(table, (p,) * n, v, 1)
 
+    @pytest.mark.parametrize("p,n,k", [(2, 3, 1), (3, 2, 2), (5, 2, 1), (7, 1, 2)])
+    def test_one_shift_on_every_layout(self, rng, p, n, k):
+        # one v on a (p^n,) table, a (p-1, p^n) table at axis 1 and a batched
+        # (p-1, p^n, p^k) table: the slice plans are keyed by shape and axis
+        dims = (p,) * n
+        v = tuple(int(c) for c in rng.integers(1, p, size=n))
+        for axis, shape in ((0, (p**n,)), (1, (p - 1, p**n)), (1, (p - 1, p**n, p**k))):
+            for _ in range(2):  # the second call reads the cached plan
+                self._check(rng.integers(0, 50, size=shape), dims, v, axis)
+
+    def test_views_and_evicted_plans(self, rng):
+        # more distinct shifts than the plan cache holds, each on a contiguous
+        # table and on a strided view of the same shape, then the first again
+        p, n = 5, 3
+        dims = (p,) * n
+        shifts = [tuple(int(c) for c in rng.integers(0, p, size=n)) for _ in range(100)]
+        assert len(set(shifts)) > 64
+        base = rng.integers(0, 50, size=(2 * (p - 1), p**n, 2))
+        for v in shifts + shifts[:10]:
+            self._check(np.ascontiguousarray(base[::2]), dims, v, 1)
+            view = base[::2]
+            assert not view.flags.c_contiguous
+            self._check(view, dims, v, 1)
+
 
 class TestFpBinomialPower:
     @pytest.mark.parametrize("p,n,r", [(2, 2, 1), (3, 2, 2), (5, 1, 1), (5, 2, 3)])
@@ -87,6 +111,22 @@ class TestFpBinomialPower:
             want = ref.fp_mul(want, ref.fp_binomial(p, n, v.coords), p, n)
         got = K.fp_binomial_power(a, (p,) * n, v.coords, r, p)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1)])
+    def test_residue_edges_up_to_r_p_minus_1(self, rng, p, n):
+        # residues 0 and p - 1 make cur - shifted reach -(p - 1) and p - 1,
+        # the ends of the range the sign fold maps back into [0, p)
+        a = rng.choice(np.array([0, p - 1], dtype=np.int64), size=p**n)
+        a[0], a[-1] = 0, p - 1
+        v = _random_vector(rng, p, n)
+        if not any(v.coords):
+            v = FpVector(p, (1,) + v.coords[1:])
+        want = a
+        for r in range(1, p):
+            want = ref.fp_mul(want, ref.fp_binomial(p, n, v.coords), p, n)
+            got = K.fp_binomial_power(a, (p,) * n, v.coords, r, p)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), r
 
 
 def _power(a, p: int, n: int, v: FpVector, t: int, r: int) -> list:
