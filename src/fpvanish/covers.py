@@ -2,8 +2,11 @@
 
 Groups are direct sums of prime-power cyclic factors with elements encoded
 as mixed-radix indices (coordinate 0 most significant), matching the dense
-encoding used for F_p^n elsewhere.  Cover computations are bitmask-based:
-groups at the searchable cap (order <= 32) fit in one machine word.
+encoding used for F_p^n elsewhere.  Every set of elements (a subgroup, a
+coset, a cover's union) is a |G|-bit Python int: a few bits at the search
+caps (order <= 16 for phi, 32 for the subgroup lattice), and up to 10^7 bits
+for a checked cover file.  Translating a mask by x rotates it block-wise, one
+rotation per cyclic factor, without visiting its elements one at a time.
 """
 
 from __future__ import annotations
@@ -43,8 +46,25 @@ def _factorize(m: int) -> list[tuple[int, int]]:
     return out
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of a mask, ascending, in time linear in its width."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def _low_bit(mask: int) -> int:
+    """Position of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 class AbelianGroup:
-    """A finite abelian group as a direct sum of prime-power cyclic factors."""
+    """A finite abelian group as a direct sum of prime-power cyclic factors.
+
+    A set of elements is a |G|-bit mask.  Element x has coordinate
+    (x // w_i) % d_i on factor i, where the weight w_i is the product of the
+    later factors, so the +1 steps of factor i move a bit by w_i inside a
+    block of d_i * w_i bits: translating a mask is one block rotation per
+    cyclic factor.
+    """
 
     def __init__(self, factors: Sequence[int]):
         fs = tuple(int(d) for d in factors)
@@ -58,8 +78,14 @@ class AbelianGroup:
         fs = tuple(d for d in fs if d > 1) or (1,)
         self.factors = fs
         self.order = 1
-        for d in fs:
+        weights = []
+        for d in reversed(fs):
+            weights.append(self.order)
             self.order *= d
+        self._digits = tuple(zip(fs, reversed(weights)))
+        self.full_mask = (1 << self.order) - 1
+        # the mask of each factor's block starts (bits 0, B, 2B, ... for B = d * w), built on first use
+        self._starts: list[Optional[int]] = [None] * len(fs)
         self._subgroups: Optional[list[Subgroup]] = None
 
     @classmethod
@@ -101,8 +127,11 @@ class AbelianGroup:
         return tuple(reversed(out))
 
     def add(self, a: int, b: int) -> int:
-        ca, cb = self.decode(a), self.decode(b)
-        return self.encode(tuple(x + y for x, y in zip(ca, cb)))
+        out = 0
+        for d, w in self._digits:
+            s = a // w % d + b // w % d
+            out += (s - d if s >= d else s) * w
+        return out
 
     def elements(self) -> range:
         return range(self.order)
@@ -110,40 +139,69 @@ class AbelianGroup:
     def prime_divisors(self) -> list[int]:
         return sorted({_factorize(d)[0][0] for d in self.factors if d > 1})
 
+    # -- masks ----------------------------------------------------------------
+
+    def _block_starts(self, i: int) -> int:
+        starts = self._starts[i]
+        if starts is None:
+            d, w = self._digits[i]
+            starts, width = 1, d * w
+            while width < self.order:
+                starts |= starts << width
+                width <<= 1
+            starts &= self.full_mask
+            self._starts[i] = starts
+        return starts
+
+    def translate(self, mask: int, x: int) -> int:
+        """The mask of {e + x : e in mask}: per factor, rotate each block by x's coordinate."""
+        for i, (d, w) in enumerate(self._digits):
+            s = x // w % d
+            if s:
+                up = s * w
+                starts = self._block_starts(i)
+                keep = (starts << (d * w - up)) - starts  # the low d*w - up bits of every block
+                mask = ((mask & keep) << up) | ((mask & ~keep) >> (d * w - up))
+        return mask
+
     # -- subgroup lattice ----------------------------------------------------
 
-    def _join(self, H: frozenset[int], g: int) -> frozenset[int]:
-        """H + <g>: the cosets H + k*g for k = 0, 1, ... until k*g lands in H."""
-        elems = set(H)
-        x = g
-        while x not in H:
-            elems.update(self.add(h, x) for h in H)
-            x = self.add(x, g)
-        return frozenset(elems)
+    def _join(self, H: int, g: int) -> int:
+        """H + <g> as a mask, doubling k = 1, 2, 4, ...: while kg is not in
+        A = H + {0, g, ..., (k-1)g}, A + kg is k new cosets of H, and once
+        it is, A is the join."""
+        step = g
+        while not (H >> step) & 1:
+            H |= self.translate(H, step)
+            step = self.add(step, step)
+        return H
 
     def subgroup(self, gens: Sequence[int]) -> "Subgroup":
-        return Subgroup(self, reduce(self._join, gens, frozenset({0})))
+        return Subgroup._of_mask(self, reduce(self._join, gens, 1))
 
     def subgroups(self) -> list["Subgroup"]:
-        """Every subgroup, by joins H + <g> from the trivial one; canonical order."""
+        """Every subgroup, by joins H + <g> from the trivial one, one g per
+        coset of H (the join depends only on the coset); canonical order."""
         if self._subgroups is not None:
             return self._subgroups
         if self.order > config.GROUP_ORDER_CAP_PRUNED:
             raise CapExceededError(
                 f"subgroup enumeration capped at order {config.GROUP_ORDER_CAP_PRUNED}"
             )
-        found: dict[frozenset[int], None] = {frozenset({0}): None}
-        queue = [frozenset({0})]
+        full = self.full_mask
+        found: dict[int, None] = {1: None}
+        queue = [1]
         while queue:
             H = queue.pop()
-            for g in self.elements():
-                if g in H:
-                    continue
+            covered = H
+            while covered != full:
+                g = _low_bit(~covered)
+                covered |= self.translate(H, g)
                 K = self._join(H, g)
                 if K not in found:
                     found[K] = None
                     queue.append(K)
-        subs = [Subgroup(self, els) for els in found]
+        subs = [Subgroup._of_mask(self, m) for m in found]
         subs.sort(key=lambda s: (s.order, s.key))
         self._subgroups = subs
         return subs
@@ -154,13 +212,10 @@ class AbelianGroup:
 
     def frattini(self) -> "Subgroup":
         """Intersection of all maximal subgroups (the whole group if none)."""
-        maxes = self.maximal_subgroups()
-        if not maxes:
-            return Subgroup(self, frozenset(self.elements()))
-        elems = frozenset(self.elements())
-        for H in maxes:
-            elems &= H.elements
-        return Subgroup(self, elems)
+        mask = self.full_mask
+        for H in self.maximal_subgroups():
+            mask &= H.mask
+        return Subgroup._of_mask(self, mask)
 
     def __repr__(self) -> str:
         if self.order == 1:
@@ -169,36 +224,55 @@ class AbelianGroup:
 
 
 class Subgroup:
-    """A subgroup given by its (cached) element set; canonical by that set."""
+    """A subgroup given by its |G|-bit mask; canonical by that mask."""
 
-    __slots__ = ("group", "elements", "_gens", "_mask_cache")
+    __slots__ = ("group", "mask", "_key", "_gens", "_mask_cache")
 
     def __init__(self, group: AbelianGroup, elements: frozenset[int]):
-        self.group = group
-        self.elements = frozenset(elements)
-        if 0 not in self.elements:
+        buf = bytearray((group.order + 7) // 8)
+        for e in elements:
+            buf[e >> 3] |= 1 << (e & 7)
+        self._set(group, int.from_bytes(buf, "little"))
+
+    @classmethod
+    def _of_mask(cls, group: AbelianGroup, mask: int) -> "Subgroup":
+        H = cls.__new__(cls)
+        H._set(group, mask)
+        return H
+
+    def _set(self, group: AbelianGroup, mask: int) -> None:
+        if not mask & 1:
             raise ValueError("a subgroup must contain the identity")
+        self.group = group
+        self.mask = mask
+        self._key: Optional[tuple[int, ...]] = None
         self._gens: Optional[tuple[int, ...]] = None
         self._mask_cache: dict[int, int] = {}
 
     @property
+    def elements(self) -> frozenset[int]:
+        return frozenset(self.key)
+
+    @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.mask.bit_count()
 
     @property
     def key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.elements))
+        if self._key is None:
+            self._key = tuple(_bits(self.mask))
+        return self._key
 
     @property
     def generators(self) -> tuple[int, ...]:
         """Greedy minimal generating set over ascending element order."""
         if self._gens is None:
             gens: list[int] = []
-            span = frozenset({0})
-            for e in self.key:
-                if e not in span:
-                    gens.append(e)
-                    span = self.group._join(span, e)
+            span = 1
+            while span != self.mask:
+                e = _low_bit(self.mask & ~span)
+                gens.append(e)
+                span = self.group._join(span, e)
             self._gens = tuple(gens)
         return self._gens
 
@@ -206,24 +280,21 @@ class Subgroup:
         return self.group.order // self.order
 
     def coset_elements(self, rep: int) -> frozenset[int]:
-        return frozenset(self.group.add(h, rep) for h in self.elements)
+        return frozenset(_bits(self.coset_mask(rep)))
 
     def coset_mask(self, rep: int) -> int:
         cached = self._mask_cache.get(rep)
         if cached is None:
-            cached = 0
-            for e in self.coset_elements(rep):
-                cached |= 1 << e
-            self._mask_cache[rep] = cached
+            cached = self._mask_cache[rep] = self.group.translate(self.mask, rep)
         return cached
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.group is other.group and self.elements == other.elements
+        return self.group is other.group and self.mask == other.mask
 
     def __hash__(self):
-        return hash((id(self.group), self.elements))
+        return hash((id(self.group), self.mask))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, gens={list(self.generators)})"
@@ -251,10 +322,7 @@ class CosetCover:
         return [H.coset_mask(x) for H, x in self.cosets]
 
     def canonical_keys(self) -> list[tuple[tuple[int, ...], int]]:
-        out = []
-        for H, x in self.cosets:
-            out.append((H.key, min(H.coset_elements(x))))
-        return out
+        return [(H.key, _low_bit(H.coset_mask(x))) for H, x in self.cosets]
 
     def to_dict(self) -> dict:
         g = self.group
@@ -270,20 +338,16 @@ class CosetCover:
         }
 
 
-def _full_mask(group: AbelianGroup) -> int:
-    return (1 << group.order) - 1
-
-
 def is_cover(C: CosetCover) -> bool:
     union = 0
     for m in C.masks():
         union |= m
-    return union == _full_mask(C.group)
+    return union == C.group.full_mask
 
 
 def is_irredundant_cover(C: CosetCover) -> bool:
     """A cover in which every coset keeps a privately covered element."""
-    return is_irredundant_mask_cover(C.masks(), _full_mask(C.group))
+    return is_irredundant_mask_cover(C.masks(), C.group.full_mask)
 
 
 def shrink_to_irredundant(C: CosetCover) -> CosetCover:
@@ -292,26 +356,26 @@ def shrink_to_irredundant(C: CosetCover) -> CosetCover:
         raise PreconditionError("input family is not a cover")
     keys = C.canonical_keys()
     order = sorted(range(C.size), key=keys.__getitem__)
-    kept = shrink_mask_cover(C.masks(), _full_mask(C.group), order)
+    kept = shrink_mask_cover(C.masks(), C.group.full_mask, order)
     return CosetCover(C.group, tuple(C.cosets[j] for j in kept))
 
 
 def intersection_subgroup(C: CosetCover) -> Subgroup:
     """Intersection of the subgroups; the whole group for an empty family."""
-    elems = frozenset(C.group.elements())
+    mask = C.group.full_mask
     for H, _ in C.cosets:
-        elems &= H.elements
-    return Subgroup(C.group, elems)
+        mask &= H.mask
+    return Subgroup._of_mask(C.group, mask)
 
 
 def check_subcover_claim(C: CosetCover) -> bool:
     """For an irredundant cover, dropping any one subgroup keeps the intersection."""
     if not is_irredundant_cover(C):
         raise PreconditionError("claim applies to irredundant covers only")
-    subs = [H.elements for H, _ in C.cosets]
-    whole = frozenset(C.group.elements())
-    total = whole.intersection(*subs)
-    return all(whole.intersection(*subs[:j], *subs[j + 1 :]) == total for j in range(len(subs)))
+    subs = [H.mask for H, _ in C.cosets]
+    whole = C.group.full_mask
+    total = reduce(int.__and__, subs, whole)
+    return all(reduce(int.__and__, subs[:j] + subs[j + 1 :], whole) == total for j in range(len(subs)))
 
 
 def is_efficient_cover(C: CosetCover) -> bool:
@@ -320,8 +384,8 @@ def is_efficient_cover(C: CosetCover) -> bool:
         return False
     if intersection_subgroup(C).order != 1:
         return False
-    max_keys = {H.key for H in C.group.maximal_subgroups()}
-    return all(H.key in max_keys for H, _ in C.cosets)
+    maximal = {H.mask for H in C.group.maximal_subgroups()}
+    return all(H.mask in maximal for H, _ in C.cosets)
 
 
 def abelian_groups_up_to(max_order: int) -> list[tuple[int, ...]]:
@@ -354,15 +418,15 @@ def abelian_groups_up_to(max_order: int) -> list[tuple[int, ...]]:
 def _all_cosets(group: AbelianGroup, subgroup_pool: Sequence[Subgroup]) -> list[tuple[Subgroup, int, int]]:
     """Distinct cosets (subgroup, canonical rep, mask), canonically ordered.
 
-    Representatives are walked in ascending order and skipped once covered by
-    an earlier coset of the same subgroup, so each kept one is its coset's minimum.
+    Each representative is the least element not yet covered by an earlier
+    coset of the same subgroup, so it is its coset's minimum.
     """
     out = []
+    full = group.full_mask
     for H in subgroup_pool:
         covered = 0
-        for rep in group.elements():
-            if (covered >> rep) & 1:
-                continue
+        while covered != full:
+            rep = _low_bit(~covered)
             cmask = H.coset_mask(rep)
             covered |= cmask
             out.append((H, rep, cmask))
@@ -430,7 +494,7 @@ def enumerate_irredundant_covers(
     pool = group.subgroups() if subgroup_pool is None else list(subgroup_pool)
     cosets = _all_cosets(group, pool)
     masks = [c[2] for c in cosets]
-    for chosen in _cover_dfs(masks, _full_mask(group), max_size, None):
+    for chosen in _cover_dfs(masks, group.full_mask, max_size, None):
         yield CosetCover(group, tuple((cosets[i][0], cosets[i][1]) for i in chosen))
 
 
@@ -445,13 +509,13 @@ def _phi_search(
         raise CapExceededError(f"group order {group.order} exceeds cap {cap}")
     cosets = _all_cosets(group, subgroup_pool)
     masks = [c[2] for c in cosets]
-    full = _full_mask(group)
+    full = group.full_mask
 
     def accept(chosen: list[int]) -> bool:
-        elems = frozenset(group.elements())
+        mask = full
         for i in chosen:
-            elems &= cosets[i][0].elements
-        return len(elems) == 1
+            mask &= cosets[i][0].mask
+        return mask == 1
 
     for k in range(1, group.order + 1):
         for chosen in _cover_dfs(masks, full, k, accept):

@@ -2,8 +2,9 @@
 
 A choice system is a family of invertible matrices M_1..M_k over F_p with
 allowed sets X_{i,j}; a witness is an x with (M_i x)(j) in X_{i,j} for all
-i, j.  When no witness exists, the forbidden values t not in X_{i,j} give
-affine hyperplanes {x : <row_j(M_i), x> = t} that cover F_p^n, and a
+i, j.  The sets are held as one boolean table, p bytes a row, whatever
+their sizes.  When no witness exists, the forbidden values t not in X_{i,j}
+give affine hyperplanes {x : <row_j(M_i), x> = t} that cover F_p^n, and a
 certificate carries an irredundant subfamily together with the span bound
 that makes failures impossible once s^(kr) < p.
 """
@@ -34,9 +35,30 @@ def is_invertible(M: np.ndarray, p: int) -> bool:
 
 
 class ChoiceSystem:
-    """Invertible matrices M_1..M_k with per-coordinate allowed sets X_{i,j}."""
+    """Invertible matrices M_1..M_k with per-coordinate allowed sets X_{i,j},
+    held as the (k, n, p) boolean table `allowed`: allowed[i, j, t] is t in X_{i,j}."""
 
     def __init__(self, p: int, matrices: Sequence, choice_sets: Sequence[Sequence[Sequence[int]]]):
+        self._set_matrices(p, matrices)
+        if len(choice_sets) != self.k:
+            raise ValueError("one row of choice sets per matrix required")
+        self.allowed = np.zeros((self.k, self.n, self.p), dtype=bool)
+        for i, row in enumerate(choice_sets):
+            if len(row) != self.n:
+                raise ValueError(f"choice row {i} must have {self.n} sets")
+            for j, X in enumerate(row):
+                self.allowed[i, j, [int(v) % self.p for v in X]] = True
+
+    @classmethod
+    def nonzero(cls, p: int, matrices: Sequence) -> "ChoiceSystem":
+        """All allowed sets equal to F_p^* (the classical non-vanishing case)."""
+        S = cls.__new__(cls)
+        S._set_matrices(p, matrices)
+        S.allowed = np.ones((S.k, S.n, S.p), dtype=bool)
+        S.allowed[:, :, 0] = False
+        return S
+
+    def _set_matrices(self, p: int, matrices: Sequence) -> None:
         self.p = _as_prime(p)
         mats = [np.asarray(M, dtype=np.int64) % self.p for M in matrices]
         if not mats:
@@ -49,28 +71,11 @@ class ChoiceSystem:
             if not is_invertible(M, self.p):
                 raise ValueError(f"matrix {i} is singular mod {self.p}")
         self.matrices = tuple(mats)
-        if len(choice_sets) != self.k:
-            raise ValueError("one row of choice sets per matrix required")
-        xs = []
-        for i, row in enumerate(choice_sets):
-            if len(row) != self.n:
-                raise ValueError(f"choice row {i} must have {self.n} sets")
-            xs.append(tuple(frozenset(int(v) % self.p for v in X) for X in row))
-        self.choice_sets = tuple(xs)
-
-    @classmethod
-    def nonzero(cls, p: int, matrices: Sequence) -> "ChoiceSystem":
-        """All allowed sets equal to F_p^* (the classical non-vanishing case)."""
-        mats = list(matrices)
-        # one row of sets per matrix row: with no matrices there are no rows,
-        # and the constructor's "at least one matrix" check reports it
-        allowed = [[list(range(1, p))] * np.asarray(M).shape[0] for M in mats]
-        return cls(p, mats, allowed)
 
     @property
     def declared_r(self) -> Optional[int]:
         """r with every |X_{i,j}| = p - r, when the sizes are uniform."""
-        sizes = {len(X) for row in self.choice_sets for X in row}
+        sizes = set(self.allowed.sum(axis=2).ravel().tolist())
         if len(sizes) != 1:
             return None
         r = self.p - sizes.pop()
@@ -83,7 +88,7 @@ class ChoiceSystem:
         for i, M in enumerate(self.matrices):
             img = (M @ np.array(x.coords, dtype=np.int64)) % self.p
             for j in range(self.n):
-                if int(img[j]) not in self.choice_sets[i][j]:
+                if not self.allowed[i, j, int(img[j])]:
                     return False
         return True
 
@@ -92,16 +97,11 @@ def find_witness(S: ChoiceSystem, cap: Optional[int] = None) -> Optional[FpVecto
     """Exhaustive scan in canonical vector order; lexicographically least hit."""
     p, n = S.p, S.n
     cm = coords_matrix(p, n, cap)
-    allowed = np.zeros((S.k, n, p), dtype=bool)
-    for i in range(S.k):
-        for j in range(n):
-            for v in S.choice_sets[i][j]:
-                allowed[i, j, v] = True
     ok = np.ones(cm.shape[0], dtype=bool)
     for i, M in enumerate(S.matrices):
         imgs = (cm @ M.T) % p  # (p^n, n)
         for j in range(n):
-            ok &= allowed[i, j, imgs[:, j]]
+            ok &= S.allowed[i, j, imgs[:, j]]
     hits = np.nonzero(ok)[0]
     if hits.size == 0:
         return None
@@ -149,10 +149,7 @@ def failure_certificate(S: ChoiceSystem, cap: Optional[int] = None) -> CoverCert
     triples = []
     for i in range(S.k):
         for j in range(n):
-            for t in range(p):
-                if t not in S.choice_sets[i][j]:
-                    triples.append((i, j, t))
-    triples.sort()
+            triples.extend((i, j, int(t)) for t in np.flatnonzero(~S.allowed[i, j]))
     normals = [S.matrices[i][j] for i, j, _ in triples]
     masks = hyperplane_masks(p, n, normals, [t for _, _, t in triples], cap)
     full = (1 << p**n) - 1

@@ -433,6 +433,50 @@ PINNED_DECOMPOSE_LARGE = [
 ]
 
 
+# Exact `phi --factors F` and `phi --factors F --maximal` output as
+# (factors, phi, [(subgroup_gens, rep), ...]): every group of order <= 16 but
+# Z_2^4 (its phi search is slow), and every elementary group.
+
+PINNED_PHI = [
+    ("2", 2, [([], [0]), ([], [1])]),
+    ("3", 3, [([], [0]), ([], [1]), ([], [2])]),
+    ("4", 3, [([], [0]), ([[2]], [1]), ([], [2])]),
+    ("2,2", 3, [([], [0, 0]), ([], [0, 1]), ([[0, 1]], [1, 0])]),
+    ("5", 5, [([], [0]), ([], [1]), ([], [2]), ([], [3]), ([], [4])]),
+    ("2,3", 4, [([], [0, 0]), ([], [0, 1]), ([], [0, 2]), ([[0, 1]], [1, 0])]),
+    ("7", 7, [([], [0]), ([], [1]), ([], [2]), ([], [3]), ([], [4]), ([], [5]), ([], [6])]),
+    ("8", 4, [([], [0]), ([[2]], [1]), ([[4]], [2]), ([], [4])]),
+    ("2,4", 4, [([], [0, 0]), ([[0, 2]], [0, 1]), ([], [0, 2]), ([[0, 1]], [1, 0])]),
+    ("2,2,2", 4, [([], [0, 0, 0]), ([], [0, 0, 1]), ([[0, 0, 1]], [0, 1, 0]), ([[0, 0, 1], [0, 1, 0]], [1, 0, 0])]),
+    ("9", 5, [([], [0]), ([[3]], [1]), ([[3]], [2]), ([], [3]), ([], [6])]),
+    ("3,3", 4, [([[0, 1]], [0, 0]), ([[1, 0]], [0, 0]), ([[1, 1]], [0, 0]), ([[1, 2]], [0, 0])]),
+    ("2,5", 6, [([], [0, 0]), ([], [0, 1]), ([], [0, 2]), ([], [0, 3]), ([], [0, 4]), ([[0, 1]], [1, 0])]),
+    ("11", 11, [([], [0]), ([], [1]), ([], [2]), ([], [3]), ([], [4]), ([], [5]), ([], [6]), ([], [7]), ([], [8]), ([], [9]), ([], [10])]),
+    ("3,4", 5, [([], [0, 0]), ([[0, 2]], [0, 1]), ([], [0, 2]), ([[0, 1]], [1, 0]), ([[0, 1]], [2, 0])]),
+    ("2,2,3", 5, [([], [0, 0, 0]), ([], [0, 0, 1]), ([], [0, 0, 2]), ([[0, 0, 1]], [0, 1, 0]), ([[0, 0, 1], [0, 1, 0]], [1, 0, 0])]),
+    ("13", 13, [([], [0]), ([], [1]), ([], [2]), ([], [3]), ([], [4]), ([], [5]), ([], [6]), ([], [7]), ([], [8]), ([], [9]), ([], [10]), ([], [11]), ([], [12])]),
+    ("2,7", 8, [([], [0, 0]), ([], [0, 1]), ([], [0, 2]), ([], [0, 3]), ([], [0, 4]), ([], [0, 5]), ([], [0, 6]), ([[0, 1]], [1, 0])]),
+    ("3,5", 7, [([], [0, 0]), ([], [0, 1]), ([], [0, 2]), ([], [0, 3]), ([], [0, 4]), ([[0, 1]], [1, 0]), ([[0, 1]], [2, 0])]),
+    ("16", 5, [([], [0]), ([[2]], [1]), ([[4]], [2]), ([[8]], [4]), ([], [8])]),
+    ("2,8", 5, [([], [0, 0]), ([[0, 2]], [0, 1]), ([[0, 4]], [0, 2]), ([], [0, 4]), ([[0, 1]], [1, 0])]),
+    ("4,4", 5, [([], [0, 0]), ([[0, 2]], [0, 1]), ([], [0, 2]), ([[0, 1], [2, 0]], [1, 0]), ([[0, 1]], [2, 0])]),
+    ("2,2,4", 5, [([], [0, 0, 0]), ([[0, 0, 2]], [0, 0, 1]), ([], [0, 0, 2]), ([[0, 0, 1]], [0, 1, 0]), ([[0, 0, 1], [0, 1, 0]], [1, 0, 0])]),
+]
+
+PINNED_PHI_MAXIMAL = [
+    ("2", 2, [([], [0]), ([], [1])]),
+    ("3", 3, [([], [0]), ([], [1]), ([], [2])]),
+    ("2,2", 3, [([[0, 1]], [0, 0]), ([[1, 0]], [0, 0]), ([[1, 1]], [0, 0])]),
+    ("5", 5, [([], [0]), ([], [1]), ([], [2]), ([], [3]), ([], [4])]),
+    ("7", 7, [([], [0]), ([], [1]), ([], [2]), ([], [3]), ([], [4]), ([], [5]), ([], [6])]),
+    ("2,2,2", 4, [([[0, 0, 1], [0, 1, 0]], [0, 0, 0]), ([[0, 0, 1], [1, 0, 0]], [0, 0, 0]), ([[0, 1, 0], [1, 0, 0]], [0, 0, 0]), ([[0, 1, 1], [1, 0, 1]], [0, 0, 1])]),
+    ("3,3", 4, [([[0, 1]], [0, 0]), ([[1, 0]], [0, 0]), ([[1, 1]], [0, 0]), ([[1, 2]], [0, 0])]),
+    ("11", 11, [([], [0]), ([], [1]), ([], [2]), ([], [3]), ([], [4]), ([], [5]), ([], [6]), ([], [7]), ([], [8]), ([], [9]), ([], [10])]),
+    ("13", 13, [([], [0]), ([], [1]), ([], [2]), ([], [3]), ([], [4]), ([], [5]), ([], [6]), ([], [7]), ([], [8]), ([], [9]), ([], [10]), ([], [11]), ([], [12])]),
+    ("2,2,2,2", 5, [([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], [0, 0, 0, 0]), ([[0, 0, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0]], [0, 0, 0, 0]), ([[0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0]], [0, 0, 0, 0]), ([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], [0, 0, 0, 0]), ([[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1]], [0, 0, 0, 0])]),
+]
+
+
 class TestDecomposeCommand:
     def test_fixture(self, capsys, tmp_path):
         path = tmp_path / "dec.json"
@@ -512,6 +556,53 @@ class TestPhiAndCovers:
         assert code == 2
         assert out == ""
         assert "cyclic order must be positive, got -2" in err
+
+    @pytest.mark.parametrize(
+        "flags,pin",
+        [([], pin) for pin in PINNED_PHI] + [(["--maximal"], pin) for pin in PINNED_PHI_MAXIMAL],
+        ids=[f"phi_{pin[0]}" for pin in PINNED_PHI] + [f"maximal_{pin[0]}" for pin in PINNED_PHI_MAXIMAL],
+    )
+    def test_pinned_phi(self, capsys, flags, pin):
+        factors, k, witness = pin
+        code, out, _ = run_cli(capsys, "phi", "--factors", factors, *flags)
+        assert code == 0
+        payload = {
+            "factors": [int(d) for d in factors.split(",")],
+            "phi": k,
+            "version": 1,
+            "witness": [{"rep": rep, "subgroup_gens": gens} for gens, rep in witness],
+        }
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "cosets,index",
+        [
+            # one coset of the 2^16-element subgroup on the first 16 coordinates
+            ([{"subgroup_gens": [[int(i == j) for j in range(23)] for i in range(16)],
+               "rep": [0] * 16 + [1, 0, 1, 1, 0, 0, 1]}], 128),
+            # one coset of the 2-element subgroup of the all-ones element
+            ([{"subgroup_gens": [[1] * 23], "rep": [0, 1] * 11 + [1]}], 2**22),
+        ],
+        ids=["subgroup_2^16", "subgroup_2"],
+    )
+    def test_covers_check_large_group_memory(self, capsys, tmp_path, cosets, index):
+        # Z_2^23 is inside the default cap: each coset is an 8M-bit mask, and
+        # no step may list the group's or the subgroup's elements one by one
+        import tracemalloc
+
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps({"factors": [2] * 23, "cosets": cosets}))
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "covers", "check", "--input", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        payload = {"cover": False, "factors": [2] * 23, "intersection_index": index,
+                   "irredundant": False, "size": 1, "version": 1}
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert peak < 64 * 2**20
 
     def test_covers_check(self, capsys, tmp_path):
         path = tmp_path / "cover.json"
@@ -613,6 +704,25 @@ class TestAjtCommand:
         payload = json.loads(out)
         assert payload["witness"] is None
         assert len(payload["certificate"]["J"]) == 2
+
+    @pytest.mark.parametrize("X,witness", [("nonzero", 1), ([[[0]]] * 3, 0)], ids=["nonzero", "zero_only"])
+    def test_large_p_memory(self, capsys, tmp_path, X, witness):
+        # each allowed set is a row of p booleans, not a set of up to p - 1
+        # residues, whether X is F_p^* or a single value
+        import tracemalloc
+
+        path = tmp_path / "ajt.json"
+        path.write_text(json.dumps({"p": 1000003, "n": 1, "matrices": [[[2]], [[3]], [[5]]], "X": X}))
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "ajt", "--input", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        payload = {"n": 1, "p": 1000003, "version": 1, "witness": [witness]}
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert peak < 64 * 2**20
 
     def test_matrices_must_be_n_by_n(self, capsys, tmp_path):
         # the file's n used to be printed beside a witness of another length

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import pytest
 
@@ -39,17 +40,37 @@ def three_coset_cover(z2sq):
 # cover DFS that filters repeated covers through a set of found index sets.
 
 
+def reference_index(g, coords):
+    """Mixed-radix index of a coordinate tuple, coordinate 0 most significant."""
+    idx = 0
+    for c, d in zip(coords, g.factors):
+        idx = idx * d + c
+    return idx
+
+
+def reference_coords(g):
+    """The coordinate tuple of every element index, by counting in mixed radix."""
+    return list(product(*(range(d) for d in g.factors))) if g.order > 1 else [()]
+
+
+def reference_add(g, x, y):
+    return tuple((a + b) % d for a, b, d in zip(x, y, g.factors))
+
+
 def reference_close(g, gens):
-    elems = {0}
-    frontier = [0]
+    coords = reference_coords(g)
+    steps = [coords[s] for s in gens]
+    zero = coords[0]
+    elems = {zero}
+    frontier = [zero]
     while frontier:
         x = frontier.pop()
-        for s in gens:
-            y = g.add(x, s)
+        for s in steps:
+            y = reference_add(g, x, s)
             if y not in elems:
                 elems.add(y)
                 frontier.append(y)
-    return frozenset(elems)
+    return frozenset(reference_index(g, y) for y in elems)
 
 
 def reference_subgroups(g):
@@ -78,11 +99,12 @@ def reference_generators(g, H):
 
 def reference_cosets(g, subgroups):
     """(subgroup key, least element, mask) for every distinct coset, sorted."""
+    coords = reference_coords(g)
     out = []
     for H in subgroups:
         seen = set()
         for rep in g.elements():
-            coset = {g.add(h, rep) for h in H}
+            coset = {reference_index(g, reference_add(g, coords[h], coords[rep])) for h in H}
             mask = sum(1 << e for e in coset)
             if mask not in seen:
                 seen.add(mask)
@@ -139,6 +161,16 @@ class TestAbelianGroup:
         assert g.decode(g.add(a, b)) == (0, 1)
         assert g.decode(g.add(a, g.encode((1, 1)))) == (0, 0)
 
+    @pytest.mark.parametrize("factors", [(2,), (9,), (2, 2, 2), (3, 4), (2, 4, 4), (3, 3, 3)])
+    def test_translate_moves_each_point(self, factors):
+        g = cv.AbelianGroup(factors)
+        coords = reference_coords(g)
+        for x in g.elements():
+            for e in g.elements():
+                want = reference_index(g, reference_add(g, coords[e], coords[x]))
+                assert g.translate(1 << e, x) == 1 << want
+            assert g.translate(g.full_mask, x) == g.full_mask
+
     def test_encode_rejects_wrong_length(self):
         g = cv.AbelianGroup((2, 2))
         for coords in ((1,), (1, 0, 0)):
@@ -158,6 +190,15 @@ class TestAbelianGroup:
     def test_frattini(self, z2sq):
         assert sorted(cv.AbelianGroup((4,)).frattini().elements) == [0, 2]
         assert sorted(z2sq.frattini().elements) == [0]
+
+    def test_large_cyclic_group(self):
+        # joins double their step, so <5> in Z_{5^9} takes 19 translates (2^19 >= 5^8), not 5^8
+        g = cv.AbelianGroup((5**9,))
+        H = g.subgroup([5])
+        assert H.order == 5**8 and H.index() == 5
+        assert H.mask == int("00001" * 5**8, 2)
+        assert H.coset_mask(5**9 - 2) == (H.mask << 5**9 - 2 | H.mask >> 2) & g.full_mask
+        assert g.subgroup([1]).mask == g.full_mask
 
     def test_subgroup_enumeration_cap(self):
         with pytest.raises(CapExceededError):
@@ -404,16 +445,28 @@ class TestGroupCatalog:
 
 
 GROUPS_UP_TO_16 = cv.abelian_groups_up_to(16)
+# every group the subgroup lattice accepts (config.GROUP_ORDER_CAP_PRUNED)
+GROUPS_UP_TO_32 = cv.abelian_groups_up_to(32)
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("factors", GROUPS_UP_TO_16)
+    @pytest.mark.parametrize("factors", GROUPS_UP_TO_32)
     def test_subgroups_and_generators(self, factors):
         g = cv.AbelianGroup(factors)
         subs = g.subgroups()
         want = reference_subgroups(g)
         assert [H.elements for H in subs] == want
         assert [H.generators for H in subs] == [reference_generators(g, K) for K in want]
+
+    @pytest.mark.parametrize("factors", GROUPS_UP_TO_32)
+    def test_coset_masks(self, factors):
+        g = cv.AbelianGroup(factors)
+        coords = reference_coords(g)
+        for H in g.subgroups():
+            for x in g.elements():
+                want = {reference_index(g, reference_add(g, coords[h], coords[x])) for h in H.elements}
+                assert H.coset_mask(x) == sum(1 << e for e in want)
+                assert H.coset_elements(x) == want
 
     @pytest.mark.parametrize("factors", GROUPS_UP_TO_16)
     def test_cover_enumeration(self, factors):

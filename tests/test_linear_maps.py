@@ -143,7 +143,7 @@ class TestCertificateReference:
             made += 1
             points = list(enumerate_vectors(p, n))
             triples = sorted(
-                (i, j, t) for i in range(k) for j in range(n) for t in range(p) if t not in S.choice_sets[i][j]
+                (i, j, t) for i in range(k) for j in range(n) for t in range(p) if not S.allowed[i, j, t]
             )
             hit = {
                 (i, j, t): {x for x in points if int((S.matrices[i] @ np.array(x.coords))[j] % p) == t}
