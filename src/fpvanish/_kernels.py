@@ -9,16 +9,17 @@ once per shift and kept in a small cache.  F_p tables are that axis alone;
 fp_binomial_power takes and returns them as int64 residues in [0, p).
 Z[w] tables are coefficient-major, of shape
 (p-1, p^n, *batch): the power basis w^0..w^(p-2) comes first, so multiplying
-by w^t moves whole planes.  The arithmetic-set kernels check subset masks of
-F_p against the verifier's progression conditions, one mask or a batch at
-once; the exhaustive scan tries only sets containing {0, 1}, since every
-arithmetic set of size >= 2 is an affine image of one.
+by w^t moves whole planes.  The arithmetic-set kernels check a batch of
+subset masks of F_p against the verifier's progression conditions, taking
+differences only to members and testing each progression as a subset of the
+row's bit words; the exhaustive scan tries only sets containing {0, 1}, since
+every arithmetic set of size >= 2 is an affine image of one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -160,41 +161,89 @@ def reach_expand(
 # A mask over F_p passes iff
 #   every a with mask[a]: some b != 0 has mask[(a+i*b) % p] for all |i| <= r,
 #   every a without:      some b != 0 has mask[(a+i*b) % p] for all 1 <= i <= r.
+# Both clauses put a + b in the set, so b ranges over y - a for members
+# y != a, and a + t*b = (1-t)*a + t*y.  A member a passes iff some other
+# member y has all of {(1-t)*a + t*y : t in [-r, r], t != 0, 1} in the set; a
+# non-member a iff some member y has all of {(1-t)*a + t*y : 2 <= t <= r},
+# which for r = 1 is empty.  Sets are bit words over F_p, so each test is a
+# subset test, (need & have) == need, per word: a row with k members costs
+# k*(k-1) word gathers for its members and, at r >= 2 and only if they all
+# pass, (p-k)*k for the rest, against p*(p-1)*(3r+1) element gathers for
+# trying every element with every difference.
 
 
-@lru_cache(maxsize=2)
-def _progression_indices(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tensors (a + i*b) % p over (a, b != 0, i), for |i| <= r and 1 <= i <= r.
+def _word(p: int) -> np.dtype:
+    """The word of a set over F_p: the narrowest of 8, 16, 32 and 64 bits that
+    holds p bits, else 64 bits, ceil(p / 64) words a set, so that the gathers
+    and subset tests move as few bytes as the field needs."""
+    return np.dtype(f"<u{min(8, 1 << (-(-p // 8) - 1).bit_length())}")
 
-    A search verifies many masks for one (p, r); the cache holds only the
-    latest few, since a table at p = 199 takes 1.3 MB.
+
+def _bit_words(masks: np.ndarray) -> np.ndarray:
+    """Bool rows (B, p) as words (W, B): bit x % w of word x // w, w bits a word."""
+    p = masks.shape[1]
+    word = _word(p)
+    packed = np.zeros((len(masks), -(-p // (8 * word.itemsize)) * word.itemsize), dtype=np.uint8)
+    packed[:, : -(-p // 8)] = np.packbits(masks, axis=1, bitorder="little")
+    return packed.view(word).T
+
+
+def _progression_words(p: int, ts) -> np.ndarray:
+    """Words (W, p*p) of {(1-t)*a + t*y mod p : t in ts} at column a*p + y."""
+    word = _word(p)
+    bits = 8 * word.itemsize
+    words = np.zeros((-(-p // bits), p * p), dtype=word)
+    x = np.arange(p)
+    for t in ts:
+        pos = (((1 - t) * x)[:, None] + t * x).ravel() % p
+        words[pos // bits, np.arange(p * p)] |= word.type(1) << (pos % bits).astype(word)
+    return words
+
+
+def _pairs_covered(need: np.ndarray, have: np.ndarray, a: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """(m, k, B) bool: row s holds the set need[:, a[i, s]*p + y[j, s]].
+
+    `a` (m, B) and `y` (k, B) list elements column-wise, one column per row,
+    so the lanes are the fast axis and the reductions run over whole planes.
     """
-    a = np.arange(p).reshape(p, 1, 1)
-    b = np.arange(1, p).reshape(1, p - 1, 1)
-    full = (a + np.arange(-r, r + 1).reshape(1, 1, 2 * r + 1) * b) % p
-    pos = (a + np.arange(1, r + 1).reshape(1, 1, r) * b) % p
-    full.flags.writeable = False
-    pos.flags.writeable = False
-    return full, pos
+    cols = (a * p)[:, None, :] + y[None, :, :]
+    ok = np.ones(cols.shape, dtype=bool)
+    for want, got in zip(need, have):
+        sub = want[cols]
+        ok &= (sub & got) == sub
+    return ok
 
 
-def _element_ok(masks: np.ndarray, r: int, p: int) -> np.ndarray:
-    """Per-element verdicts for a bool mask of shape (p,) or a batch (B, p).
-
-    Entry a (or [a, s] for batch row s) is True iff element a has a valid
-    difference in that mask; the mask passes iff every entry is True.  The
-    index tensors are built once per (p, r).
-    """
-    full, pos = _progression_indices(p, r)
-    cols = masks.T
-    in_ok = cols[full].all(axis=2).any(axis=1)
-    out_ok = cols[pos].all(axis=2).any(axis=1)
-    return np.where(cols, in_ok, out_ok)
+def _rows_ok(masks: np.ndarray, k: int, r: int, p: int) -> np.ndarray:
+    """Verdicts for bool rows (B, p) that all have k >= 2 members."""
+    rows = len(masks)
+    have = _bit_words(masks)
+    members = np.ascontiguousarray(np.nonzero(masks)[1].reshape(rows, k).T)
+    hit = _pairs_covered(_progression_words(p, [*range(-r, 0), *range(2, r + 1)]), have, members, members, p)
+    hit.reshape(k * k, rows)[:: k + 1] = False  # y = a is no difference
+    ok = hit.any(axis=1).all(axis=0)
+    live = np.nonzero(ok)[0]  # only rows whose members all pass test the rest
+    if r >= 2 and live.size:
+        outside = np.ascontiguousarray(np.nonzero(~masks[live])[1].reshape(live.size, p - k).T)
+        hit = _pairs_covered(_progression_words(p, range(2, r + 1)), have[:, live], outside, members[:, live], p)
+        ok[live] = hit.any(axis=1).all(axis=0)
+    return ok
 
 
 def masks_arithmetic_ok(masks: np.ndarray, r: int, p: int) -> np.ndarray:
-    """Batch verdicts (uint8) for candidate subset masks of shape (B, p)."""
-    return _element_ok(masks.astype(bool), r, p).all(axis=0).astype(np.uint8)
+    """Batch verdicts (uint8) for candidate subset masks of shape (B, p).
+
+    Rows are verified in groups of equal popcount (a scan batch is one
+    group).  No set of fewer than two members passes: a lone member has no
+    other member to take a difference to.
+    """
+    masks = masks.astype(bool)
+    sizes = np.count_nonzero(masks, axis=1)
+    out = np.zeros(len(masks), dtype=np.uint8)
+    for k in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
+        rows = np.nonzero(sizes == k)[0]
+        out[rows] = _rows_ok(masks[rows], int(k), r, p)
+    return out
 
 
 _SCAN_BATCH = 2048
@@ -216,7 +265,7 @@ def scan_combinations(p: int, r: int, k: int):
         block = list(islice(gen, _SCAN_BATCH))
         if not block:
             return None
-        arr = np.array(block, dtype=np.int64)
+        arr = np.fromiter(chain.from_iterable(block), np.int64, len(block) * (k - 2)).reshape(len(block), k - 2)
         masks = np.zeros((len(block), p), dtype=np.uint8)
         masks[:, :2] = 1
         masks[np.arange(len(block))[:, None], arr] = 1

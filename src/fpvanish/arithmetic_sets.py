@@ -267,6 +267,32 @@ def _toggle(members: list[int], mids: list[int], x: int, p: int) -> None:
         insort(members, x)
 
 
+def _swap_violations(
+    members: list[int], mids: list[int], a: int, x: int, p: int, limit: Optional[int] = None
+) -> int:
+    """Violations of S - a + x (a a member, x not), read off the midpoint
+    counts of S = `members` without changing them.
+
+    m is the midpoint of a and y exactly when y = 2m - a.  So the swap takes
+    one from mids[m] when 2m - a is in S - a (the pair {a, y} goes) and adds
+    one when 2m - x is (the pair {x, y} comes); the pair {x, a} is never
+    formed.  A member with mids[m] >= 2 keeps a pair either way.  With
+    `limit`, counting stops at the first violation past it, so the result
+    exceeds `limit` exactly when the true count does.
+    """
+    others = set(members)
+    others.discard(a)
+    limit = p if limit is None else limit
+    count = 0 if mids[x] - ((2 * x - a) % p in others) else 1
+    for m in members:
+        c = mids[m]
+        if c <= 1 and m != a and not c - ((2 * m - a) % p in others) + ((2 * m - x) % p in others):
+            count += 1
+            if count > limit:
+                break
+    return count
+
+
 def _kth_non_member(members: list[int], k: int) -> int:
     """The k-th smallest (from 0) residue outside the sorted list `members`."""
     for m in members:
@@ -296,12 +322,16 @@ def find_small_arithmetic_set(
     search always holds min(target, p - 1) >= 3 elements (p >= 5 and
     target >= size_lower_bound >= 3).  So the only violations are members a
     with mids[a] == 0, where mids[m] counts the unordered pairs of distinct
-    members with midpoint m.  The counts are built one element at a time, and
-    every swap and its undo go through the same toggle, which moves each count
-    by exactly the pairs it gains or loses: O(|S|) per toggle instead of an
-    O(p^2) re-verification.  Each evaluation of the violation set counts as
-    one verifier call against `budget`.  ArithmeticSet.verified re-checks the
-    result independently.
+    members with midpoint m.  The counts are built one element at a time by
+    the toggle, which moves each count by exactly the pairs it gains or loses.
+    A swap of member a for non-member x is scored before it is applied: the
+    violations of S - a + x follow from mids and the midpoints of a and of x
+    with the other members, and the count stops once it passes the current
+    one, since such a swap is rejected.  Only an accepted swap goes through
+    the toggles, so a rejected one changes nothing.  Each score is O(|S|)
+    instead of an O(p^2) re-verification, and counts as one verifier call
+    against `budget`.  ArithmeticSet.verified re-checks the result
+    independently.
 
     The repair loop runs on plain ints: the members are a sorted list and the
     midpoint counts a list over F_p.  Each step touches at most |S| <= 2 log2 p
@@ -367,16 +397,14 @@ def find_small_arithmetic_set(
             else:
                 a = members[rng.integers(len(members))]
             new_elt = _kth_non_member(members, int(rng.integers(p - len(members))))
-            _toggle(members, mids, a, p)
-            _toggle(members, mids, new_elt, p)
-            new_bad = [m for m in members if not mids[m]]
+            score = _swap_violations(members, mids, a, new_elt, p, limit=len(bad))
             calls += 1
-            if len(new_bad) <= len(bad):
-                stall = 0 if len(new_bad) < len(bad) else stall + 1
-                bad = new_bad
-            else:
-                _toggle(members, mids, new_elt, p)
+            if score <= len(bad):
+                stall = 0 if score < len(bad) else stall + 1
                 _toggle(members, mids, a, p)
+                _toggle(members, mids, new_elt, p)
+                bad = [m for m in members if not mids[m]]
+            else:
                 stall += 1
         if not bad:
             return ArithmeticSet.verified(members, r, p)

@@ -142,3 +142,41 @@ def fourier_transform(h, p: int, n: int) -> list[tuple[int, ...]]:
 def fourier_zero_set(h, p: int, n: int) -> list[tuple[int, ...]]:
     """The points x at which the transform of h is exactly 0, in canonical order."""
     return [x for x, f in zip(points(p, n), fourier_transform(h, p, n)) if not any(f)]
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic sets: the dense verifier, every element against every difference
+#
+# A mask over F_p passes iff
+#   every a with mask[a]: some b != 0 has mask[(a+i*b) % p] for all |i| <= r,
+#   every a without:      some b != 0 has mask[(a+i*b) % p] for all 1 <= i <= r.
+
+
+def progression_indices(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tensors (a + i*b) % p over (a, b != 0, i), for |i| <= r and 1 <= i <= r."""
+    a = np.arange(p).reshape(p, 1, 1)
+    b = np.arange(1, p).reshape(1, p - 1, 1)
+    full = (a + np.arange(-r, r + 1).reshape(1, 1, 2 * r + 1) * b) % p
+    pos = (a + np.arange(1, r + 1).reshape(1, 1, r) * b) % p
+    return full, pos
+
+
+def element_ok(masks, r: int, p: int) -> np.ndarray:
+    """Per-element verdicts for a bool mask of shape (p,) or a batch (B, p).
+
+    Entry a (or [a, s] for batch row s) is True iff element a has a valid
+    difference in that mask; the mask passes iff every entry is True.
+    O(p^2 r) per mask.
+    """
+    full, pos = progression_indices(p, r)
+    cols = np.asarray(masks, dtype=bool).T
+    in_ok = cols[full].all(axis=2).any(axis=1)
+    out_ok = cols[pos].all(axis=2).any(axis=1)
+    return np.where(cols, in_ok, out_ok)
+
+
+def arithmetic_violations(members, r: int, p: int) -> list[int]:
+    """The elements of F_p without a valid difference for the set `members`, ascending."""
+    mask = np.zeros(p, dtype=bool)
+    mask[list(members)] = True
+    return np.nonzero(~element_ok(mask, r, p))[0].tolist()

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpvanish import _kernels
 from fpvanish import arithmetic_sets as ar
 from fpvanish.errors import CapExceededError, SearchBudgetExceededError
+
+import reference as ref
 
 # Minimum sizes, frozen from the independent subset-enumeration oracle
 # (acceptance criterion 4 re-derives these live on every run).
@@ -318,7 +319,7 @@ class TestMidpointCounts:
         assert members == sorted(set(members))
         mask = np.zeros(p, dtype=bool)
         mask[members] = True
-        want = np.nonzero(~_kernels._element_ok(mask, 1, p))[0].tolist()
+        want = np.nonzero(~ref.element_ok(mask, 1, p))[0].tolist()
         assert [m for m in members if not mids[m]] == want
         direct = [0] * p
         for y, z in combinations(members, 2):
@@ -347,6 +348,29 @@ class TestMidpointCounts:
                 ar._toggle(members, mids, b, p)
                 history.append((a, b))
             self._check(members, mids, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(swap_runs(), st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_swap_score_matches_verifier(self, run, i, j, pick):
+        """The score of S - a + x read off S's counts, against the dense
+        verifier on the swapped set; with a limit it passes the limit exactly
+        when the true count does."""
+        p, start, _ = run
+        members, mids = [], [0] * p
+        for y in start:
+            ar._toggle(members, mids, y, p)
+        a = members[i % len(members)]
+        x = ar._kth_non_member(members, j % (p - len(members)))
+        limit = pick % (len(members) + 2)
+        kept = (list(members), list(mids))
+        score = ar._swap_violations(members, mids, a, x, p)
+        capped = ar._swap_violations(members, mids, a, x, p, limit=limit)
+        assert (members, mids) == kept
+        ar._toggle(members, mids, a, p)
+        ar._toggle(members, mids, x, p)
+        want = len(ref.arithmetic_violations(members, 1, p))
+        assert score == want
+        assert (capped > limit) == (want > limit)
 
     @pytest.mark.parametrize("p", [5, 7, 11])
     def test_kth_non_member_walks_the_complement(self, p):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import ast
 import copy
+import hashlib
 import inspect
 import json
 import os
@@ -39,6 +40,83 @@ def run_fresh(*argv, timeout=None):
         capture_output=True, text=True, env=env, timeout=timeout,
     )
     return done.returncode, done.stdout, done.stderr
+
+
+# `arithmetic-set` output recorded from the dense O(p^2 r) verifier and the
+# apply-then-undo swap loop.  Stdout is pinned as its SHA-256 next to the
+# elements, since the witness tables run to p entries.
+# (p, seed): elements and stdout hash of `--p P --small --seed S`.
+PINNED_SMALL = {
+    (11, 1): ([0, 1, 2, 4, 7], "cec1118b0443c40cd32ea3a051af866b66c7696027bc24127d3ce8157172e578"),
+    (11, 2): ([0, 1, 2, 4, 7], "cec1118b0443c40cd32ea3a051af866b66c7696027bc24127d3ce8157172e578"),
+    (11, 3): ([0, 1, 2, 4, 7], "cec1118b0443c40cd32ea3a051af866b66c7696027bc24127d3ce8157172e578"),
+    (11, 4): ([0, 1, 2, 4, 7], "cec1118b0443c40cd32ea3a051af866b66c7696027bc24127d3ce8157172e578"),
+    (13, 1): ([0, 1, 2, 3, 5, 8], "5518f041cd1ae35c2a5d00b9e94acf8613669545f2aa97fd4d2c3ba429766942"),
+    (13, 2): ([0, 1, 2, 3, 5, 8], "5518f041cd1ae35c2a5d00b9e94acf8613669545f2aa97fd4d2c3ba429766942"),
+    (13, 3): ([0, 1, 2, 3, 5, 8], "5518f041cd1ae35c2a5d00b9e94acf8613669545f2aa97fd4d2c3ba429766942"),
+    (13, 4): ([0, 1, 2, 3, 5, 8], "5518f041cd1ae35c2a5d00b9e94acf8613669545f2aa97fd4d2c3ba429766942"),
+    (37, 1): ([1, 2, 4, 6, 8, 18, 19, 29, 35, 36], "2f00ceff6285484f2534d241b0a8b462ace93fcfa2e29689ceac313035fabb1d"),
+    (37, 2): ([7, 11, 12, 13, 17, 19, 23, 25, 31, 34], "2720af201d5ddd6cbe67270848d469f3258e40d6e66768a6f3f7800a8213dd0c"),
+    (37, 3): ([3, 7, 8, 10, 13, 20, 24, 26, 27, 36], "696ddd060bdb43a5de036e340977cde74999a045f3b2a0364f617a3f128cdf60"),
+    (37, 4): ([0, 3, 10, 11, 14, 15, 20, 25, 33, 34], "e013f2eb06682bf885a0e65c0d1df1343f5a3400887f938156cd84e8abc4b26f"),
+    (61, 1): ([3, 4, 9, 16, 20, 37, 42, 43, 51, 60], "b077a99831090e519967c038d3a893f3d6803776e463282d4498d5885f633b99"),
+    (61, 2): ([1, 11, 24, 28, 32, 40, 43, 47, 51, 52], "22bcd57e045890d224c42f6870a633974f670ea0567d0d5bbcd428a5f5e67d22"),
+    (61, 3): ([0, 11, 19, 20, 22, 25, 27, 28, 29, 36], "65744b0672293f6bcb463c3df766436541fe3f1207edb4f4f4838cad54ab0bcb"),
+    (61, 4): ([0, 1, 2, 4, 7, 10, 16, 25, 43, 60], "7c8e7d4c781a0e2ba223152535b1281867cb28b3dea400336ae57c7ae0717683"),
+    (97, 1): ([10, 17, 23, 25, 40, 45, 47, 51, 63, 77, 79, 80], "20bc0d61b5ee310470cd9edfcf21400f27d825b25293966ca815c7202c64f851"),
+    (97, 2): ([0, 16, 27, 31, 32, 33, 39, 64, 65, 70, 81, 94], "9befdcbcae24be00a16f775f75d25ecd6d857bfe5fa4c286bb257d14f0a92954"),
+    (97, 3): ([0, 13, 16, 19, 21, 26, 36, 39, 59, 66, 76, 93], "776d049e866c4fc4a8bf7cac1ec412f56afebd0760d8b01a59ee55006e253d47"),
+    (97, 4): ([9, 22, 30, 31, 53, 54, 62, 70, 71, 75, 86, 88], "ad09bd111d9ea9360c17f803569051a0756add20717dcae2fd16a9d547981aa5"),
+    (101, 1): ([1, 9, 20, 37, 44, 53, 66, 67, 73, 79, 88, 97], "6edced656764b1015e8142b8c66cc98b0e50c65ea6c82d17833a59a2beb98ebf"),
+    (101, 2): ([17, 25, 26, 31, 33, 34, 35, 53, 81, 82, 83, 100], "0ea1fdee61be18679586422bedfe2b1a2673888d690876b9d0123118c46f8b51"),
+    (101, 3): ([3, 16, 38, 44, 47, 63, 72, 82, 90, 95, 96, 100], "310976ccebc3d4d8a24bc5555294c5dd819ee8ec043ec4c5a2faf17bf320ea0d"),
+    (101, 4): ([1, 29, 35, 39, 46, 51, 56, 57, 73, 79, 98, 100], "71d39365cee1c2b251452340ad3f1e4a3c120bc540dc22b90edb7ea3599ec358"),
+    (151, 1): ([16, 31, 38, 42, 48, 85, 99, 110, 119, 128, 133, 135, 136, 137], "0aaeae0cc9e787d26f7f34bbdc0ff813d4cb0f3633053ba8acdc6d188a54177f"),
+    (151, 2): ([21, 32, 35, 65, 79, 90, 101, 114, 115, 129, 131, 137, 138, 143], "fb1b93ce9413933d1f2334cae6519d33393c3649a2e37a9e8942ff08d5c81fdc"),
+    (151, 3): ([0, 29, 35, 44, 58, 59, 70, 83, 84, 93, 116, 122, 139, 140], "e40e24a44aa55775720a72079e5f3d65a8217f1d4261c9e529e0657cc385e1ee"),
+    (151, 4): ([17, 32, 34, 47, 48, 83, 84, 88, 91, 93, 109, 134, 136, 138], "12b397bfebefc4425319b570d66c5d01f53664e8f6feebc44b25f69b8e22c896"),
+    (199, 1): ([17, 22, 88, 94, 105, 119, 145, 146, 153, 155, 158, 171, 187, 188], "9238627675610141d48bc417047f46696f6719566f1947e0c2a64fb9826b80b2"),
+    (199, 2): ([5, 26, 31, 41, 44, 60, 77, 94, 128, 130, 149, 157, 166, 184], "8f4d0b86f759e418aca0e722661e677f587b2fb9a728873b8a9cc6a268efed6d"),
+    (199, 3): ([6, 14, 68, 75, 83, 85, 104, 141, 144, 176, 189, 193, 194, 197], "08363bf882a2736fded85eb745ef2e378265c5cd57e2d5cf1e92833b9a66deb5"),
+    (199, 4): ([0, 18, 36, 41, 61, 72, 82, 90, 103, 109, 124, 139, 154, 182], "92149aa90116c7796d01fcc9275b35eee50d2e50174629e1f0842bd96f1a5b97"),
+}
+
+# (p, r): elements and stdout hash of `--p P --min --r R`.
+PINNED_MIN = {
+    (2, 1): ([0, 1], "b896435ca55dc7e1519fada7cf8b5d586ee82b1afacf5340c921dfc45c36907f"),
+    (3, 1): ([0, 1, 2], "f10bbf5b164c1777a29e3eb74ddda9119f16f5ce40bfa46649024362d46bad5e"),
+    (5, 1): ([0, 1, 2, 3], "8882ee3835cf57872314d55fcbb502bec7523e030c21ed78b7a678cdb90661b2"),
+    (7, 1): ([0, 1, 2, 3, 4], "aae83825a76909a1764959c9dcf2ac7033b73bfdf3ea63978358f4652840b7d0"),
+    (11, 1): ([0, 1, 2, 4, 7], "cec1118b0443c40cd32ea3a051af866b66c7696027bc24127d3ce8157172e578"),
+    (13, 1): ([0, 1, 2, 3, 5, 8], "5518f041cd1ae35c2a5d00b9e94acf8613669545f2aa97fd4d2c3ba429766942"),
+    (17, 1): ([0, 1, 2, 3, 6, 11], "4eb0372f5088593953a4e5f16cdeda08d69298c7833eb414b6d1aab549643e1a"),
+    (19, 1): ([0, 1, 2, 4, 7, 12], "76bbdb54470990327814b0e9c0e3dc1016401a4dd13ae70b6a98f5b3a358aa01"),
+    (23, 1): ([0, 1, 2, 3, 4, 8, 15], "4ee2f149e06c422cc4981f352b73fac6ff97df0eec4371fdba4c003a1a97a714"),
+    (29, 1): ([0, 1, 2, 3, 6, 10, 19], "ac8b22e298eaaad508d562d3b4bbe4cff8bb2f88d34ee17545b7f0a4c92e3a2d"),
+    (31, 1): ([0, 1, 2, 3, 6, 11, 20], "c1f7322a06f8756081b6189c7c77b61dd64a1b56be84120206baadfa57a6992d"),
+    (3, 2): ([0, 1, 2], "afbe9bdec818d5d4b5bcb22d2605bdabdf6330f847c244d5fd8f845fe0f4f09a"),
+    (5, 2): ([0, 1, 2, 3, 4], "bf5260feadc86fdd9b3b5b029338933e985ba177007d8d2dbd96543499d2ecfc"),
+    (7, 2): ([0, 1, 2, 3, 4, 5], "932604f0cc80eb44cc29961d23165be6955771a83ab083ee602b891d636122cc"),
+    (11, 2): ([0, 1, 2, 3, 4, 5, 6, 7, 8], "d628f94b829c00c2524c976f01b4d4f88753737e5269b18f8ab6dd29c881aef9"),
+    (13, 2): ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], "536f90ce75ff1181315557c14a928012044614749afdc1f3a1c749ebb08b9359"),
+    (5, 3): ([0, 1, 2, 3, 4], "dbd42a4d957bf7a706895a61799b128d291d8d5bf0d86525d554afb9086d508c"),
+    (7, 3): ([0, 1, 2, 3, 4, 5, 6], "90bdf058064d9df8ffc350f4345986e4cd5085babc84f3d78d72ed2dfe27a4a6"),
+    (11, 3): ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], "fcbb14272b560a6f38a29b5f9e55b31214173fd21ba4e490b16b44bb33bfb7a6"),
+    (13, 3): ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10], "d036957045c4118d027150892769da1fd3d2f4582c3b4470707b42a1d7a70f1a"),
+}
+
+# (p, seed, budget, stderr) of `--p P --small --seed S --budget B` runs that
+# run out of budget (exit 2).
+PINNED_SMALL_BUDGET = [
+    (61, 1, 5, "error: no verified arithmetic set of size <= 10 found in F_61 within 5 verifier calls (best candidate had 3 violations)\n"),
+    (61, 2, 10, "error: no verified arithmetic set of size <= 10 found in F_61 within 10 verifier calls (best candidate had 3 violations)\n"),
+    (97, 1, 10, "error: no verified arithmetic set of size <= 12 found in F_97 within 10 verifier calls (best candidate had 2 violations)\n"),
+    (101, 3, 50, "error: no verified arithmetic set of size <= 12 found in F_101 within 50 verifier calls (best candidate had 2 violations)\n"),
+    (151, 1, 100, "error: no verified arithmetic set of size <= 14 found in F_151 within 100 verifier calls (best candidate had 1 violations)\n"),
+    (199, 4, 200, "error: no verified arithmetic set of size <= 14 found in F_199 within 200 verifier calls (best candidate had 1 violations)\n"),
+    (37, 3, 2, "error: no verified arithmetic set of size <= 10 found in F_37 within 2 verifier calls (best candidate had 2 violations)\n"),
+    (53, 2, 30, "error: no verified arithmetic set of size <= 10 found in F_53 within 30 verifier calls (best candidate had 1 violations)\n"),
+]
 
 
 class TestArithmeticSetCommand:
@@ -173,6 +251,27 @@ class TestArithmeticSetCommand:
         assert (code, out) == (2, "")
         assert "--small searches r = 1 only, got --r 3" in err
         assert run_cli(capsys, "arithmetic-set", *where, "--small", "--r", "1")[0] == 0
+
+    @pytest.mark.parametrize("p,seed", list(PINNED_SMALL), ids=[f"p{p}s{s}" for p, s in PINNED_SMALL])
+    def test_pinned_small(self, capsys, p, seed):
+        elements, digest = PINNED_SMALL[p, seed]
+        code, out, err = run_cli(capsys, "arithmetic-set", "--p", str(p), "--small", "--seed", str(seed))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["elements"] == elements
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("p,r", list(PINNED_MIN), ids=[f"p{p}r{r}" for p, r in PINNED_MIN])
+    def test_pinned_min(self, capsys, p, r):
+        elements, digest = PINNED_MIN[p, r]
+        code, out, err = run_cli(capsys, "arithmetic-set", "--p", str(p), "--min", "--r", str(r))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["elements"] == elements
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("p,seed,budget,message", PINNED_SMALL_BUDGET)
+    def test_pinned_budget_exhaustion(self, capsys, p, seed, budget, message):
+        argv = ["--p", str(p), "--small", "--seed", str(seed), "--budget", str(budget)]
+        assert run_cli(capsys, "arithmetic-set", *argv) == (2, "", message)
 
     def test_determinism(self, capsys):
         a = run_cli(capsys, "arithmetic-set", "--p", "31", "--small", "--seed", "5")

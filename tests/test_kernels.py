@@ -216,10 +216,10 @@ class TestArithmeticVerifier:
         masks = (rng.random((64, p)) < 0.5).astype(np.uint8)
         masks[0] = 1  # the whole field always passes
         batch = K.masks_arithmetic_ok(masks, r, p)
-        per_element = K._element_ok(masks.astype(bool), r, p)
+        per_element = ref.element_ok(masks.astype(bool), r, p)
         for s, mask in enumerate(masks.astype(bool)):
             check = is_r_arithmetic(np.nonzero(mask)[0].tolist(), r, p)
-            single = K._element_ok(mask, r, p)
+            single = ref.element_ok(mask, r, p)
             violating = set(np.nonzero(~single)[0].tolist())
             assert bool(batch[s]) == check.ok
             assert np.array_equal(per_element[:, s], single)
@@ -227,6 +227,26 @@ class TestArithmeticVerifier:
                 assert violating == set()
             else:
                 assert check.failing in violating
+
+    @pytest.mark.parametrize(
+        "p,r", [(p, r) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 37, 67) for r in (1, 2, 3) if r < p]
+    )
+    def test_matches_dense_reference_on_mixed_batches(self, p, r):
+        """Rows of every popcount in one batch, with the empty and the full
+        mask; p = 37 and 67 take one and two 64-bit words."""
+        rng = np.random.default_rng(100 * p + r)
+        density = rng.random((300, 1))
+        masks = (rng.random((300, p)) < density).astype(np.uint8)
+        masks[0] = 0
+        masks[1] = 1
+        masks[2:, rng.integers(p)] = 1  # more sets with a chance to pass
+        order = rng.permutation(len(masks))
+        masks = masks[order]
+        got = K.masks_arithmetic_ok(masks, r, p)
+        want = ref.element_ok(masks.astype(bool), r, p).all(axis=0)
+        assert got.dtype == np.uint8 and got.shape == (len(masks),)
+        assert got.tolist() == want.astype(np.uint8).tolist()
+        assert got[order == 0].tolist() == [0] and got[order == 1].tolist() == [1]
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_scan_finds_first_lexicographic_set(self, p):
