@@ -6,14 +6,17 @@ constant vector v" is a cyclic shift by v over the (p,)*n view of that axis:
 two slice copies per coordinate with v_i != 0 mod p.  The slices of a
 shift depend only on the table's shape, the axis and v, so they are built
 once per shift and kept in a small cache.  F_p tables are that axis alone;
-fp_binomial_power takes and returns them as int64 residues in [0, p).
-Z[w] tables are coefficient-major, of shape
-(p-1, p^n, *batch): the power basis w^0..w^(p-2) comes first, so multiplying
-by w^t moves whole planes.  The arithmetic-set kernels check a batch of
-subset masks of F_p against the verifier's progression conditions, taking
-differences only to members and testing each progression as a subset of the
-row's bit words; the exhaustive scan tries only sets containing {0, 1}, since
-every arithmetic set of size >= 2 is an affine image of one.
+fp_binomial_power takes and returns them as residues in [0, p) at the
+table's own signed integer width.  Z[w] tables are coefficient-major, of
+shape (p-1, p^n, *batch): the power basis w^0..w^(p-2) comes first, so
+multiplying by w^t moves whole planes.  The ring kernels never widen a
+table: they compute at the dtype they are given, and the caller picks a
+width its values cannot leave (group_ring._coef_dtype).  The arithmetic-set
+kernels check a batch of subset masks of F_p against the verifier's
+progression conditions, taking differences only to members and testing each
+progression as a subset of the row's bit words; the exhaustive scan tries
+only sets containing {0, 1}, since every arithmetic set of size >= 2 is an
+affine image of one.
 """
 
 from __future__ import annotations
@@ -86,16 +89,18 @@ def _rolled(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...], axis: 
 def fp_binomial_power(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...], r: int, p: int) -> np.ndarray:
     """Multiply a dense F_p[F_p^n] table by (1 - g^v)^r. Returns a new table.
 
-    `table` must be an int64 table of residues in [0, p): then cur - shifted
-    lies in (-p, p), and adding p where the sign bit is set (x >> 63 is -1
-    there, 0 elsewhere) folds it back into [0, p), several times cheaper than
-    np.remainder on mixed signs.  The kernel's outputs are residues again.
+    `table` must hold residues in [0, p) at a signed integer width that
+    holds p: then cur - shifted lies in (-p, p), and adding p where the sign
+    bit is set (x >> (bits - 1) is -1 there, 0 elsewhere) folds it back into
+    [0, p), several times cheaper than np.remainder on mixed signs.  The
+    kernel's outputs are residues again, at the input's dtype.
     """
+    sign = 8 * table.itemsize - 1
     cur = table
     for _ in range(r):
         shifted = _rolled(cur, dims, v)
         np.subtract(cur, shifted, out=shifted)
-        shifted += (shifted >> 63) & p
+        shifted += (shifted >> sign) & p
         cur = shifted
     return cur
 
@@ -214,12 +219,20 @@ def _pairs_covered(need: np.ndarray, have: np.ndarray, a: np.ndarray, y: np.ndar
     return ok
 
 
-def _rows_ok(masks: np.ndarray, k: int, r: int, p: int) -> np.ndarray:
+def _member_words(p: int, r: int) -> np.ndarray:
+    """Words of the progressions a member is tested on, t in [-r, r] but not
+    0 or 1.  They depend only on p and r, so a scan builds them once for all
+    its batches; the non-member words are built only for a batch with a row
+    whose members all pass, which is rare."""
+    return _progression_words(p, [*range(-r, 0), *range(2, r + 1)])
+
+
+def _rows_ok(masks: np.ndarray, k: int, r: int, p: int, words: np.ndarray) -> np.ndarray:
     """Verdicts for bool rows (B, p) that all have k >= 2 members."""
     rows = len(masks)
     have = _bit_words(masks)
     members = np.ascontiguousarray(np.nonzero(masks)[1].reshape(rows, k).T)
-    hit = _pairs_covered(_progression_words(p, [*range(-r, 0), *range(2, r + 1)]), have, members, members, p)
+    hit = _pairs_covered(words, have, members, members, p)
     hit.reshape(k * k, rows)[:: k + 1] = False  # y = a is no difference
     ok = hit.any(axis=1).all(axis=0)
     live = np.nonzero(ok)[0]  # only rows whose members all pass test the rest
@@ -230,19 +243,22 @@ def _rows_ok(masks: np.ndarray, k: int, r: int, p: int) -> np.ndarray:
     return ok
 
 
-def masks_arithmetic_ok(masks: np.ndarray, r: int, p: int) -> np.ndarray:
+def masks_arithmetic_ok(masks: np.ndarray, r: int, p: int, words: np.ndarray | None = None) -> np.ndarray:
     """Batch verdicts (uint8) for candidate subset masks of shape (B, p).
 
     Rows are verified in groups of equal popcount (a scan batch is one
     group).  No set of fewer than two members passes: a lone member has no
-    other member to take a difference to.
+    other member to take a difference to.  `words` is _member_words(p, r),
+    built here when not given.
     """
+    if words is None:
+        words = _member_words(p, r)
     masks = masks.astype(bool)
     sizes = np.count_nonzero(masks, axis=1)
     out = np.zeros(len(masks), dtype=np.uint8)
     for k in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
         rows = np.nonzero(sizes == k)[0]
-        out[rows] = _rows_ok(masks[rows], int(k), r, p)
+        out[rows] = _rows_ok(masks[rows], int(k), r, p, words)
     return out
 
 
@@ -260,6 +276,7 @@ def scan_combinations(p: int, r: int, k: int):
     """
     if not 2 <= k <= p:
         return None
+    words = _member_words(p, r)
     gen = combinations(range(2, p), k - 2)
     while True:
         block = list(islice(gen, _SCAN_BATCH))
@@ -269,7 +286,7 @@ def scan_combinations(p: int, r: int, k: int):
         masks = np.zeros((len(block), p), dtype=np.uint8)
         masks[:, :2] = 1
         masks[np.arange(len(block))[:, None], arr] = 1
-        ok = masks_arithmetic_ok(masks, r, p)
+        ok = masks_arithmetic_ok(masks, r, p, words)
         hits = np.nonzero(ok)[0]
         if hits.size:
             return np.concatenate(([0, 1], arr[hits[0]]))

@@ -31,6 +31,8 @@ MIN_ARITHMETIC_P_CAP = 31
 # Verifier-call budget for the randomized small-arithmetic-set search.
 SMALL_SET_SEARCH_BUDGET = 60_000
 
-# int64 coefficient-growth guard for cyclotomic tables: a product is computed
-# in exact Python integers when 3x its coefficient bound reaches this.
+# Exact-width guard for dense F_p and Z[w] tables: a table whose arithmetic can
+# reach this value (3x the coefficient bound of a cyclotomic product) is
+# computed in exact Python integers; below it, at the narrowest of int8, int16,
+# int32 and int64 that holds the value (group_ring._coef_dtype).
 INT64_SAFE_BOUND = 2**62

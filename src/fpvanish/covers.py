@@ -314,6 +314,15 @@ class CosetCover:
             if not 0 <= x < self.group.order:
                 raise ValueError("coset representative out of range")
 
+    @classmethod
+    def _trusted(cls, group: AbelianGroup, cosets: tuple[tuple[Subgroup, int], ...]) -> "CosetCover":
+        """A cover of cosets the cover engine built from `group` itself, which
+        already hold what __post_init__ checks; skips that re-check."""
+        C = object.__new__(cls)
+        object.__setattr__(C, "group", group)
+        object.__setattr__(C, "cosets", cosets)
+        return C
+
     @property
     def size(self) -> int:
         return len(self.cosets)
@@ -419,8 +428,12 @@ def _all_cosets(group: AbelianGroup, subgroup_pool: Sequence[Subgroup]) -> list[
     """Distinct cosets (subgroup, canonical rep, mask), canonically ordered.
 
     Each representative is the least element not yet covered by an earlier
-    coset of the same subgroup, so it is its coset's minimum.
+    coset of the same subgroup, so it is its coset's minimum.  The pool is
+    checked to live in `group` here, once, so CosetCover._trusted may skip
+    that check on every cover built from these cosets.
     """
+    if any(H.group is not group for H in subgroup_pool):
+        raise ValueError("all cosets must live in the same group")
     out = []
     full = group.full_mask
     for H in subgroup_pool:
@@ -495,7 +508,7 @@ def enumerate_irredundant_covers(
     cosets = _all_cosets(group, pool)
     masks = [c[2] for c in cosets]
     for chosen in _cover_dfs(masks, group.full_mask, max_size, None):
-        yield CosetCover(group, tuple((cosets[i][0], cosets[i][1]) for i in chosen))
+        yield CosetCover._trusted(group, tuple((cosets[i][0], cosets[i][1]) for i in chosen))
 
 
 def _phi_search(
@@ -519,7 +532,7 @@ def _phi_search(
 
     for k in range(1, group.order + 1):
         for chosen in _cover_dfs(masks, full, k, accept):
-            cover = CosetCover(group, tuple((cosets[i][0], cosets[i][1]) for i in chosen))
+            cover = CosetCover._trusted(group, tuple((cosets[i][0], cosets[i][1]) for i in chosen))
             return len(chosen), cover
     return None
 

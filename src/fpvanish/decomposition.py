@@ -396,28 +396,27 @@ def brute_force_representable(
 ) -> bool:
     """True iff some choice a in A^V has sum(a_v v) = x; exhaustive oracle.
 
-    Keeps the table R of every sum reachable over the entries seen so far:
-    R_0 = {0} and R_{i+1} = union over a in A of (R_i + a v_i), each
-    translate a roll of the (p,)*n grid.  That is |V| |A| p^n boolean steps
-    in O(p^n) memory, independent of the descent's reachability kernel.
-    `cap` bounds p^n as the ring cap does.
+    Keeps the flat (p^n,) table R of every sum reachable over the entries
+    seen so far: R_0 = {0} and R_{i+1} = union over a in A of (R_i + a v_i),
+    each translate one group shift by _kernels._rolled.  That is |V| |A| p^n
+    boolean steps in O(p^n) memory.  The oracle shares only that shift
+    primitive with the descent, not its reachability kernel reach_expand,
+    so it still re-certifies the descent by an independent path.  `cap`
+    bounds p^n as the ring cap does.
     """
     p, n = x.p, x.n
     if (V.p, V.n) != (p, n):
         raise PreconditionError("target and multiset live in different spaces")
-    check_ring_cap(p, n, cap)
+    dims = (p,) * n
+    reach = np.zeros(check_ring_cap(p, n, cap), dtype=bool)
+    reach[0] = True
     pool = _element_pool(A)
-    axes = tuple(range(n))
-    reach = np.zeros((p,) * n, dtype=bool)
-    reach[(0,) * n] = True
     for v in V.entries:
-        shifts = {tuple(a * c % p for c in v.coords) for a in pool}
         nxt = np.zeros_like(reach)
-        for s in shifts:
-            # np.roll rejects axis=(); F_p^0 is a single point
-            nxt |= np.roll(reach, s, axis=axes) if n else reach
+        for s in {tuple(a * c % p for c in v.coords) for a in pool}:
+            nxt |= _kernels._rolled(reach, dims, s)
         reach = nxt
-    return bool(reach[x.coords])
+    return bool(reach.reshape(dims)[x.coords])
 
 
 def verify_size_bound(V: FpMultiset, s: int) -> bool:

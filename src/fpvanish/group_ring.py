@@ -1,12 +1,14 @@
 """Vanishing verdicts for binomial products in F_p[F_p^n] and Z[w][F_p^n].
 
 A product is a raw numpy table over F_p^n in the canonical encoding from
-fp_core: over F_p a (p^n,) int64 table of residues, over Z[w],
+fp_core: over F_p a (p^n,) table of residues, over Z[w],
 w = e^(2*pi*i/p), the kernels' coefficient-major (p-1, p^n) table of
 integer coordinates in the power basis w^0..w^(p-2), with w^(p-1) reduced
 via 1 + w + ... + w^(p-1) = 0.  A product vanishes iff its table is all
 zero, so zero tests are exact, which is what makes vanishing checkable at
-all: floating point cannot certify zero.
+all: floating point cannot certify zero.  Every table is built at the
+narrowest integer width its arithmetic cannot leave (_coef_dtype), so no
+value ever wraps and the narrow tables are as exact as Python integers.
 
 Vanishing products are built factor by factor; multiplying by (1 - w^t g^v)
 is one shifted subtraction over the dense table, so a product over a multiset
@@ -49,6 +51,28 @@ def _check_exponent(r: int, p: int) -> None:
         raise ValueError(f"exponent r must lie in [1, p-1], got r={r} for p={p}")
 
 
+def _coef_dtype(reach: int):
+    """The dtype of an exact table whose values, and every intermediate its
+    arithmetic makes, stay within `reach` in absolute value: the narrowest of
+    int8, int16, int32 and int64 that holds `reach`, or exact Python integers
+    (object) once `reach` gets to config.INT64_SAFE_BOUND.  Every dense F_p
+    and Z[w] table takes its dtype from here, so no value can wrap around.
+
+    An F_p table holds residues in [0, p), and the binomial kernel's
+    cur - shifted lies in (-p, p): reach p.  A Z[w] row that is a signed sum
+    of k roots of unity has canonical entries of absolute value at most k,
+    since each root's power-basis form has entries in {-1, 0, 1};
+    (1 - w^t g^v)^r turns k into at most 2^r * k, so the product over V has
+    coefficients within 2^(r|V|).  The binomial kernel's intermediates reach
+    3 * 2^(r|V|), hence the margin: reach 3 * 2^(r|V|), which is int8 while
+    r|V| <= 5, int16 while r|V| <= 13, int32 while r|V| <= 29 and int64
+    while r|V| <= 60.
+    """
+    if reach >= config.INT64_SAFE_BOUND:
+        return object
+    return next(w for w in (np.int8, np.int16, np.int32, np.int64) if reach <= np.iinfo(w).max)
+
+
 # ---------------------------------------------------------------------------
 # F_p coefficients
 
@@ -66,8 +90,8 @@ def _times_binomials(
 
 
 def _fp_unit(p: int, n: int, cap: Optional[int] = None) -> np.ndarray:
-    """The unit of F_p[F_p^n] as a (p^n,) int64 table; `cap` bounds p^n."""
-    table = np.zeros(check_ring_cap(p, n, cap), dtype=np.int64)
+    """The unit of F_p[F_p^n] as a (p^n,) table at the width for p; `cap` bounds p^n."""
+    table = np.zeros(check_ring_cap(p, n, cap), dtype=_coef_dtype(p))
     table[0] = 1
     return table
 
@@ -82,12 +106,12 @@ def _fp_product(
 
 def binomial_product_fp(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> np.ndarray:
     """The product over V of (1 - g^v)^r as a (p^n,) int64 table of residues; stops at zero."""
-    return _fp_product([v.coords for v in V.entries], r, V.p, V.n, cap)
+    return _fp_product([v.coords for v in V.entries], r, V.p, V.n, cap).astype(np.int64, copy=False)
 
 
 def is_fp_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> bool:
     """True iff the product over V of (1 - g^v)^r is the zero element."""
-    return not binomial_product_fp(V, r, cap).any()
+    return not _fp_product([v.coords for v in V.entries], r, V.p, V.n, cap).any()
 
 
 def _greedy_irredundant_indices(
@@ -154,36 +178,25 @@ def extract_irredundant_fp(V: FpMultiset, r: int = 1, cap: Optional[int] = None)
 # Z[w] coefficients
 
 
-def _coef_dtype(bound: int):
-    """int64 for a Z[w] table whose coefficients stay within `bound` in
-    absolute value, else exact Python integers (object).
-
-    A row that is a signed sum of k roots of unity has canonical entries of
-    absolute value at most k, since each root's power-basis form has entries
-    in {-1, 0, 1}; (1 - w^t g^v)^r turns k into at most 2^r * k.  The
-    binomial kernel's intermediates reach 3 * bound, hence the margin.
-    """
-    return np.int64 if 3 * bound < config.INT64_SAFE_BOUND else object
-
-
 def binomial_product_cyc(
     V: FpMultiset, twists: Sequence[int], r: int = 1, cap: Optional[int] = None
 ) -> np.ndarray:
     """The product over V of (1 - w^(t_v) g^v)^r, exactly over Z[w]; stops at zero.
 
-    Returned as the kernels' coefficient-major (p-1, p^n) table, int64 or,
-    when the `_coef_dtype` bound 2^(r|V|) does not fit, exact Python ints.
+    Computed at the `_coef_dtype` width for 3 * 2^(r|V|) and returned as the
+    kernels' coefficient-major (p-1, p^n) table, int64 or, when that reach
+    does not fit int64, exact Python ints.
     """
     _check_exponent(r, V.p)
     t = normalize_twists(V, twists)
     p, dims = V.p, (V.p,) * V.n
-    table = np.zeros((p - 1, check_ring_cap(p, V.n, cap)), dtype=_coef_dtype(2 ** (r * V.size)))
+    table = np.zeros((p - 1, check_ring_cap(p, V.n, cap)), dtype=_coef_dtype(3 * 2 ** (r * V.size)))
     table[0, 0] = 1
     for v, tv in zip(V.entries, t):
         table = _kernels.cyc_binomial_power(table, dims, v.coords, tv, r, p)
         if not table.any():
             break
-    return table
+    return table if table.dtype == object else table.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +266,9 @@ def product_twist_verdicts(V: FpMultiset, r: int = 1, cap: Optional[int] = None)
     once per twist t, as a new most significant twist axis (so entry 0 is
     most significant, as in twist_from_index).  Entry 0's p products are
     reduced to their verdicts one at a time, so the (p-1, p^n, p^|V|) table
-    of all products never exists; the cap still counts its cells.
+    of all products never exists; the cap still counts its cells.  The
+    tables hold the `_coef_dtype` width for 3 * 2^(r|V|): int8 while
+    r|V| <= 5.
     """
     _check_exponent(r, V.p)
     p, n, m = V.p, V.n, V.size
@@ -267,7 +282,7 @@ def product_twist_verdicts(V: FpMultiset, r: int = 1, cap: Optional[int] = None)
             f"batched product tables p^|V| * p^n * (p-1) = {total} * {size} * {p - 1} = {cells} "
             f"cells exceed cap {config.RING_SIZE_CAP}"
         )
-    table = np.zeros((p - 1, size, 1), dtype=_coef_dtype(2 ** (r * m)))
+    table = np.zeros((p - 1, size, 1), dtype=_coef_dtype(3 * 2 ** (r * m)))
     table[0, 0] = 1
     dims = (p,) * n
     for v in reversed(V.entries[1:]):

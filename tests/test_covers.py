@@ -230,6 +230,25 @@ class TestCoverPredicates:
         assert not cv.is_cover(C)
 
 
+class TestEngineCovers:
+    def test_engine_covers_skip_the_recheck(self, monkeypatch):
+        # covers the engine builds from its own cosets equal publicly built
+        # ones but do not run __post_init__
+        G = cv.AbelianGroup((2, 4))
+        want = [cv.CosetCover(G, C.cosets) for C in cv.enumerate_irredundant_covers(G, 4)]
+        phi = cv.phi_exact(G)
+        calls = []
+        monkeypatch.setattr(cv.CosetCover, "__post_init__", lambda self: calls.append(self))
+        assert list(cv.enumerate_irredundant_covers(G, 4)) == want
+        assert cv.phi_exact(G) == phi
+        assert calls == [] and len(want) > 10
+
+    def test_foreign_subgroup_pool_refused(self, z2sq):
+        other = cv.AbelianGroup((2, 2))
+        with pytest.raises(ValueError, match="same group"):
+            next(cv.enumerate_irredundant_covers(z2sq, 3, other.subgroups()))
+
+
 class TestShrink:
     def test_irredundant_input_unchanged(self, z2sq):
         C = three_coset_cover(z2sq)

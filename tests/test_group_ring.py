@@ -83,6 +83,20 @@ class TestBinomialProductFp:
             assert prod.min() >= 0 and prod.max() < p
             assert np.array_equal(prod, want)
 
+    @pytest.mark.parametrize(
+        "p,width", [(2, np.int8), (127, np.int8), (131, np.int16), (32749, np.int16), (32771, np.int32)]
+    )
+    def test_residue_tables_at_the_width_for_p(self, rng, p, width):
+        # the product is computed at the width for p and returned as int64
+        assert gr._fp_unit(p, 1).dtype == width
+        V = FpMultiset.from_coords(p, [[int(c)] for c in rng.integers(1, p, size=3)])
+        want = np.zeros(p, dtype=np.int64)
+        want[0] = 1
+        for v in V.entries:
+            want = K.fp_binomial_power(want, (p,), v.coords, 1, p)
+        prod = gr.binomial_product_fp(V)
+        assert prod.dtype == np.int64 and np.array_equal(prod, want)
+
     def test_p_minus_one_copies_give_all_ones(self):
         V = FpMultiset.from_coords(5, [[1]] * 4)
         prod = gr.binomial_product_fp(V)
@@ -291,7 +305,7 @@ class TestBinomialProductCyc:
     def test_untwisted_single_factor(self):
         V = FpMultiset.from_coords(5, [[1, 0]])
         prod = gr.binomial_product_cyc(V, (0,))
-        assert prod.shape == (4, 25) and prod.dtype == gr._coef_dtype(2)
+        assert prod.shape == (4, 25) and prod.dtype == np.int64
         assert np.nonzero(prod.any(axis=0))[0].tolist() == [0, 5]
         assert prod[:, 0].tolist() == [1, 0, 0, 0]
         assert prod[:, 5].tolist() == [-1, 0, 0, 0]
@@ -337,7 +351,7 @@ class TestBinomialProductCyc:
             assert table.shape == (p - 1, p**n) and table.dtype == np.int64
             assert np.abs(table).max() <= 2 ** (r * V.size)
 
-    @pytest.mark.parametrize("m", [1, 5, 60, 61, 62, 63, 64, 70])
+    @pytest.mark.parametrize("m", [1, 5, 6, 13, 14, 29, 30, 60, 61, 62, 63, 64, 70])
     def test_bound_is_reached_and_stays_exact(self, m):
         # p = 2, v = 0, t = 1: each factor is 1 - (-1) = 2, so the product is 2^m
         V = FpMultiset.from_coords(2, [[0]] * m)
@@ -591,16 +605,17 @@ class TestComplexIrredundanceReference:
         assert witnesses >= 1
 
 
-def _product_verdicts_reference(V: FpMultiset, r: int) -> np.ndarray:
+def _product_verdicts_reference(V: FpMultiset, r: int, dtype) -> np.ndarray:
     """The full-table loop product_twist_verdicts used before it grew its
     table one entry at a time: one (p-1, p^n) + (p,)*|V| table, and entry i
-    with twist t multiplies the slice that has t on axis i + 2, in place."""
+    with twist t multiplies the slice that has t on axis i + 2, in place.
+    `dtype` is int64 or object, never the width rule under test."""
     from fpvanish import _kernels
 
     p, n, m = V.p, V.n, V.size
     if m == 0:
         return np.zeros(1, dtype=bool)
-    table = np.zeros((p - 1, p**n) + (p,) * m, dtype=gr._coef_dtype(2 ** (r * m)))
+    table = np.zeros((p - 1, p**n) + (p,) * m, dtype=dtype)
     table[0, 0] = 1
     dims = (p,) * n
     for i, v in enumerate(V.entries):
@@ -628,12 +643,43 @@ class TestProductReference:
             monkeypatch.setattr(config, "INT64_SAFE_BOUND", 4)
         hits = 0
         for V, r in cases:
-            want = _product_verdicts_reference(V, r)
+            want = _product_verdicts_reference(V, r, object if object_path else np.int64)
             assert np.array_equal(gr.product_twist_verdicts(V, r), want)
             # the cover route is independent of Z[w] and must agree for every r
             assert np.array_equal(gr.cover_twist_verdicts(V), want)
             hits += bool(want.any())
         assert hits >= 3
+
+    @pytest.mark.parametrize(
+        "p,n,m,width",
+        [(3, 2, 5, np.int8), (3, 2, 6, np.int16), (2, 0, 5, np.int8), (2, 0, 6, np.int16),
+         (2, 0, 13, np.int16), (2, 0, 14, np.int32)],
+    )
+    def test_narrow_width_on_each_side_of_a_switch(self, monkeypatch, rng, p, n, m, width):
+        # r|V| = 5 | 6 is the int8 -> int16 switch and 13 | 14 the int16 ->
+        # int32 one.  At p = 2 the zero vectors reach the bound: the all-ones
+        # twist multiplies by 2 per entry, so its product is 2^m, and a table
+        # that wrapped would call it zero.
+        if p == 2:
+            V = FpMultiset.from_coords(2, [[]] * m, n=0)
+        else:
+            V = random_multiset(rng, p, n, m)
+        widths = []
+        power = K.cyc_binomial_power
+
+        def spy(table, *args):
+            widths.append(table.dtype)
+            return power(table, *args)
+
+        monkeypatch.setattr(K, "cyc_binomial_power", spy)
+        got = gr.product_twist_verdicts(V)
+        assert set(widths) == {np.dtype(width)}
+        monkeypatch.setattr(config, "INT64_SAFE_BOUND", 4)
+        want = gr.product_twist_verdicts(V)
+        assert widths[-1] == object
+        assert np.array_equal(got, want)
+        if p == 2:
+            assert np.flatnonzero(~got).tolist() == [2**m - 1]
 
     def test_peak_memory_below_half_the_full_table(self, rng):
         import tracemalloc

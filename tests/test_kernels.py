@@ -129,6 +129,24 @@ class TestFpBinomialPower:
             assert np.array_equal(got, want), r
 
 
+    @pytest.mark.parametrize("p", [2, 127, 131, 32749, 32771])
+    def test_narrow_tables_match_int64(self, rng, p):
+        # every signed width that holds p, on residues that include 0 and
+        # p - 1, the ends that make cur - shifted reach -(p - 1) and p - 1
+        n = 2 if p == 2 else 1
+        a = rng.integers(0, p, size=p**n)
+        a[:2] = 0, p - 1
+        widths = [w for w in (np.int8, np.int16, np.int32) if p <= np.iinfo(w).max]
+        assert widths
+        for v in [(1,) * n, tuple(int(c) for c in rng.integers(1, p, size=n))]:
+            for r in range(1, min(p, 4)):
+                want = K.fp_binomial_power(a, (p,) * n, v, r, p)
+                for w in widths:
+                    got = K.fp_binomial_power(a.astype(w), (p,) * n, v, r, p)
+                    assert got.dtype == w
+                    assert np.array_equal(got, want), (w, v, r)
+
+
 def _power(a, p: int, n: int, v: FpVector, t: int, r: int) -> list:
     """a * (1 - w^t g^v)^r by the reference convolution, as nested lists."""
     for _ in range(r):
@@ -273,3 +291,13 @@ class TestNormalisedScan:
 
     def test_size_above_p(self):
         assert K.scan_combinations(5, 1, 6) is None
+
+    @pytest.mark.parametrize("p,r,k", [(23, 1, 6), (19, 2, 6)])
+    def test_progression_words_built_once_per_scan(self, monkeypatch, p, r, k):
+        # no set passes, so every batch runs; the member words are built once
+        words, batches = [], []
+        build, verify = K._progression_words, K.masks_arithmetic_ok
+        monkeypatch.setattr(K, "_progression_words", lambda *a: words.append(a) or build(*a))
+        monkeypatch.setattr(K, "masks_arithmetic_ok", lambda *a: batches.append(a) or verify(*a))
+        assert K.scan_combinations(p, r, k) is None
+        assert len(batches) >= 2 and len(words) == 1
