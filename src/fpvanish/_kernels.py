@@ -2,84 +2,99 @@
 
 Group-ring tables index F_p^n along one group axis by the canonical
 mixed-radix encoding (coordinate 0 most significant), so "subtract the
-constant vector v" is a cyclic shift by v over the (p,)*n view of that axis:
-two slice copies per coordinate with v_i != 0 mod p.  The slices of a
-shift depend only on the table's shape, the axis and v, so they are built
-once per shift and kept in a small cache.  F_p tables are that axis alone;
-fp_binomial_power takes and returns them as residues in [0, p) at the
-table's own signed integer width.  Z[w] tables are coefficient-major, of
-shape (p-1, p^n, *batch): the power basis w^0..w^(p-2) comes first, so
-multiplying by w^t moves whole planes.  The ring kernels never widen a
-table: they compute at the dtype they are given, and the caller picks a
-width its values cannot leave (group_ring._coef_dtype).  The arithmetic-set
-kernels check a batch of subset masks of F_p against the verifier's
-progression conditions, taking differences only to members and testing each
-progression as a subset of the row's bit words; the exhaustive scan tries
-only sets containing {0, 1}, since every arithmetic set of size >= 2 is an
-affine image of one.
+constant vector v" is a cyclic shift by v over the (p,)*n view of that axis.
+_rolled splits the axis into its first n // 2 coordinates and the rest and
+moves each half whose part of v is nonzero by one gather (ndarray.take), so
+a shift costs at most two passes over the table.  The gather indexes depend
+only on p and a half's part of v, never on the table's shape: a
+one-coordinate half slices a view out of one array per prime, and a larger
+half's index is cached, a half over F_p^k having only p^k shifts.  F_p
+tables are that axis alone; fp_binomial_power takes and returns them as
+residues in [0, p) at the table's own signed integer width.  Z[w] tables
+are coefficient-major, of shape (p-1, p^n, *batch): the power basis
+w^0..w^(p-2) comes first, so multiplying by w^t moves whole planes.  The
+ring kernels never widen a table: they compute at the dtype they are given,
+and the caller picks a width its values cannot leave
+(group_ring._coef_dtype).  The arithmetic-set kernels check a batch of
+subset masks of F_p against the verifier's progression conditions, taking
+differences only to members and testing each progression as a subset of the
+row's bit words; the exhaustive scan tries only sets containing {0, 1},
+since every arithmetic set of size >= 2 is an affine image of one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations, islice
+from math import prod
 
 import numpy as np
 
 
-@lru_cache(maxsize=64)
-def _roll_plan(
-    shape: tuple[int, ...], axis: int, dims: tuple[int, ...], v: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple] | None:
-    """The (p,)*n view shape of `shape` and, per pass, the (destination,
-    source) index blocks of _rolled's copies; None when v is 0 mod dims.
+@lru_cache(maxsize=2)
+def _wrapped(q: int) -> np.ndarray:
+    """arange(q) twice over: its slice [q - c : 2q - c] is y -> (y - c) mod q.
 
-    The plan depends only on shapes and v, never on strides, so views and
-    contiguous tables share entries.  The descent and the binomial products
-    repeat a few shifts many times: with 64 entries (a few kB each) about
-    four lookups in five hit, and more entries buy little for their memory.
+    One array per modulus serves every shift of a one-coordinate group as a
+    view.  Two moduli are kept, 16q bytes each (16 MB at q near 10^6), so a
+    p-entry index per shift is never held.
     """
-    moves = [(axis + i, c % q) for i, (c, q) in enumerate(zip(v, dims, strict=True)) if c % q]
-    if not moves:
+    ramp = np.arange(q)
+    return np.concatenate((ramp, ramp))
+
+
+def _half_index(dims: tuple[int, ...], c: tuple[int, ...]) -> np.ndarray | None:
+    """y -> y - c over a group of two or more coordinates, mixed radix; None
+    when c is 0 mod dims."""
+    c = [ci % q for ci, q in zip(c, dims)]
+    if not any(c):
         return None
-    passes = []
-    for k in range(0, len(moves), 2):
-        blocks = [((), ())]
-        done = 0
-        for ax, c in moves[k : k + 2]:
-            gap = (slice(None),) * (ax - done)
-            halves = ((slice(c, None), slice(None, -c)), (slice(None, c), slice(-c, None)))
-            blocks = [(to + gap + (d,), frm + gap + (f,)) for to, frm in blocks for d, f in halves]
-            done = ax + 1
-        passes.append(tuple(blocks))
-    return shape[:axis] + dims + shape[axis + 1 :], tuple(passes)
+    idx = np.zeros(1, dtype=np.intp)
+    for q, ci in zip(dims, c):
+        idx = (idx[:, None] * q + _wrapped(q)[q - ci : 2 * q - ci]).ravel()
+    return idx
+
+
+# Indexes of halves of at most 4096 elements are kept, 512 of them (16 MB at
+# most); a larger half's index is rebuilt per shift at a small fraction of
+# the cost of the gather it serves, over a table of at least 4096 * p cells.
+# A half over F_p^k has only p^k shifts, so the descent's tables of a few
+# thousand cells nearly always hit.
+_cached_half_index = lru_cache(maxsize=512)(_half_index)
+
+
+def _shift_index(dims: tuple[int, ...], c, size: int) -> np.ndarray | None:
+    """The gather index of y -> y - c over the group `dims` of `size`
+    elements; None when c is 0 mod dims."""
+    if len(dims) == 1:
+        c = c[0] % size
+        return _wrapped(size)[size - c : 2 * size - c] if c else None
+    return (_cached_half_index if size <= 4096 else _half_index)(dims, tuple(c))
 
 
 def _rolled(table: np.ndarray, dims: tuple[int, ...], v: tuple[int, ...], axis: int = 0) -> np.ndarray:
     """Table of y -> table[y - v] for the group on axis `axis`; other axes are untouched.
 
-    Always a fresh array (callers write into it).  Only coordinates with
-    c = v_i mod p nonzero move, on their axes of the (p,)*n view, two per
-    pass: a pass writes the blocks [c:] <- [:-c] and [:c] <- [-c:] over its
-    axes, four block copies for two coordinates (np.roll makes 2^k for k).
-    One pass needs no scratch table: on a batched twist slice a second live
-    table costs more in fresh pages than the copies it would save.  More
-    passes alternate between the result and one scratch table, so that the
-    last lands in the result.  The blocks come from _roll_plan's cache.
+    Always a fresh array (callers write into it).  The group axis is viewed
+    as (prod dims[:h], prod dims[h:]) with h = n // 2, and each half whose
+    part of v is nonzero mod p moves by one ndarray.take: at most two gathers
+    a shift, whatever its number of nonzero coordinates.
     """
-    plan = _roll_plan(table.shape, axis, dims, tuple(v))
-    if plan is None:
+    if len(v) != len(dims):
+        raise ValueError(f"shift has {len(v)} coordinates, the group has {len(dims)}")
+    h = len(dims) // 2
+    m_lo, m_hi = prod(dims[:h]), prod(dims[h:])
+    lo = _shift_index(dims[:h], v[:h], m_lo)
+    hi = _shift_index(dims[h:], v[h:], m_hi)
+    if lo is None and hi is None:
         return table.copy()
-    view, passes = plan
-    src = table.reshape(view)
-    out = np.empty_like(src)
-    bufs = (out, np.empty_like(src)) if len(passes) > 1 else (out,)
-    for k, blocks in enumerate(passes):
-        dst = bufs[(len(passes) - 1 - k) % 2]
-        for to, frm in blocks:
-            dst[to] = src[frm]
-        src = dst
-    return out.reshape(table.shape)
+    shape = table.shape
+    out = table.reshape(shape[:axis] + (m_lo, m_hi) + shape[axis + 1 :])
+    if lo is not None:
+        out = out.take(lo, axis=axis)
+    if hi is not None:
+        out = out.take(hi, axis=axis + 1)
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,10 @@ class DecompositionPlan:
             return _Leaf([eid for eid, _ in entries])
         ordered = sorted(((eid, v) for eid, v in entries if any(v)), key=lambda iv: iv[1])
         pool = [v for _, v in ordered]
+        # The count settles this check: within every group the nonzero entries
+        # span the level, so there are at least ceil(p/r) * n_level of them,
+        # and r * ceil(p/r) * n_level >= p * n_level > n_level * (p - 1), past
+        # the nilpotency bound, so _fp_product multiplies no binomial here.
         if _fp_product(pool, self.r, self.p, n_level).any():
             raise InvariantViolationError(
                 "pooled entries are not vanishing; the basis-count hypothesis broke"

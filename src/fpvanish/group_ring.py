@@ -16,6 +16,16 @@ V costs O(|V| r p^n) instead of general convolution.  Greedy irredundant
 extraction and the irredundance check share their partial products by
 divide and conquer: m entries cost at most m*ceil(log2 m) binomial
 multiplies, not the m^2 of rebuilding the product for every removal.
+
+Over F_p a product of more than n(p-1) binomials (1 - g^v) is zero, so
+_fp_product returns zero without multiplying once r|V| > n(p-1).  Proof:
+F_p[F_p^n] = F_p[y_1..y_n]/(y_j^p) with y_j = g^(e_j) - 1; every 1 - g^v lies
+in the augmentation ideal I = (y_1..y_n), and every monomial of degree
+> n(p-1) has some exponent >= p, so I^(n(p-1)+1) = 0.  The bound is tight
+(each e_i taken p-1 times gives y_1^(p-1)...y_n^(p-1) up to sign); it is
+Jennings' nilpotency index of I for elementary abelian p-groups (Jennings,
+Trans. AMS 50, 1941) and behind Olson's D(Z_p^n) = n(p-1) + 1 (Olson,
+J. Number Theory 1, 1969).
 """
 
 from __future__ import annotations
@@ -99,9 +109,17 @@ def _fp_unit(p: int, n: int, cap: Optional[int] = None) -> np.ndarray:
 def _fp_product(
     entries: Sequence[tuple[int, ...]], r: int, p: int, n: int, cap: Optional[int] = None
 ) -> np.ndarray:
-    """The product over coordinate tuples of (1 - g^v)^r in F_p[F_p^n]; stops at zero."""
+    """The product over coordinate tuples of (1 - g^v)^r in F_p[F_p^n]; stops at zero.
+
+    Past the nilpotency bound, r * len(entries) > n(p - 1), the product is
+    zero and no binomial is multiplied.
+    """
     _check_exponent(r, p)
-    return _times_binomials(_fp_unit(p, n, cap), entries, r, p, n)
+    table = _fp_unit(p, n, cap)
+    if r * len(entries) > n * (p - 1):
+        table[0] = 0  # the unit's one nonzero cell
+        return table
+    return _times_binomials(table, entries, r, p, n)
 
 
 def binomial_product_fp(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> np.ndarray:

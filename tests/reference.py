@@ -49,6 +49,8 @@ def fp_mul(a, b, p: int, n: int) -> np.ndarray:
     pts = points(p, n)
     out = [0] * len(pts)
     for i, x in enumerate(pts):
+        if not a[i]:  # adds nothing; a sparse first factor then costs O(p^n)
+            continue
         for j, y in enumerate(pts):
             out[_sum_index(x, y, p)] += int(a[i]) * int(b[j])
     return np.array([c % p for c in out], dtype=np.int64)

@@ -134,6 +134,68 @@ class TestVanishing:
             assert not gr.is_fp_vanishing(V)
 
 
+def _unit_vectors_repeated(p: int, n: int, copies: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n) for _ in range(copies)]
+
+
+def _count_multiplies(monkeypatch) -> list:
+    calls = []
+    multiply = gr._kernels.fp_binomial_power
+
+    def counted(*args):
+        calls.append(1)
+        return multiply(*args)
+
+    monkeypatch.setattr(gr._kernels, "fp_binomial_power", counted)
+    return calls
+
+
+class TestNilpotencyBound:
+    """A product of more than n(p-1) binomials over F_p is zero (the
+    augmentation ideal I has I^(n(p-1)+1) = 0); _fp_product returns it
+    without multiplying, and at exactly n(p-1) it must still multiply."""
+
+    CASES = [(p, n, r) for p in (2, 3, 5, 7) for n in range(4) for r in sorted({1, p - 1})]
+
+    @pytest.mark.parametrize("p,n,r", CASES)
+    def test_tight_at_n_times_p_minus_1(self, p, n, r):
+        # each e_i (p-1)/r times: r|V| = n(p-1) and the product is nonzero
+        V = FpMultiset.from_coords(p, _unit_vectors_repeated(p, n, (p - 1) // r), n=n)
+        assert r * V.size == n * (p - 1)
+        want = gr.binomial_product_fp(FpMultiset(p, n, ()))
+        for v in V.entries:
+            for _ in range(r):
+                want = ref.fp_mul(ref.fp_binomial(p, n, v.coords), want, p, n)
+        got = gr.binomial_product_fp(V, r)
+        assert got.dtype == np.int64 and got.shape == (p**n,)
+        assert got.any() and np.array_equal(got, want)
+        assert not gr.is_fp_vanishing(V, r)
+
+    @pytest.mark.parametrize("p,n,r", CASES)
+    def test_zero_past_the_bound_without_multiplying(self, monkeypatch, p, n, r):
+        # the smallest |V| with r|V| > n(p-1): n(p-1) + 1 when r = 1
+        size = n * (p - 1) // r + 1
+        rng = np.random.default_rng(p * 100 + n * 10 + r)
+        calls = _count_multiplies(monkeypatch)
+        tight_plus_one = _unit_vectors_repeated(p, n, (p - 1) // r) + [[1] * n]
+        for V in (FpMultiset.from_coords(p, tight_plus_one, n=n), random_multiset(rng, p, n, size, nonzero=n > 0)):
+            assert V.size == size and r * (size - 1) <= n * (p - 1) < r * size
+            got = gr.binomial_product_fp(V, r)
+            assert got.dtype == np.int64 and got.shape == (p**n,)
+            assert not got.any()
+            assert gr.is_fp_vanishing(V, r)
+        assert calls == []
+
+    def test_shortcut_keeps_the_caps_and_exponent_checks(self, monkeypatch):
+        calls = _count_multiplies(monkeypatch)
+        V = FpMultiset.from_coords(2, [[1] * 6] * 7)
+        with pytest.raises(CapExceededError):
+            gr.binomial_product_fp(V, cap=32)
+        with pytest.raises(ValueError):
+            gr.is_fp_vanishing(FpMultiset.from_coords(3, [[1]] * 3), r=3)
+        assert calls == []
+
+
 class TestExtractIrredundant:
     def test_requires_vanishing_input(self):
         V = FpMultiset.from_coords(5, [[1, 0]])
@@ -241,19 +303,12 @@ class TestDivideAndConquerGreedy:
 
     @pytest.mark.parametrize("p,n,m", [(7, 2, 8), (7, 2, 16), (3, 2, 11), (5, 1, 2), (2, 3, 1)])
     def test_multiplies_within_m_log_m(self, monkeypatch, p, n, m):
-        calls = []
-        multiply = gr._kernels.fp_binomial_power
-
-        def counted(*args):
-            calls.append(1)
-            return multiply(*args)
-
-        monkeypatch.setattr(gr._kernels, "fp_binomial_power", counted)
+        calls = _count_multiplies(monkeypatch)
         rng = np.random.default_rng(m)
         entries = [v.coords for v in random_multiset(rng, p, n, m, nonzero=True).entries]
         kept = gr._greedy_irredundant_indices(entries, 1, p, n)
         assert len(calls) <= m * math.ceil(math.log2(m))
-        monkeypatch.setattr(gr._kernels, "fp_binomial_power", multiply)
+        monkeypatch.undo()
         assert kept == _greedy_reference(entries, 1, p, n)
 
 

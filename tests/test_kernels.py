@@ -45,6 +45,19 @@ def _shifts(rng, p, n):
     return out
 
 
+def _half_shifts(rng, p, n):
+    """Shifts with one half of the coordinates (split at n // 2) zero mod p,
+    then each with entries moved off [0, p) by multiples of p."""
+    h = n // 2
+    out = []
+    for _ in range(3):
+        v = [int(c) for c in rng.integers(1, p, size=n)]
+        out.append(tuple(v[:h]) + (0,) * (n - h))
+        out.append((0,) * h + tuple(v[h:]))
+    out += [tuple(c + p * int(k) for c, k in zip(v, rng.integers(-3, 4, size=n))) for v in list(out)]
+    return out
+
+
 class TestRolled:
     """_rolled is the group shift every kernel uses: a fresh array, input untouched."""
 
@@ -58,7 +71,7 @@ class TestRolled:
         assert not np.shares_memory(got, table)
         assert np.array_equal(table, before)
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, object])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, object, bool, np.int8])
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_matches_np_roll(self, rng, n, p, dtype):
@@ -67,6 +80,35 @@ class TestRolled:
             table = rng.integers(0, 200, size=shape).astype(dtype)
             for v in _shifts(rng, p, n):
                 self._check(table, dims, v, axis)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint8, np.int64, object])
+    @pytest.mark.parametrize("p,n", [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (5, 4)])
+    def test_every_split_up_to_six_coordinates(self, rng, p, n, dtype):
+        # n = 0..3 run above; here both halves have two or more coordinates,
+        # on a contiguous table, a strided view and a batched axis 1
+        dims = (p,) * n
+        base = rng.integers(0, 100, size=(2, p**n, 2)).astype(dtype)
+        for v in _shifts(rng, p, n) + _half_shifts(rng, p, n):
+            for table, axis in ((np.ascontiguousarray(base[0, :, 0]), 0), (base[:, :, 1], 1), (base, 1)):
+                self._check(table, dims, v, axis)
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 2), (3, 3), (7, 3), (2, 5)])
+    def test_one_half_zero_and_unreduced_entries(self, rng, p, n):
+        # v[:n//2] or v[n//2:] zero mod p moves one half only; entries that
+        # are negative or >= p act mod p
+        dims = (p,) * n
+        table = rng.integers(0, 100, size=(p**n, 2))
+        for v in _half_shifts(rng, p, n):
+            self._check(table, dims, v, 0)
+            self._check(table, dims, [int(c) for c in v], 0)
+
+    def test_shift_length_must_match_the_group(self):
+        table = np.arange(9)
+        for v in [(1,), (1, 2, 0), (), (0, 0, 0)]:
+            with pytest.raises(ValueError):
+                K._rolled(table, (3, 3), v)
+        with pytest.raises(ValueError):
+            K._rolled(np.arange(1), (), (0,))
 
     @pytest.mark.parametrize("p,n", [(3, 3), (3, 2), (5, 2), (7, 1)])
     def test_non_contiguous_transposed_input(self, rng, p, n):
@@ -79,16 +121,16 @@ class TestRolled:
     @pytest.mark.parametrize("p,n,k", [(2, 3, 1), (3, 2, 2), (5, 2, 1), (7, 1, 2)])
     def test_one_shift_on_every_layout(self, rng, p, n, k):
         # one v on a (p^n,) table, a (p-1, p^n) table at axis 1 and a batched
-        # (p-1, p^n, p^k) table: the slice plans are keyed by shape and axis
+        # (p-1, p^n, p^k) table: the gather indexes are shared by every shape
         dims = (p,) * n
         v = tuple(int(c) for c in rng.integers(1, p, size=n))
         for axis, shape in ((0, (p**n,)), (1, (p - 1, p**n)), (1, (p - 1, p**n, p**k))):
-            for _ in range(2):  # the second call reads the cached plan
+            for _ in range(2):  # the second call reads the cached indexes
                 self._check(rng.integers(0, 50, size=shape), dims, v, axis)
 
     def test_views_and_evicted_plans(self, rng):
-        # more distinct shifts than the plan cache holds, each on a contiguous
-        # table and on a strided view of the same shape, then the first again
+        # many distinct shifts, each on a contiguous table and on a strided
+        # view of the same shape, then the first again
         p, n = 5, 3
         dims = (p,) * n
         shifts = [tuple(int(c) for c in rng.integers(0, p, size=n)) for _ in range(100)]
@@ -99,6 +141,48 @@ class TestRolled:
             view = base[::2]
             assert not view.flags.c_contiguous
             self._check(view, dims, v, 1)
+
+    def test_more_shifts_than_the_caches_hold(self, rng):
+        # 528 distinct two-coordinate halves over F_23^2, more than the 512
+        # indexes kept, then the first shifts again once they are evicted;
+        # meanwhile one-coordinate shifts cycle through more primes than
+        # the two kept
+        p, n = 23, 4
+        pairs = [(a, b) for a in range(p) for b in range(p) if a or b]
+        order = rng.permutation(len(pairs))
+        shifts = [pairs[order[2 * k]] + pairs[order[2 * k + 1]] for k in range(264)]
+        table = rng.integers(0, 50, size=p**n).astype(np.uint8)
+        small = {q: rng.integers(0, 50, size=(q * q, 2)) for q in (5, 7, 11)}
+        for k, v in enumerate(shifts + shifts[:10]):
+            self._check(table, (p,) * n, v, 0)
+            q = (5, 7, 11)[k % 3]
+            self._check(small[q], (q, q), (k % q, (3 * k + 1) % q), 0)
+
+    def test_large_half_index_is_built_per_shift(self, rng):
+        # a half of 67^2 = 4489 elements is past the cached size
+        p, n = 67, 3
+        table = rng.integers(0, 50, size=(p**n,)).astype(np.int16)
+        for v in [(0, 1, 2), (5, 0, 66), (-1, 70, 0), (0, 0, 0), (3, 3, 3)]:
+            self._check(table, (p,) * n, v, 0)
+
+    def test_memory_held_across_shifts_is_bounded(self, rng):
+        # 200 distinct shifts of a one-coordinate table at a prime near 10^6,
+        # then at a second one: an index of p entries kept per shift would
+        # hold 200 * 8 MB, while one index per prime stays far under 64 MB
+        import tracemalloc
+
+        tables = {q: rng.integers(0, q, size=q).astype(np.int32) for q in (1_000_003, 1_000_033)}
+        tracemalloc.start()
+        try:
+            for q, table in tables.items():
+                for c in range(1, 201):
+                    out = K._rolled(table, (q,), (c * 4_999,))
+                    assert out[c * 4_999] == table[0]
+                del out
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
 
 
 class TestFpBinomialPower:
