@@ -88,20 +88,21 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _nested_ints(value, depth: int) -> bool:
+    """True iff value is an int (depth 0) or a list of integers nested `depth` deep."""
+    if depth == 0:
+        return type(value) is int
+    return isinstance(value, list) and all(_nested_ints(v, depth - 1) for v in value)
+
+
 def _field(data: dict, key: str, depth: int = 0, default=None):
     """data[key] as an integer (depth 0) or a list of integers nested `depth` deep.
 
     Booleans and floats are refused; a missing key or any other value raises
     PreconditionError naming the key.
     """
-
-    def ok(value, depth: int) -> bool:
-        if depth == 0:
-            return type(value) is int
-        return isinstance(value, list) and all(ok(v, depth - 1) for v in value)
-
     value = data.get(key, default)
-    if not ok(value, depth):
+    if not _nested_ints(value, depth):
         shape = "an integer" if depth == 0 else "a list of " + "lists of " * (depth - 1) + "integers"
         raise PreconditionError(f"{key} must be {shape}")
     return value

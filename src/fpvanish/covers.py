@@ -210,13 +210,6 @@ class AbelianGroup:
         """Proper subgroups of prime index (maximal in a finite abelian group)."""
         return [H for H in self.subgroups() if H.order < self.order and is_prime(self.order // H.order)]
 
-    def frattini(self) -> "Subgroup":
-        """Intersection of all maximal subgroups (the whole group if none)."""
-        mask = self.full_mask
-        for H in self.maximal_subgroups():
-            mask &= H.mask
-        return Subgroup._of_mask(self, mask)
-
     def __repr__(self) -> str:
         if self.order == 1:
             return "AbelianGroup(trivial)"
@@ -231,8 +224,13 @@ class Subgroup:
     def __init__(self, group: AbelianGroup, elements: frozenset[int]):
         buf = bytearray((group.order + 7) // 8)
         for e in elements:
+            if not 0 <= e < group.order:
+                raise ValueError(f"element {e} is not in {group!r}")
             buf[e >> 3] |= 1 << (e & 7)
-        self._set(group, int.from_bytes(buf, "little"))
+        mask = int.from_bytes(buf, "little")
+        if group.subgroup(elements).mask != mask:
+            raise ValueError(f"the elements do not form a subgroup of {group!r}")
+        self._set(group, mask)
 
     @classmethod
     def _of_mask(cls, group: AbelianGroup, mask: int) -> "Subgroup":
@@ -387,16 +385,6 @@ def check_subcover_claim(C: CosetCover) -> bool:
     return all(reduce(int.__and__, subs[:j] + subs[j + 1 :], whole) == total for j in range(len(subs)))
 
 
-def is_efficient_cover(C: CosetCover) -> bool:
-    """Irredundant, trivial subgroup intersection, all subgroups maximal."""
-    if not is_irredundant_cover(C):
-        return False
-    if intersection_subgroup(C).order != 1:
-        return False
-    maximal = {H.mask for H in C.group.maximal_subgroups()}
-    return all(H.mask in maximal for H, _ in C.cosets)
-
-
 def abelian_groups_up_to(max_order: int) -> list[tuple[int, ...]]:
     """Factor tuples of every abelian group of order 2..max_order, canonically."""
 
@@ -453,47 +441,106 @@ def _cover_dfs(
     max_size: int,
     accept: Optional[Callable[[list[int]], bool]],
 ) -> Iterator[list[int]]:
-    """Enumerate irredundant covers by index sets, each exactly once.
+    """Enumerate irredundant covers of `full` by index sets, each exactly once.
 
-    Branches on the lowest uncovered element; keeps each chosen mask's
-    private bits incrementally and prunes as soon as one loses privacy
-    (privacy is monotone: more cosets never restore it).  A coverage-slack
-    bound skips candidates that leave more uncovered than the remaining
-    picks can reach within max_size.  Exclusion branching (Algorithm X):
-    once a candidate has been tried it is banned from its later siblings
-    and their subtrees, so each cover is reached only along the first path
-    to it and no cover repeats.
+    Every mask must be a subset of `full`.
+
+    Candidate sets are ints: bit i of cand[e] is set when masks[i] holds
+    element e.  A node branches on the lowest uncovered element e and walks
+    cand[e] & ~banned from its lowest bit up.  Each chosen mask's private
+    bits are kept incrementally and a pick is pruned as soon as one of them
+    loses privacy (privacy is monotone: more cosets never restore it).  A
+    coverage-slack bound skips candidates that leave more uncovered than
+    the remaining picks can reach within max_size.  Exclusion branching
+    (Algorithm X): once a candidate has been tried it is banned from its
+    later siblings and their subtrees, so each cover is reached only along
+    the first path to it and no cover repeats.
+
+    A pick that completes the cover yields at once.  With one pick left, a
+    mask finishes the cover only if it holds every uncovered element, so
+    the finishing candidates are the AND of cand[x] over the uncovered x
+    (column intersection, as in Knuth's Dancing Links), and only those are
+    tested for privacy.  A next-to-last pick that no unbanned mask can
+    finish is dropped before its own privacy test.
     """
-    order_bits = full.bit_length()
-    candidates: list[list[int]] = [[] for _ in range(order_bits)]
+    cand = [0] * full.bit_length()
     for i, m in enumerate(masks):
-        for e in range(order_bits):
-            if (m >> e) & 1:
-                candidates[e].append(i)
+        bit = 1 << i
+        for e in _bits(m):
+            cand[e] |= bit
     max_cover = max((m.bit_count() for m in masks), default=0)
     chosen: list[int] = []
 
-    def dfs(union: int, privates: list[int], banned: int) -> Iterator[list[int]]:
-        if union == full:
-            if accept is None or accept(chosen):
-                yield list(chosen)
-            return
-        rem = ~union & full
-        slots = max_size - len(chosen) - 1  # picks left after this one
-        e = (rem & -rem).bit_length() - 1
-        for i in candidates[e]:
-            m = masks[i]
-            if (banned >> i) & 1 or (rem & ~m).bit_count() > max_cover * slots:
-                continue
-            new_privates = [pv & ~m for pv in privates]
-            if all(new_privates):
-                new_privates.append(m & ~union)
-                chosen.append(i)
-                yield from dfs(union | m, new_privates, banned)
-                chosen.pop()
-            banned |= 1 << i
+    def holding(rem: int, banned: int) -> int:
+        """The unbanned masks that hold all of a nonzero rem, as an int of indices."""
+        fits = ~banned
+        while rem and fits:
+            low = rem & -rem
+            fits &= cand[low.bit_length() - 1]
+            rem ^= low
+        return fits
 
-    yield from dfs(0, [], 0)
+    def finishers(fits: int, privates: list[int]) -> list[int]:
+        """The indices in fits whose masks leave a bit of every private set uncovered."""
+        out = []
+        while fits:
+            low = fits & -fits
+            fits ^= low
+            i = low.bit_length() - 1
+            keep = ~masks[i]
+            for pv in privates:
+                if not pv & keep:
+                    break
+            else:
+                out.append(i)
+        return out
+
+    def dfs(rem: int, privates: list[int], banned: int) -> Iterator[list[int]]:
+        slots = max_size - len(chosen) - 1  # picks left after this one
+        reach = max_cover * slots
+        todo = cand[(rem & -rem).bit_length() - 1] & ~banned
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            i = low.bit_length() - 1
+            keep = ~masks[i]
+            rest = rem & keep
+            if rest.bit_count() > reach:
+                continue
+            if slots == 1 and rest:
+                fits = holding(rest, banned)
+                if not fits:
+                    banned |= low
+                    continue
+            new_privates = [pv & keep for pv in privates]
+            if all(new_privates):
+                chosen.append(i)
+                new_privates.append(rem & ~keep)
+                if not rest:
+                    if accept is None or accept(chosen):
+                        yield list(chosen)
+                elif slots == 1:
+                    for j in finishers(fits, new_privates):
+                        cover = chosen + [j]
+                        if accept is None or accept(cover):
+                            yield cover
+                else:
+                    yield from dfs(rest, new_privates, banned)
+                chosen.pop()
+            banned |= low
+
+    if not full:
+        if accept is None or accept([]):
+            yield []
+    elif max_size == 1:
+        for j in finishers(holding(full, 0), []):
+            if accept is None or accept([j]):
+                yield [j]
+    elif max_size > 1:
+        try:
+            yield from dfs(full, [], 0)
+        finally:
+            del dfs  # dfs reaches itself through its closure cell; break that cycle
 
 
 def enumerate_irredundant_covers(
@@ -507,8 +554,9 @@ def enumerate_irredundant_covers(
     pool = group.subgroups() if subgroup_pool is None else list(subgroup_pool)
     cosets = _all_cosets(group, pool)
     masks = [c[2] for c in cosets]
+    pairs = [(H, rep) for H, rep, _ in cosets]
     for chosen in _cover_dfs(masks, group.full_mask, max_size, None):
-        yield CosetCover._trusted(group, tuple((cosets[i][0], cosets[i][1]) for i in chosen))
+        yield CosetCover._trusted(group, tuple(map(pairs.__getitem__, chosen)))
 
 
 def _phi_search(

@@ -142,29 +142,41 @@ def _greedy_irredundant_indices(
     of vanishing multisets vanish, so an entry that could not be removed
     never becomes removable after later removals.
 
-    The contexts come from a divide-and-conquer pass.  `solve(lo, hi, ctx)`
-    gets ctx = (kept entries of [0, lo)) * (all entries of [hi, m)); the left
-    half adds all of [mid, hi), and the right half, once the left is decided,
-    adds the kept entries of [lo, mid).  A zero context drops its whole range.
+    The contexts come from a divide-and-conquer pass, `_greedy_solve`.
     Each recursion level costs at most m binomial multiplies, so the pass
     takes at most m*ceil(log2 m) of them and holds ceil(log2 m) + 1 tables.
     """
     keep = [False] * len(entries)
-
-    def solve(lo: int, hi: int, ctx: np.ndarray) -> None:
-        if not ctx.any():
-            return
-        if hi - lo == 1:
-            keep[lo] = True
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid, _times_binomials(ctx, entries[mid:hi], r, p, n))
-        kept_left = [entries[i] for i in range(lo, mid) if keep[i]]
-        solve(mid, hi, _times_binomials(ctx, kept_left, r, p, n))
-
     if entries:
-        solve(0, len(entries), _fp_unit(p, n, cap))
+        _greedy_solve(entries, r, p, n, keep, 0, len(entries), _fp_unit(p, n, cap))
     return [i for i, k in enumerate(keep) if k]
+
+
+def _greedy_solve(
+    entries: Sequence[tuple[int, ...]],
+    r: int,
+    p: int,
+    n: int,
+    keep: list[bool],
+    lo: int,
+    hi: int,
+    ctx: np.ndarray,
+) -> None:
+    """Decide keep[lo:hi] given ctx = (kept entries of [0, lo)) * (all entries of [hi, m)).
+
+    The left half adds all of [mid, hi) to ctx, and the right half, once the
+    left is decided, adds the kept entries of [lo, mid).  A zero context drops
+    its whole range.
+    """
+    if not ctx.any():
+        return
+    if hi - lo == 1:
+        keep[lo] = True
+        return
+    mid = (lo + hi) // 2
+    _greedy_solve(entries, r, p, n, keep, lo, mid, _times_binomials(ctx, entries[mid:hi], r, p, n))
+    kept_left = [entries[i] for i in range(lo, mid) if keep[i]]
+    _greedy_solve(entries, r, p, n, keep, mid, hi, _times_binomials(ctx, kept_left, r, p, n))
 
 
 def is_fp_irredundant(V: FpMultiset, r: int = 1) -> bool:

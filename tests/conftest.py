@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -19,3 +21,19 @@ def random_multiset(rng, p, n, size, nonzero=False) -> FpMultiset:
             continue
         rows.append(v)
     return FpMultiset.from_coords(p, rows, n=n)
+
+
+def cyclic_garbage(call) -> int:
+    """Objects left in reference cycles by one call of `call()`, counted with gc paused.
+
+    A first call warms anything built once per process, so only what each
+    call leaves behind is counted.
+    """
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()

@@ -20,6 +20,7 @@ from fpvanish import cli, config
 from fpvanish.cli import main
 
 import reference as ref
+from conftest import cyclic_garbage
 
 
 def run_cli(capsys, *argv):
@@ -984,6 +985,9 @@ class TestReaders:
                         failures.append((argv, where, value, code))
         assert runs > 1000
         assert failures == []
+
+    def test_field_leaves_no_reference_cycle(self):
+        assert cyclic_garbage(lambda: cli._field({"vectors": [[1, 0], [0, 1]]}, "vectors", 2)) == 0
 
 
 def _node_paths(node, prefix=()):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from itertools import product
 
@@ -13,7 +14,7 @@ from fpvanish.errors import CapExceededError, PreconditionError
 from fpvanish.fp_core import FpMultiset, FpVector, enumerate_vectors
 
 import reference as ref
-from conftest import random_multiset
+from conftest import cyclic_garbage, random_multiset
 
 
 @pytest.fixture
@@ -187,10 +188,6 @@ class TestAbelianGroup:
         assert len(z2sq.maximal_subgroups()) == 3
         assert len(cv.AbelianGroup((4,)).maximal_subgroups()) == 1
 
-    def test_frattini(self, z2sq):
-        assert sorted(cv.AbelianGroup((4,)).frattini().elements) == [0, 2]
-        assert sorted(z2sq.frattini().elements) == [0]
-
     def test_large_cyclic_group(self):
         # joins double their step, so <5> in Z_{5^9} takes 19 translates (2^19 >= 5^8), not 5^8
         g = cv.AbelianGroup((5**9,))
@@ -203,6 +200,24 @@ class TestAbelianGroup:
     def test_subgroup_enumeration_cap(self):
         with pytest.raises(CapExceededError):
             cv.AbelianGroup((64,)).subgroups()
+
+
+class TestSubgroupConstructor:
+    @pytest.mark.parametrize("elements", [{0, -1}, {0, 99}, {0, 4}, {-4, 0}])
+    def test_element_outside_the_group_refused(self, z2sq, elements):
+        with pytest.raises(ValueError, match="not in"):
+            cv.Subgroup(z2sq, frozenset(elements))
+
+    @pytest.mark.parametrize("elements", [set(), {1}, {1, 2}, {0, 1, 2}, {0, 3, 1}])
+    def test_non_subgroup_refused(self, z2sq, elements):
+        with pytest.raises(ValueError, match="do not form a subgroup"):
+            cv.Subgroup(z2sq, frozenset(elements))
+
+    @pytest.mark.parametrize("factors", [(2, 2), (4,), (2, 4), (3, 3)])
+    def test_every_subgroup_accepted(self, factors):
+        g = cv.AbelianGroup(factors)
+        for H in g.subgroups():
+            assert cv.Subgroup(g, H.elements) == H
 
 
 class TestCoverPredicates:
@@ -220,8 +235,8 @@ class TestCoverPredicates:
         C = three_coset_cover(z2sq)
         assert cv.is_cover(C)
         assert cv.is_irredundant_cover(C)
-        assert cv.is_efficient_cover(C)
         assert cv.intersection_subgroup(C).order == 1
+        assert all(H in z2sq.maximal_subgroups() for H, _ in C.cosets)
         assert cv.intersection_subgroup(C).index() == 4
 
     def test_non_cover_detected(self, z2sq):
@@ -247,6 +262,70 @@ class TestEngineCovers:
         other = cv.AbelianGroup((2, 2))
         with pytest.raises(ValueError, match="same group"):
             next(cv.enumerate_irredundant_covers(z2sq, 3, other.subgroups()))
+
+
+def random_mask_pool(rng, width: int, size: int) -> list[int]:
+    """Random masks of `width` bits with a duplicate, the full mask and the empty one mixed in."""
+    full = (1 << width) - 1
+    masks = [int(rng.integers(0, full + 1)) for _ in range(size)]
+    masks += [masks[int(rng.integers(0, size))], full, 0]
+    order = rng.permutation(len(masks))
+    return [masks[i] for i in order]
+
+
+class TestCoverEngine:
+    def test_matches_reference_on_random_pools(self, rng):
+        pools = 0
+        for _ in range(300):
+            width = int(rng.integers(0, 9))
+            masks = random_mask_pool(rng, width, int(rng.integers(1, 12)))
+            full = (1 << width) - 1
+            for max_size in (0, 1, 2, 3, 5):
+                want = reference_cover_dfs(masks, full, max_size)
+                assert list(cv._cover_dfs(masks, full, max_size, None)) == want, (masks, full, max_size)
+                pools += bool(want)
+        assert pools > 300
+
+    def test_accept_filters_only_the_yields(self, rng):
+        # accept sees each complete cover and decides only whether it is yielded
+        for _ in range(100):
+            width = int(rng.integers(1, 9))
+            masks = random_mask_pool(rng, width, int(rng.integers(4, 12)))
+            full = (1 << width) - 1
+            for max_size in (1, 2, 4):
+                seen = []
+
+                def accept(chosen):
+                    seen.append(list(chosen))
+                    return sum(chosen) % 3 != 0
+
+                want = reference_cover_dfs(masks, full, max_size)
+                got = list(cv._cover_dfs(masks, full, max_size, accept))
+                assert seen == want
+                assert got == [c for c in want if sum(c) % 3 != 0]
+
+    def test_root_cases(self):
+        # an empty universe is covered by no picks; max_size 0 and 1 at the root
+        assert list(cv._cover_dfs([0, 0], 0, 0, None)) == [[]]
+        assert list(cv._cover_dfs([3, 1, 2, 3], 3, 0, None)) == []
+        assert list(cv._cover_dfs([3, 1, 2, 3], 3, 1, None)) == [[0], [3]]
+        assert list(cv._cover_dfs([3, 1, 2, 3], 3, 2, None)) == [[0], [1, 2], [3]]
+        assert list(cv._cover_dfs([3, 1, 2, 3], 3, 2, lambda c: len(c) == 2)) == [[1, 2]]
+
+    def test_pinned_z2_4_enumeration(self):
+        digest = hashlib.sha256()
+        count = 0
+        for C in cv.enumerate_irredundant_covers(cv.AbelianGroup((2, 2, 2, 2)), 4):
+            count += 1
+            digest.update(repr([(H.key, x) for H, x in C.cosets]).encode() + b"\n")
+        assert count == 121571
+        assert digest.hexdigest() == "a8e4fa89960e8b61a74e312cca365818ef758e9ed638bde8b68cce598229ed7a"
+
+    def test_leaves_no_reference_cycle(self):
+        g = cv.AbelianGroup((2, 4))
+        masks = [c[2] for c in cv._all_cosets(g, g.subgroups())]
+        assert cyclic_garbage(lambda: list(cv._cover_dfs(masks, g.full_mask, 4, None))) == 0
+        assert cyclic_garbage(lambda: next(cv._cover_dfs(masks, g.full_mask, 4, None))) == 0
 
 
 class TestShrink:
@@ -345,8 +424,11 @@ class TestPhi:
     def test_efficient_cover_existence(self):
         assert cv.find_efficient_cover(cv.AbelianGroup((4,))) is None
         assert cv.find_efficient_cover(cv.AbelianGroup((2, 4))) is None
-        got = cv.find_efficient_cover(cv.AbelianGroup((3, 3)))
-        assert got is not None and cv.is_efficient_cover(got)
+        g = cv.AbelianGroup((3, 3))
+        got = cv.find_efficient_cover(g)
+        assert got is not None and cv.is_irredundant_cover(got)
+        assert cv.intersection_subgroup(got).order == 1
+        assert all(H in g.maximal_subgroups() for H, _ in got.cosets)
 
 
 class TestHyperplaneInstances:

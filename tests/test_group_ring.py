@@ -14,7 +14,7 @@ from fpvanish.errors import CapExceededError, InvariantViolationError, Precondit
 from fpvanish.fp_core import FpMultiset, FpVector, enumerate_vectors
 
 import reference as ref
-from conftest import random_multiset
+from conftest import cyclic_garbage, random_multiset
 
 
 def elt(p, n, rng):
@@ -310,6 +310,10 @@ class TestDivideAndConquerGreedy:
         assert len(calls) <= m * math.ceil(math.log2(m))
         monkeypatch.undo()
         assert kept == _greedy_reference(entries, 1, p, n)
+
+    def test_leaves_no_reference_cycle(self):
+        entries = [v.coords for v in random_multiset(np.random.default_rng(3), 3, 2, 9, nonzero=True).entries]
+        assert cyclic_garbage(lambda: gr._greedy_irredundant_indices(entries, 1, 3, 2)) == 0
 
 
 def _one(p: int) -> np.ndarray:
