@@ -162,13 +162,6 @@ class ArithmeticSet:
             raise KeyError(f"{a} is a member")
         return self.witnesses[a % self.p]
 
-    def translate(self, c: int) -> "ArithmeticSet":
-        """A + c with the witness table carried along."""
-        c = c % self.p
-        elements = frozenset((a + c) % self.p for a in self.elements)
-        witnesses = {(a + c) % self.p: b for a, b in self.witnesses.items()}
-        return ArithmeticSet(self.p, self.r, elements, witnesses)
-
     def to_dict(self) -> dict:
         return {
             "p": self.p,

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     SearchBudgetExceededError,
 )
-from .fp_core import FpMultiset, FpVector, _probable_prime, check_ring_cap, is_prime
+from .fp_core import FpMultiset, FpVector, _as_prime, _probable_prime, check_ring_cap, is_prime
 
 FORMAT_VERSION = 1
 
@@ -63,7 +63,11 @@ def _rows(payload: dict, prefix: str = "") -> list[str]:
 
 
 def _parse_residues(text: str, p: int) -> list[int]:
-    """Residue lists like "1,2,3" or ranges "1..10" (inclusive), mixed."""
+    """Residue lists like "1,2,3" or ranges "1..10" (inclusive), mixed, mod p.
+
+    A range of at least p integers holds every residue, so it adds range(p)
+    without listing its own integers.
+    """
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -71,7 +75,8 @@ def _parse_residues(text: str, p: int) -> list[int]:
             continue
         if ".." in chunk:
             lo, hi = chunk.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = int(lo), int(hi)
+            out.extend(range(p) if hi - lo + 1 >= p else range(lo, hi + 1))
         else:
             out.append(int(chunk))
     return [x % p for x in out]
@@ -198,7 +203,8 @@ def _cmd_arithmetic_set(args) -> int:
         return 0
     if not args.set:
         raise PreconditionError("supply --set, --min, or --small")
-    elements = _parse_residues(args.set, args.p)
+    # the modulus is checked before _parse_residues reduces by it
+    elements = _parse_residues(args.set, _as_prime(args.p))
     check = ar.is_r_arithmetic(elements, r, args.p)
     payload = {
         "p": args.p,
@@ -309,7 +315,9 @@ def _cmd_covers_check(args) -> int:
 
 def _cmd_ajt(args) -> int:
     if args.hunt:
-        report = lm.hunt_counterexample(args.p, args.n, args.k, args.trials, seed=args.seed)
+        report = lm.hunt_counterexample(
+            args.p, args.n, args.k, args.trials, seed=args.seed, cap=args.cap_ring
+        )
         _emit({"counterexample": report}, args)
         return 0
     if not args.input:

@@ -25,7 +25,6 @@ from .fp_core import (
     hyperplane_masks,
     is_irredundant_mask_cover,
     is_prime,
-    shrink_mask_cover,
 )
 
 
@@ -277,9 +276,6 @@ class Subgroup:
     def index(self) -> int:
         return self.group.order // self.order
 
-    def coset_elements(self, rep: int) -> frozenset[int]:
-        return frozenset(_bits(self.coset_mask(rep)))
-
     def coset_mask(self, rep: int) -> int:
         cached = self._mask_cache.get(rep)
         if cached is None:
@@ -328,9 +324,6 @@ class CosetCover:
     def masks(self) -> list[int]:
         return [H.coset_mask(x) for H, x in self.cosets]
 
-    def canonical_keys(self) -> list[tuple[tuple[int, ...], int]]:
-        return [(H.key, _low_bit(H.coset_mask(x))) for H, x in self.cosets]
-
     def to_dict(self) -> dict:
         g = self.group
         return {
@@ -357,16 +350,6 @@ def is_irredundant_cover(C: CosetCover) -> bool:
     return is_irredundant_mask_cover(C.masks(), C.group.full_mask)
 
 
-def shrink_to_irredundant(C: CosetCover) -> CosetCover:
-    """Greedy one-pass removal in canonical coset order; preserves covering."""
-    if not is_cover(C):
-        raise PreconditionError("input family is not a cover")
-    keys = C.canonical_keys()
-    order = sorted(range(C.size), key=keys.__getitem__)
-    kept = shrink_mask_cover(C.masks(), C.group.full_mask, order)
-    return CosetCover(C.group, tuple(C.cosets[j] for j in kept))
-
-
 def intersection_subgroup(C: CosetCover) -> Subgroup:
     """Intersection of the subgroups; the whole group for an empty family."""
     mask = C.group.full_mask
@@ -385,23 +368,24 @@ def check_subcover_claim(C: CosetCover) -> bool:
     return all(reduce(int.__and__, subs[:j] + subs[j + 1 :], whole) == total for j in range(len(subs)))
 
 
+def _partitions(n: int) -> Iterator[list[int]]:
+    """The partitions of n, each as a non-increasing list, largest first part first."""
+    if n == 0:
+        yield []
+        return
+    for first in range(n, 0, -1):
+        for rest in _partitions(n - first):
+            if not rest or first >= rest[0]:
+                yield [first] + rest
+
+
 def abelian_groups_up_to(max_order: int) -> list[tuple[int, ...]]:
     """Factor tuples of every abelian group of order 2..max_order, canonically."""
-
-    def partitions(n: int) -> Iterator[list[int]]:
-        if n == 0:
-            yield []
-            return
-        for first in range(n, 0, -1):
-            for rest in partitions(n - first):
-                if not rest or first >= rest[0]:
-                    yield [first] + rest
-
     from itertools import product as iproduct
 
     out = []
     for order in range(2, max_order + 1):
-        per_prime = [[[q**e for e in part] for part in partitions(k)] for q, k in _factorize(order)]
+        per_prime = [[[q**e for e in part] for part in _partitions(k)] for q, k in _factorize(order)]
         for combo in iproduct(*per_prime):
             factors = sorted(f for group in combo for f in group)
             out.append(tuple(factors))
@@ -608,12 +592,10 @@ def phi_pn_maximal(p: int, n: int, cap: Optional[int] = None) -> tuple[int, Cose
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    group = AbelianGroup((p,) * n)
-    cap = config.GROUP_ORDER_CAP if cap is None else cap
-    found = _phi_search(group, group.maximal_subgroups(), cap)
-    if found is None:
+    cover = find_efficient_cover(AbelianGroup((p,) * n), cap)
+    if cover is None:
         raise InvariantViolationError(f"F_{p}^{n} has no efficient cover")
-    k, cover = found
+    k = cover.size
     s = smallest_arithmetic_size(p)
     if s**k < p**n:
         raise InvariantViolationError(
@@ -623,7 +605,7 @@ def phi_pn_maximal(p: int, n: int, cap: Optional[int] = None) -> tuple[int, Cose
 
 
 def find_efficient_cover(group: AbelianGroup, cap: Optional[int] = None) -> Optional[CosetCover]:
-    """Exhaustive search for any efficient cover; None when none exists."""
+    """A smallest efficient cover, the first in canonical coset order; None when none exists."""
     cap = config.GROUP_ORDER_CAP if cap is None else cap
     if group.order > cap:
         raise CapExceededError(f"group order {group.order} exceeds cap {cap}")
@@ -672,30 +654,8 @@ class HyperplaneCoverInstance:
         normals = [v.coords for v in self.normals]
         return hyperplane_masks(self.p, self.n, normals, [-t for t in self.offsets], self.cap)
 
-    def _full(self) -> int:
-        return (1 << self.p**self.n) - 1
-
-    def is_cover(self) -> bool:
-        union = 0
-        for m in self.masks():
-            union |= m
-        return union == self._full()
-
     def is_irredundant_cover(self) -> bool:
-        return is_irredundant_mask_cover(self.masks(), self._full())
-
-    def shrink_to_irredundant(self) -> "HyperplaneCoverInstance":
-        """Greedy one-pass removal in entry order; preserves covering."""
-        if not self.is_cover():
-            raise PreconditionError("hyperplane family is not a cover")
-        kept = shrink_mask_cover(self.masks(), self._full(), range(self.size))
-        return HyperplaneCoverInstance(
-            self.p,
-            self.n,
-            tuple(self.normals[i] for i in kept),
-            tuple(self.offsets[i] for i in kept),
-            self.cap,
-        )
+        return is_irredundant_mask_cover(self.masks(), (1 << self.p**self.n) - 1)
 
     def codimension(self) -> int:
         """Rank of the normals: the codimension of the directions' intersection."""

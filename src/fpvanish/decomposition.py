@@ -56,7 +56,6 @@ from .fp_core import (
     check_ring_cap,
     rref_mod_p,
     solve_combination,
-    span_dimension,
 )
 from .group_ring import _fp_product, _greedy_irredundant_indices, is_fp_vanishing
 
@@ -421,16 +420,3 @@ def brute_force_representable(
             nxt |= _kernels._rolled(reach, dims, s)
         reach = nxt
     return bool(reach.reshape(dims)[x.coords])
-
-
-def verify_size_bound(V: FpMultiset, s: int) -> bool:
-    """Check |V| >= (log p / log s) * dim span(V), exactly in integers.
-
-    Equivalent form: s^|V| >= p^dim.  `s` is the minimum arithmetic-set size
-    from the arithmetic_sets module; the bound applies to irredundant V
-    (caller-certified).
-    """
-    if s < 2:
-        raise ValueError("arithmetic-set size must be at least 2")
-    d = span_dimension(V)
-    return s**V.size >= V.p**d

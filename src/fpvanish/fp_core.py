@@ -357,21 +357,21 @@ def is_irredundant_mask_cover(masks: Sequence[int], full: int) -> bool:
     return seen == full and all(m & ~twice for m in masks)
 
 
-def shrink_mask_cover(masks: Sequence[int], full: int, order: Sequence[int]) -> list[int]:
+def shrink_mask_cover(masks: Sequence[int], full: int) -> list[int]:
     """Kept indices, ascending, of a one-pass greedy shrink of a cover.
 
-    Visiting indices in `order`, each mask is dropped when the others still
-    cover `full`.  At each visit the masks still to come are all kept, so
-    the union of the others is the kept union so far OR the suffix union of
-    what follows.
+    Visiting indices in ascending order, each mask is dropped when the
+    others still cover `full`.  At each visit the masks still to come are
+    all kept, so the union of the others is the kept union so far OR the
+    suffix union of what follows.
     """
-    suffix = [0] * (len(order) + 1)
-    for pos in range(len(order) - 1, -1, -1):
-        suffix[pos] = suffix[pos + 1] | masks[order[pos]]
+    suffix = [0] * (len(masks) + 1)
+    for i in range(len(masks) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
     kept = []
     before = 0
-    for pos, i in enumerate(order):
-        if before | suffix[pos + 1] != full:
+    for i, m in enumerate(masks):
+        if before | suffix[i + 1] != full:
             kept.append(i)
-            before |= masks[i]
-    return sorted(kept)
+            before |= m
+    return kept

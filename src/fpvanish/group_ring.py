@@ -122,11 +122,6 @@ def _fp_product(
     return _times_binomials(table, entries, r, p, n)
 
 
-def binomial_product_fp(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> np.ndarray:
-    """The product over V of (1 - g^v)^r as a (p^n,) int64 table of residues; stops at zero."""
-    return _fp_product([v.coords for v in V.entries], r, V.p, V.n, cap).astype(np.int64, copy=False)
-
-
 def is_fp_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> bool:
     """True iff the product over V of (1 - g^v)^r is the zero element."""
     return not _fp_product([v.coords for v in V.entries], r, V.p, V.n, cap).any()
@@ -391,4 +386,7 @@ def is_c_irredundant(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> Op
             chosen.pop()
         return None
 
-    return search(0, 0, 0)
+    try:
+        return search(0, 0, 0)
+    finally:
+        del search  # search reaches itself through its closure cell; break that cycle

@@ -23,6 +23,7 @@ from .fp_core import (
     FpVector,
     _as_prime,
     _rank,
+    check_ring_cap,
     coords_matrix,
     hyperplane_masks,
     shrink_mask_cover,
@@ -71,15 +72,6 @@ class ChoiceSystem:
             if not is_invertible(M, self.p):
                 raise ValueError(f"matrix {i} is singular mod {self.p}")
         self.matrices = tuple(mats)
-
-    @property
-    def declared_r(self) -> Optional[int]:
-        """r with every |X_{i,j}| = p - r, when the sizes are uniform."""
-        sizes = set(self.allowed.sum(axis=2).ravel().tolist())
-        if len(sizes) != 1:
-            return None
-        r = self.p - sizes.pop()
-        return r if 1 <= r <= self.p - 1 else None
 
     def row_vector(self, i: int, j: int) -> FpVector:
         return FpVector(self.p, tuple(int(c) for c in self.matrices[i][j]))
@@ -158,7 +150,7 @@ def failure_certificate(S: ChoiceSystem, cap: Optional[int] = None) -> CoverCert
         union |= m
     if union != full:
         raise InvariantViolationError("forbidden hyperplanes fail to cover despite no witness")
-    kept = [triples[u] for u in shrink_mask_cover(masks, full, range(len(triples)))]
+    kept = [triples[u] for u in shrink_mask_cover(masks, full)]
     instance = HyperplaneCoverInstance(
         p,
         n,
@@ -206,21 +198,23 @@ def random_invertible(p: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def hunt_counterexample(
-    p: int, n: int, k: int, trials: int, seed: int = 0
+    p: int, n: int, k: int, trials: int, seed: int = 0, cap: Optional[int] = None
 ) -> Optional[dict]:
     """Randomized probe for nonzero-coordinate witnesses over k random matrices.
 
     Returns None when every sampled system had a witness, else a report with
     the failing matrices and the certificate.  No claim is made either way;
-    this is an exploration aid.
+    this is an exploration aid.  `cap` bounds p^n, checked before the
+    primality test and before any matrix is drawn.
     """
+    check_ring_cap(p, n, cap)
     p = _as_prime(p)
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         mats = [random_invertible(p, n, rng) for _ in range(k)]
         S = ChoiceSystem.nonzero(p, mats)
-        if find_witness(S) is None:
-            cert = failure_certificate(S)
+        if find_witness(S, cap) is None:
+            cert = failure_certificate(S, cap)
             return {
                 "trial": trial,
                 "matrices": [M.tolist() for M in mats],

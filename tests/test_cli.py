@@ -151,6 +151,19 @@ class TestArithmeticSetCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("p", ["0", "4"])
+    def test_set_checks_the_modulus_first(self, capsys, p):
+        code, out, err = run_cli(capsys, "arithmetic-set", "--p", p, "--set", "1")
+        assert (code, out) == (2, "")
+        assert err == f"input error: modulus must be a prime >= 2, got {p}\n"
+
+    def test_long_range_is_not_listed(self, capsys):
+        # 10^12 integers could not be listed; a range of at least p adds all of F_p
+        short, long = (
+            run_cli(capsys, "arithmetic-set", "--p", "5", "--set", spec) for spec in ("0..4", "0..1000000000000")
+        )
+        assert short == long and short[0] == 0
+
     def test_reused_parser_matches_fresh_process(self, capsys):
         sequence = [
             ["arithmetic-set", "--p", "13", "--min"],
@@ -846,6 +859,16 @@ class TestAjtCommand:
         )
         assert code == 0
         assert json.loads(out)["counterexample"] is None
+
+    @pytest.mark.parametrize("argv", [["--n", "800", "--trials", "1"], ["--n", "2", "--cap-ring", "5"]])
+    def test_hunt_checks_the_ring_cap_before_drawing(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("a matrix was drawn before the ring-cap check")
+
+        monkeypatch.setattr(cli.lm, "random_invertible", refuse)
+        code, out, err = run_cli(capsys, "ajt", "--hunt", "--p", "3", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("cap exceeded: p^n = 3^")
 
     def test_hunt_rejects_p_1(self):
         # over F_1 every matrix is zero, so drawing an invertible one never ends

@@ -225,13 +225,12 @@ class TestBitmaskCovers:
             masks, full = self._random_family(rng, int(rng.integers(1, 10)))
             if _union(masks) != full:
                 continue
-            order = [int(i) for i in rng.permutation(len(masks))]
             kept = list(range(len(masks)))
-            for i in order:
+            for i in range(len(masks)):
                 trial = [j for j in kept if j != i]
                 if _union([masks[j] for j in trial]) == full:
                     kept = trial
-            got = fc.shrink_mask_cover(masks, full, order)
+            got = fc.shrink_mask_cover(masks, full)
             assert got == kept
             assert fc.is_irredundant_mask_cover([masks[j] for j in got], full)
 

@@ -21,6 +21,11 @@ def elt(p, n, rng):
     return rng.integers(0, p, size=p**n)
 
 
+def fp_product(V, r=1, cap=None):
+    """The product over V of (1 - g^v)^r as a raw residue table at the width for p."""
+    return gr._fp_product([v.coords for v in V.entries], r, V.p, V.n, cap)
+
+
 class TestRingAxioms:
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([(2, 2), (3, 1), (3, 2), (5, 1)]), st.integers(0, 2**31 - 1))
@@ -37,7 +42,7 @@ class TestRingAxioms:
 
     def test_unit_is_identity(self, rng):
         a = elt(5, 2, rng)
-        one = gr.binomial_product_fp(FpMultiset(5, 2, ()))
+        one = fp_product(FpMultiset(5, 2, ()))
         assert np.array_equal(ref.fp_mul(a, one, 5, 2), a)
 
     def test_binomial_matches_general_product(self, rng):
@@ -52,7 +57,7 @@ class TestRingAxioms:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_binomial_pth_power_vanishes(self, p):
-        one = gr.binomial_product_fp(FpMultiset(p, 2, ()))
+        one = fp_product(FpMultiset(p, 2, ()))
         for v in enumerate_vectors(p, 2):
             if v.is_zero():
                 continue
@@ -63,23 +68,23 @@ class TestBinomialProductFp:
     def test_p_copies_vanish(self):
         for p in (2, 3, 5):
             V = FpMultiset.from_coords(p, [[1, 0]] * p)
-            assert not gr.binomial_product_fp(V).any()
+            assert not fp_product(V).any()
 
     def test_single_factor_support(self, rng):
         V = FpMultiset.from_coords(5, [[1, 0]])
-        prod = gr.binomial_product_fp(V)
-        assert prod.shape == (25,) and prod.dtype == np.int64
+        prod = fp_product(V)
+        assert prod.shape == (25,) and prod.dtype == gr._coef_dtype(5)
         assert np.nonzero(prod)[0].tolist() == [0, 5]
         assert prod[[0, 5]].tolist() == [1, 4]
         # raw residue tables in [0, p) equal to the reference product
         for _ in range(10):
             p, n = int(rng.choice([2, 3, 5])), int(rng.integers(0, 3))
             V = random_multiset(rng, p, n, int(rng.integers(0, 4)))
-            want = gr.binomial_product_fp(FpMultiset(p, n, ()))
+            want = fp_product(FpMultiset(p, n, ()))
             for v in V.entries:
                 want = ref.fp_mul(want, ref.fp_binomial(p, n, v.coords), p, n)
-            prod = gr.binomial_product_fp(V)
-            assert prod.shape == (p**n,) and prod.dtype == np.int64
+            prod = fp_product(V)
+            assert prod.shape == (p**n,) and prod.dtype == gr._coef_dtype(p)
             assert prod.min() >= 0 and prod.max() < p
             assert np.array_equal(prod, want)
 
@@ -87,30 +92,30 @@ class TestBinomialProductFp:
         "p,width", [(2, np.int8), (127, np.int8), (131, np.int16), (32749, np.int16), (32771, np.int32)]
     )
     def test_residue_tables_at_the_width_for_p(self, rng, p, width):
-        # the product is computed at the width for p and returned as int64
+        # the product is computed and returned at the width for p
         assert gr._fp_unit(p, 1).dtype == width
         V = FpMultiset.from_coords(p, [[int(c)] for c in rng.integers(1, p, size=3)])
         want = np.zeros(p, dtype=np.int64)
         want[0] = 1
         for v in V.entries:
             want = K.fp_binomial_power(want, (p,), v.coords, 1, p)
-        prod = gr.binomial_product_fp(V)
-        assert prod.dtype == np.int64 and np.array_equal(prod, want)
+        prod = fp_product(V)
+        assert prod.dtype == width and np.array_equal(prod, want)
 
     def test_p_minus_one_copies_give_all_ones(self):
         V = FpMultiset.from_coords(5, [[1]] * 4)
-        prod = gr.binomial_product_fp(V)
-        assert prod.dtype == np.int64 and prod.tolist() == [1] * 5
+        prod = fp_product(V)
+        assert prod.dtype == gr._coef_dtype(5) and prod.tolist() == [1] * 5
 
     def test_r_range_validated(self):
         V = FpMultiset.from_coords(5, [[1]])
         with pytest.raises(ValueError):
-            gr.binomial_product_fp(V, r=5)
+            fp_product(V, r=5)
 
     def test_cap_violation(self):
         V = FpMultiset.from_coords(2, [[1] * 6])
         with pytest.raises(CapExceededError):
-            gr.binomial_product_fp(V, cap=32)
+            fp_product(V, cap=32)
 
 
 class TestVanishing:
@@ -162,12 +167,12 @@ class TestNilpotencyBound:
         # each e_i (p-1)/r times: r|V| = n(p-1) and the product is nonzero
         V = FpMultiset.from_coords(p, _unit_vectors_repeated(p, n, (p - 1) // r), n=n)
         assert r * V.size == n * (p - 1)
-        want = gr.binomial_product_fp(FpMultiset(p, n, ()))
+        want = fp_product(FpMultiset(p, n, ()))
         for v in V.entries:
             for _ in range(r):
                 want = ref.fp_mul(ref.fp_binomial(p, n, v.coords), want, p, n)
-        got = gr.binomial_product_fp(V, r)
-        assert got.dtype == np.int64 and got.shape == (p**n,)
+        got = fp_product(V, r)
+        assert got.dtype == gr._coef_dtype(p) and got.shape == (p**n,)
         assert got.any() and np.array_equal(got, want)
         assert not gr.is_fp_vanishing(V, r)
 
@@ -180,8 +185,8 @@ class TestNilpotencyBound:
         tight_plus_one = _unit_vectors_repeated(p, n, (p - 1) // r) + [[1] * n]
         for V in (FpMultiset.from_coords(p, tight_plus_one, n=n), random_multiset(rng, p, n, size, nonzero=n > 0)):
             assert V.size == size and r * (size - 1) <= n * (p - 1) < r * size
-            got = gr.binomial_product_fp(V, r)
-            assert got.dtype == np.int64 and got.shape == (p**n,)
+            got = fp_product(V, r)
+            assert got.dtype == gr._coef_dtype(p) and got.shape == (p**n,)
             assert not got.any()
             assert gr.is_fp_vanishing(V, r)
         assert calls == []
@@ -190,7 +195,7 @@ class TestNilpotencyBound:
         calls = _count_multiplies(monkeypatch)
         V = FpMultiset.from_coords(2, [[1] * 6] * 7)
         with pytest.raises(CapExceededError):
-            gr.binomial_product_fp(V, cap=32)
+            fp_product(V, cap=32)
         with pytest.raises(ValueError):
             gr.is_fp_vanishing(FpMultiset.from_coords(3, [[1]] * 3), r=3)
         assert calls == []
@@ -468,7 +473,7 @@ class TestComplexVanishing:
             lambda: gr.is_c_vanishing(V, r),
             lambda: gr.is_c_irredundant(V, r),
             lambda: gr.binomial_product_cyc(V, (0, 1, 2), r),
-            lambda: gr.binomial_product_fp(V, r),
+            lambda: fp_product(V, r),
             lambda: gr.is_fp_irredundant(V, r),
         ):
             with pytest.raises(ValueError, match=f"got r={r} for p=3"):
@@ -523,6 +528,11 @@ class TestComplexIrredundance:
         # any vanishing witness leaves one hyperplane duplicated
         assert gr.is_c_vanishing(V) is not None
         assert gr.is_c_irredundant(V) is None
+
+    def test_leaves_no_reference_cycle(self):
+        for rows in ([[1], [1], [1]], [[1], [1], [1], [1]]):
+            V = FpMultiset.from_coords(3, rows)
+            assert cyclic_garbage(lambda: gr.is_c_irredundant(V)) == 0
 
     def test_scaling_transport(self, rng):
         for _ in range(10):

@@ -14,14 +14,6 @@ class TestChoiceSystem:
         with pytest.raises(ValueError, match="singular"):
             lm.ChoiceSystem.nonzero(5, [[[1, 2], [2, 4]]])
 
-    def test_declared_r(self):
-        S = lm.ChoiceSystem.nonzero(5, [np.eye(2, dtype=int)])
-        assert S.declared_r == 1
-        S = lm.ChoiceSystem(5, [np.eye(2, dtype=int)], [[[0, 1, 2], [0, 1, 2]]])
-        assert S.declared_r == 2
-        S = lm.ChoiceSystem(5, [np.eye(2, dtype=int)], [[[0], [0, 1, 2]]])
-        assert S.declared_r is None
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             lm.ChoiceSystem(5, [np.eye(2, dtype=int)], [[[1]]])
