@@ -280,9 +280,9 @@ def _cmd_phi(args) -> int:
     cap = config.GROUP_ORDER_CAP if args.cap_group is None else args.cap_group
     group = _group([int(x) for x in args.factors.split(",")], cap)
     if args.maximal:
-        if len(set(group.factors)) != 1:
-            raise PreconditionError("--maximal requires an elementary abelian group")
         p = group.factors[0]
+        if len(set(group.factors)) != 1 or not is_prime(p):
+            raise PreconditionError("--maximal requires an elementary abelian group")
         k, cover = cv.phi_pn_maximal(p, len(group.factors), cap=cap)
     else:
         k, cover = cv.phi_exact(group, cap=cap)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import config
 from .arithmetic_sets import smallest_arithmetic_size
@@ -359,13 +359,25 @@ def intersection_subgroup(C: CosetCover) -> Subgroup:
 
 
 def check_subcover_claim(C: CosetCover) -> bool:
-    """For an irredundant cover, dropping any one subgroup keeps the intersection."""
+    """For an irredundant cover, dropping any one subgroup keeps the intersection.
+
+    Dropping subgroup j leaves the AND of the subgroups before j with those
+    after it, so one prefix and one suffix pass give every drop-one
+    intersection in about 2k ANDs.
+    """
     if not is_irredundant_cover(C):
         raise PreconditionError("claim applies to irredundant covers only")
     subs = [H.mask for H, _ in C.cosets]
     whole = C.group.full_mask
-    total = reduce(int.__and__, subs, whole)
-    return all(reduce(int.__and__, subs[:j] + subs[j + 1 :], whole) == total for j in range(len(subs)))
+    prefix = [whole]  # prefix[j] is the AND of subs[:j]
+    for m in subs:
+        prefix.append(prefix[-1] & m)
+    after = whole  # the AND of subs[j + 1:]
+    for j in range(len(subs) - 1, -1, -1):
+        if prefix[j] & after != prefix[-1]:
+            return False
+        after &= subs[j]
+    return True
 
 
 def _partitions(n: int) -> Iterator[list[int]]:
@@ -423,7 +435,7 @@ def _cover_dfs(
     masks: list[int],
     full: int,
     max_size: int,
-    accept: Optional[Callable[[list[int]], bool]],
+    subgroups: Optional[list[int]],
 ) -> Iterator[list[int]]:
     """Enumerate irredundant covers of `full` by index sets, each exactly once.
 
@@ -435,10 +447,10 @@ def _cover_dfs(
     bits are kept incrementally and a pick is pruned as soon as one of them
     loses privacy (privacy is monotone: more cosets never restore it).  A
     coverage-slack bound skips candidates that leave more uncovered than
-    the remaining picks can reach within max_size.  Exclusion branching
-    (Algorithm X): once a candidate has been tried it is banned from its
-    later siblings and their subtrees, so each cover is reached only along
-    the first path to it and no cover repeats.
+    the remaining picks can reach within the size bound.  Exclusion
+    branching (Algorithm X): once a candidate has been tried it is banned
+    from its later siblings and their subtrees, so each cover is reached
+    only along the first path to it and no cover repeats.
 
     A pick that completes the cover yields at once.  With one pick left, a
     mask finishes the cover only if it holds every uncovered element, so
@@ -446,6 +458,38 @@ def _cover_dfs(
     (column intersection, as in Knuth's Dancing Links), and only those are
     tested for privacy.  A next-to-last pick that no unbanned mask can
     finish is dropped before its own privacy test.
+
+    Without `subgroups`, one pass yields every irredundant cover of at most
+    max_size masks.  With `subgroups`, masks[i] is a coset of the subgroup
+    whose mask is subgroups[i], and `full` holds element 0.  Every subgroup
+    mask holds element 0, so an intersection is trivial when it equals 1.
+    The call is then the whole phi search: it deepens k = 1..max_size, and
+    at the least k that has one it yields every size-k cover with trivial
+    intersection whose lowest index holds element 0, in search order, and
+    stops.  `cand` and the slack bound are built once for every k.
+
+    - Running intersection: the AND of the chosen subgroups is carried down
+      the path and tested when a pick completes the cover, and on each
+      finisher before its privacy test; no callback sees the cover.
+    - Translate cut: the subtree of root pick i bans every index below i,
+      so only covers whose lowest index holds element 0 are visited.  Bans
+      only prune, so the covers left are reached along the same paths in
+      the same order.  This loses nothing for the cosets of `_all_cosets`,
+      which hold every coset of each pool subgroup (the list is closed
+      under translation), sorted by (subgroup key, rep) with rep 0 first.
+      Suppose the first cover C with trivial intersection that
+      the uncut search yields had its lowest index j at a coset y + K with
+      y not in K.  Then C - y is a cover of the same size with the same
+      subgroups, and it holds K itself, whose index is below j.  A cover's
+      root pick is its lowest index holding element 0: below j for C - y,
+      above j for C.  The search finishes each root pick's subtree before
+      the next, so C - y would be yielded before C, a contradiction.  The
+      first cover is never cut.
+    - Root cut: the intersection of a cover whose lowest index is i holds
+      AND(subgroups[i:]), so the root loop stops at the first i where that
+      suffix AND is not 1.  A pool whose whole AND is not trivial (the
+      maximal subgroups of a group with a nontrivial Frattini subgroup) is
+      refused before any search.
     """
     cand = [0] * full.bit_length()
     for i, m in enumerate(masks):
@@ -453,6 +497,8 @@ def _cover_dfs(
         for e in _bits(m):
             cand[e] |= bit
     max_cover = max((m.bit_count() for m in masks), default=0)
+    # without subgroups every mask counts as a coset of the trivial subgroup, so every cover passes
+    subs = [1] * len(masks) if subgroups is None else subgroups
     chosen: list[int] = []
 
     def holding(rem: int, banned: int) -> int:
@@ -464,13 +510,16 @@ def _cover_dfs(
             rem ^= low
         return fits
 
-    def finishers(fits: int, privates: list[int]) -> list[int]:
-        """The indices in fits whose masks leave a bit of every private set uncovered."""
+    def finishers(fits: int, privates: list[int], meet: int) -> list[int]:
+        """The indices in fits whose subgroups cut meet to 1 and whose masks
+        leave a bit of every private set uncovered."""
         out = []
         while fits:
             low = fits & -fits
             fits ^= low
             i = low.bit_length() - 1
+            if meet & subs[i] != 1:
+                continue
             keep = ~masks[i]
             for pv in privates:
                 if not pv & keep:
@@ -479,10 +528,11 @@ def _cover_dfs(
                 out.append(i)
         return out
 
-    def dfs(rem: int, privates: list[int], banned: int) -> Iterator[list[int]]:
-        slots = max_size - len(chosen) - 1  # picks left after this one
+    def dfs(rem: int, privates: list[int], banned: int, meet: int, slots: int, todo: int) -> Iterator[list[int]]:
+        """Try each candidate in todo (the masks holding the lowest element of
+        rem) with `slots` picks left after it; meet is the AND of the subgroups
+        chosen so far."""
         reach = max_cover * slots
-        todo = cand[(rem & -rem).bit_length() - 1] & ~banned
         while todo:
             low = todo & -todo
             todo ^= low
@@ -500,31 +550,45 @@ def _cover_dfs(
             if all(new_privates):
                 chosen.append(i)
                 new_privates.append(rem & ~keep)
+                sub = meet & subs[i]
                 if not rest:
-                    if accept is None or accept(chosen):
+                    if sub == 1:
                         yield list(chosen)
                 elif slots == 1:
-                    for j in finishers(fits, new_privates):
-                        cover = chosen + [j]
-                        if accept is None or accept(cover):
-                            yield cover
+                    for j in finishers(fits, new_privates, sub):
+                        yield chosen + [j]
                 else:
-                    yield from dfs(rest, new_privates, banned)
+                    down = cand[(rest & -rest).bit_length() - 1] & ~banned
+                    yield from dfs(rest, new_privates, banned, sub, slots - 1, down)
                 chosen.pop()
             banned |= low
 
-    if not full:
-        if accept is None or accept([]):
-            yield []
-    elif max_size == 1:
-        for j in finishers(holding(full, 0), []):
-            if accept is None or accept([j]):
-                yield [j]
-    elif max_size > 1:
-        try:
-            yield from dfs(full, [], 0)
-        finally:
-            del dfs  # dfs reaches itself through its closure cell; break that cycle
+    try:
+        if subgroups is None:
+            if not full:
+                yield []
+            elif max_size > 0:
+                yield from dfs(full, [], 0, 1, max_size - 1, cand[0])
+            return
+        # the root cut: roots must lie below `cut`, the first index whose suffix AND is not 1
+        suffix, cut = full, len(masks)
+        while cut and suffix & subgroups[cut - 1] != 1:
+            suffix &= subgroups[cut - 1]
+            cut -= 1
+        roots = cand[0] & ((1 << cut) - 1)
+        for k in range(1, max_size + 1):
+            found = False
+            todo = roots
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                for cover in dfs(full, [], low - 1, full, k - 1, low):
+                    found = True
+                    yield cover
+            if found:
+                return
+    finally:
+        del dfs  # dfs reaches itself through its closure cell; break that cycle
 
 
 def enumerate_irredundant_covers(
@@ -554,28 +618,23 @@ def _phi_search(
         raise CapExceededError(f"group order {group.order} exceeds cap {cap}")
     cosets = _all_cosets(group, subgroup_pool)
     masks = [c[2] for c in cosets]
-    full = group.full_mask
-
-    def accept(chosen: list[int]) -> bool:
-        mask = full
-        for i in chosen:
-            mask &= cosets[i][0].mask
-        return mask == 1
-
-    for k in range(1, group.order + 1):
-        for chosen in _cover_dfs(masks, full, k, accept):
-            cover = CosetCover._trusted(group, tuple((cosets[i][0], cosets[i][1]) for i in chosen))
-            return len(chosen), cover
-    return None
+    subgroups = [c[0].mask for c in cosets]
+    chosen = next(_cover_dfs(masks, group.full_mask, group.order, subgroups), None)
+    if chosen is None:
+        return None
+    return len(chosen), CosetCover._trusted(group, tuple((cosets[i][0], cosets[i][1]) for i in chosen))
 
 
 def phi_exact(group: AbelianGroup, cap: Optional[int] = None) -> tuple[int, CosetCover]:
     """Minimum size of an irredundant coset cover with trivial intersection.
 
-    Iterative deepening over the family size with first-uncovered-element
-    branching and privacy pruning; deterministic first witness in canonical
-    coset order.  Exclusion branching visits each candidate family once per
-    depth, so no repeated cover is re-tested against the intersection.
+    One pass of the cover engine over every coset of every subgroup: it
+    deepens the family size within the search, tests the running
+    intersection of the chosen subgroups at each complete cover, and visits
+    only the covers whose first coset in canonical order holds 0, which
+    skips most translates of each cover.  The witness is the first cover of
+    the least size in canonical coset order, the same one a search over
+    every translate finds.
     """
     cap = config.GROUP_ORDER_CAP if cap is None else cap
     found = _phi_search(group, group.subgroups(), cap)

@@ -547,8 +547,8 @@ PINNED_DECOMPOSE_LARGE = [
 
 
 # Exact `phi --factors F` and `phi --factors F --maximal` output as
-# (factors, phi, [(subgroup_gens, rep), ...]): every group of order <= 16 but
-# Z_2^4 (its phi search is slow), and every elementary group.
+# (factors, phi, [(subgroup_gens, rep), ...]): every group of order <= 16, and
+# every elementary group.
 
 PINNED_PHI = [
     ("2", 2, [([], [0]), ([], [1])]),
@@ -574,6 +574,7 @@ PINNED_PHI = [
     ("2,8", 5, [([], [0, 0]), ([[0, 2]], [0, 1]), ([[0, 4]], [0, 2]), ([], [0, 4]), ([[0, 1]], [1, 0])]),
     ("4,4", 5, [([], [0, 0]), ([[0, 2]], [0, 1]), ([], [0, 2]), ([[0, 1], [2, 0]], [1, 0]), ([[0, 1]], [2, 0])]),
     ("2,2,4", 5, [([], [0, 0, 0]), ([[0, 0, 2]], [0, 0, 1]), ([], [0, 0, 2]), ([[0, 0, 1]], [0, 1, 0]), ([[0, 0, 1], [0, 1, 0]], [1, 0, 0])]),
+    ("2,2,2,2", 5, [([], [0, 0, 0, 0]), ([], [0, 0, 0, 1]), ([[0, 0, 0, 1]], [0, 0, 1, 0]), ([[0, 0, 0, 1], [0, 0, 1, 0]], [0, 1, 0, 0]), ([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], [1, 0, 0, 0])]),
 ]
 
 PINNED_PHI_MAXIMAL = [
@@ -669,6 +670,14 @@ class TestPhiAndCovers:
         assert code == 2
         assert out == ""
         assert "cyclic order must be positive, got -2" in err
+
+    @pytest.mark.parametrize("factors", ["4,4", "9", "1", "6", "2,3"])
+    def test_phi_maximal_needs_elementary_group(self, capsys, factors):
+        # prime powers and the trivial group are refused like composite orders
+        code, out, err = run_cli(capsys, "phi", "--factors", factors, "--maximal")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --maximal requires an elementary abelian group\n"
 
     @pytest.mark.parametrize(
         "flags,pin",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial, reduce
 from itertools import product
 
 import pytest
@@ -115,18 +116,17 @@ def reference_cosets(g, subgroups):
 
 
 def reference_cover_dfs(masks, full, max_size):
-    """Every first-uncovered-element path; a cover is kept on its first arrival."""
+    """Every first-uncovered-element path, lazily; a cover is yielded on its first arrival."""
     candidates = [[i for i, m in enumerate(masks) if (m >> e) & 1] for e in range(full.bit_length())]
     max_cover = max((m.bit_count() for m in masks), default=0)
     seen = set()
-    out = []
     chosen = []
 
     def dfs(union, privates):
         if union == full:
             if frozenset(chosen) not in seen:
                 seen.add(frozenset(chosen))
-                out.append(list(chosen))
+                yield list(chosen)
             return
         slots = max_size - len(chosen)
         rem = ~union & full
@@ -138,11 +138,22 @@ def reference_cover_dfs(masks, full, max_size):
             new_privates = [pv & ~m for pv in privates]
             if all(new_privates):
                 chosen.append(i)
-                dfs(union | m, new_privates + [m & ~union])
+                yield from dfs(union | m, new_privates + [m & ~union])
                 chosen.pop()
 
-    dfs(0, [])
-    return out
+    return dfs(0, [])
+
+
+def reference_phi_cover(masks, subgroups, full, max_size, search=reference_cover_dfs):
+    """The first `search` cover whose subgroups meet in {0}, at the least size
+    that has one; None when no size up to max_size has one."""
+    if reduce(int.__and__, subgroups) != 1:
+        return None  # every family meets in at least the meet of the whole pool
+    for k in range(1, max_size + 1):
+        for chosen in search(masks, full, k):
+            if reduce(int.__and__, (subgroups[i] for i in chosen)) == 1:
+                return chosen
+    return None
 
 
 class TestAbelianGroup:
@@ -281,28 +292,33 @@ class TestCoverEngine:
             masks = random_mask_pool(rng, width, int(rng.integers(1, 12)))
             full = (1 << width) - 1
             for max_size in (0, 1, 2, 3, 5):
-                want = reference_cover_dfs(masks, full, max_size)
+                want = list(reference_cover_dfs(masks, full, max_size))
                 assert list(cv._cover_dfs(masks, full, max_size, None)) == want, (masks, full, max_size)
                 pools += bool(want)
         assert pools > 300
 
-    def test_accept_filters_only_the_yields(self, rng):
-        # accept sees each complete cover and decides only whether it is yielded
+    def test_subgroups_mode_matches_reference_on_random_pools(self, rng):
+        # with subgroups the engine yields, in reference order, the covers of
+        # the least size whose subgroups meet in {0} and whose lowest index
+        # holds element 0; random pools are not closed under translation, so
+        # the lowest-index condition shows
+        found = 0
         for _ in range(100):
             width = int(rng.integers(1, 9))
             masks = random_mask_pool(rng, width, int(rng.integers(4, 12)))
+            subgroups = [int(rng.integers(0, 1 << width)) | 1 for _ in masks]
             full = (1 << width) - 1
             for max_size in (1, 2, 4):
-                seen = []
-
-                def accept(chosen):
-                    seen.append(list(chosen))
-                    return sum(chosen) % 3 != 0
-
-                want = reference_cover_dfs(masks, full, max_size)
-                got = list(cv._cover_dfs(masks, full, max_size, accept))
-                assert seen == want
-                assert got == [c for c in want if sum(c) % 3 != 0]
+                good = [
+                    c
+                    for c in reference_cover_dfs(masks, full, max_size)
+                    if masks[min(c)] & 1 and reduce(int.__and__, (subgroups[i] for i in c)) == 1
+                ]
+                least = min(map(len, good), default=0)
+                got = list(cv._cover_dfs(masks, full, max_size, subgroups))
+                assert got == [c for c in good if len(c) == least], (masks, subgroups, max_size)
+                found += bool(got)
+        assert found > 100
 
     def test_root_cases(self):
         # an empty universe is covered by no picks; max_size 0 and 1 at the root
@@ -310,7 +326,15 @@ class TestCoverEngine:
         assert list(cv._cover_dfs([3, 1, 2, 3], 3, 0, None)) == []
         assert list(cv._cover_dfs([3, 1, 2, 3], 3, 1, None)) == [[0], [3]]
         assert list(cv._cover_dfs([3, 1, 2, 3], 3, 2, None)) == [[0], [1, 2], [3]]
-        assert list(cv._cover_dfs([3, 1, 2, 3], 3, 2, lambda c: len(c) == 2)) == [[1, 2]]
+        # subgroups: only trivial intersections pass, and the search stops at the least size
+        assert list(cv._cover_dfs([3, 1, 2, 3], 3, 2, [3, 1, 1, 3])) == [[1, 2]]
+        assert list(cv._cover_dfs([3, 1, 2, 3], 3, 2, [1, 1, 1, 1])) == [[0], [3]]
+        assert list(cv._cover_dfs([3, 1, 2, 3], 3, 1, [3, 1, 1, 3])) == []
+        # root cut: no suffix of the subgroups meets in {0}, so no root is tried
+        assert list(cv._cover_dfs([3, 1, 2, 3], 3, 2, [3, 3, 3, 3])) == []
+        # one translate per cover: [1, 0] has its lowest index on a mask without element 0
+        assert list(cv._cover_dfs([2, 1, 3], 3, 2, None)) == [[1, 0], [2]]
+        assert list(cv._cover_dfs([2, 1, 3], 3, 2, [1, 1, 3])) == []
 
     def test_pinned_z2_4_enumeration(self):
         digest = hashlib.sha256()
@@ -326,6 +350,8 @@ class TestCoverEngine:
         masks = [c[2] for c in cv._all_cosets(g, g.subgroups())]
         assert cyclic_garbage(lambda: list(cv._cover_dfs(masks, g.full_mask, 4, None))) == 0
         assert cyclic_garbage(lambda: next(cv._cover_dfs(masks, g.full_mask, 4, None))) == 0
+        subgroups = [c[0].mask for c in cv._all_cosets(g, g.subgroups())]
+        assert cyclic_garbage(lambda: next(cv._cover_dfs(masks, g.full_mask, 8, subgroups))) == 0
 
 
 class TestIntersectionAndClaim:
@@ -539,6 +565,32 @@ class TestAgainstReference:
         got = [[(H.key, x) for H, x in C.cosets] for C in cv.enumerate_irredundant_covers(g, max_size)]
         assert got == want
         assert len({frozenset(c) for c in got}) == len(got)
+
+    @pytest.mark.parametrize(
+        "factors,maximal",
+        [(f, False) for f in GROUPS_UP_TO_16] + [(f, True) for f in GROUPS_UP_TO_32],
+        ids=[f"all_{f}" for f in GROUPS_UP_TO_16] + [f"maximal_{f}" for f in GROUPS_UP_TO_32],
+    )
+    def test_phi_search(self, factors, maximal):
+        # the one-pass phi search returns the first reference cover with
+        # trivial intersection at the least size
+        g = cv.AbelianGroup(factors)
+        pool = g.maximal_subgroups() if maximal else g.subgroups()  # the lattice is checked above
+        cosets = reference_cosets(g, [H.elements for H in pool])
+        masks = [c[2] for c in cosets]
+        subgroups = [sum(1 << e for e in c[0]) for c in cosets]
+        search = reference_cover_dfs
+        if (factors, maximal) in {((2, 2, 2, 2), False), ((2, 2, 2, 2, 2), True)}:
+            # the reference walks every path, 10-20 s on these two; the uncut
+            # enumeration, checked against it above, stands in
+            search = partial(cv._cover_dfs, subgroups=None)
+        want = reference_phi_cover(masks, subgroups, g.full_mask, g.order, search)
+        got = cv._phi_search(g, pool, 32)
+        if want is None:
+            assert got is None
+        else:
+            assert got[0] == len(want)
+            assert [(H.key, x) for H, x in got[1].cosets] == [cosets[i][:2] for i in want]
 
     @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
     def test_hyperplane_enumeration(self, p, n):

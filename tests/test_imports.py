@@ -1,8 +1,8 @@
 """Every name a package module imports is referenced in that module,
 every module-level private function or class is referenced in the package,
 and every public function, class and method is referenced by the package or
-the benchmark outside its own definition, so no library code lives for the
-tests alone.
+the benchmark outside its own definition and outside every public definition
+that is itself unreferenced, so no library code lives for the tests alone.
 
 A static scan: a name counts as referenced when it appears as an identifier
 anywhere in the module or as a string in its `__all__`; for public names an
@@ -129,17 +129,27 @@ def references(tree: ast.Module) -> dict[str, list[tuple[ast.AST, ...]]]:
 
 def unreferenced_public(defined: list[ast.Module], readers: list[ast.Module]) -> set[str]:
     """The public definitions of `defined` that no tree in `readers` names
-    outside the definition itself."""
+    outside the definition itself and outside every unreferenced public
+    definition: a name used only by dead code is dead too.  Each round drops
+    the places inside the definitions found dead so far, until none is added."""
     refs: dict[str, list[tuple[ast.AST, ...]]] = {}
     for tree in readers:
         for name, places in references(tree).items():
             refs.setdefault(name, []).extend(places)
-    return {
-        name
-        for tree in defined
-        for name, node in public_definitions(tree).items()
-        if not any(node not in enclosing for enclosing in refs.get(name.rsplit(".", 1)[-1], []))
-    }
+    defs = [(name, node) for tree in defined for name, node in public_definitions(tree).items()]
+    dead: dict[str, ast.AST] = {}
+    while True:
+        found = {
+            name: node
+            for name, node in defs
+            if not any(
+                node not in enclosing and not any(d in enclosing for d in dead.values())
+                for enclosing in refs.get(name.rsplit(".", 1)[-1], [])
+            )
+        }
+        if found.keys() == dead.keys():
+            return set(dead)
+        dead = found
 
 
 def test_no_public_definition_only_tests_reach():
@@ -163,4 +173,20 @@ def test_scan_catches_an_unused_public_definition():
     )
     assert unreferenced_public([tree], [tree]) == {"recursive", "Box.read"}
     reader = ast.parse("import m\nm.recursive()\nm.Box().read()\n")
+    assert unreferenced_public([tree], [tree, reader]) == set()
+
+
+def test_scan_follows_references_out_of_dead_definitions():
+    # the shape of a method once kept alive only by a dead caller
+    tree = ast.parse(
+        "class Cover:\n"
+        "    def canonical_keys(self):\n        return 1\n"
+        "    def size(self):\n        return 2\n"
+        "def shrink_to_irredundant(cover):\n    return cover.canonical_keys()\n"
+        "def outer(cover):\n    return shrink_to_irredundant(cover)\n"
+        "def live(cover):\n    return cover.size()\n"
+        "live(Cover())\n"
+    )
+    assert unreferenced_public([tree], [tree]) == {"outer", "shrink_to_irredundant", "Cover.canonical_keys"}
+    reader = ast.parse("import m\nm.outer(m.Cover())\n")
     assert unreferenced_public([tree], [tree, reader]) == set()
