@@ -18,12 +18,14 @@ and the caller picks a width its values cannot leave
 (group_ring._coef_dtype).  The arithmetic-set kernels check a batch of
 subset masks of F_p against the verifier's progression conditions, taking
 differences only to members and testing each progression as a subset of the
-row's bit words; the exhaustive scan tries only sets containing {0, 1},
-since every arithmetic set of size >= 2 is an affine image of one.
+row's bit words; the exhaustive scan tries only the supersets of a fixed
+base, {0, 1} for the lexicographically first set of a size and {-r..r} to
+decide whether one exists, since affine maps preserve arithmetic sets.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import chain, combinations, islice
 from math import prod
@@ -277,31 +279,46 @@ def masks_arithmetic_ok(masks: np.ndarray, r: int, p: int, words: np.ndarray | N
     return out
 
 
+_FIRST_BATCH = 32
 _SCAN_BATCH = 2048
 
 
-def scan_combinations(p: int, r: int, k: int):
-    """First size-k subset of F_p (lexicographic) passing the verifier, or None.
+def scan_combinations(p: int, r: int, k: int, base: Iterable[int]):
+    """First size-k superset of `base` in F_p passing the verifier, or None.
 
-    Only the sets {0, 1} | T with T in combinations(range(2, p), k - 2) are
-    tried.  This is exact: x -> c*x + d (c != 0) maps progressions to
-    progressions, so it preserves r-arithmetic sets; a passing set with
-    members y0 < y1 maps onto one containing {0, 1} by x -> (x - y0)/(y1 - y0);
-    and those sets come first in lexicographic order.  No set of size < 2 passes.
+    The sets base | T are tried with T in combinations of the other residues,
+    of size k - |base|, in lexicographic order.  Batches grow from
+    _FIRST_BATCH rows to _SCAN_BATCH, so a scan that hits early verifies few
+    rows and a long one pays the per-batch overhead on full batches.
+
+    Affine maps x -> c*x + d (c != 0) take progressions to progressions, so
+    they preserve r-arithmetic sets, and two bases are exact:
+
+      * {0, 1}: a passing set with members y0 < y1 maps onto one containing
+        {0, 1} by x -> (x - y0)/(y1 - y0), and the sets containing {0, 1}
+        come first in lexicographic order, so the hit is the first passing
+        size-k set;
+      * {-r, ..., r}: a member a of a passing set with difference b maps to 0
+        by x -> (x - a)/b, and its progression to {-r, ..., r}, so a hit
+        exists exactly when some size-k set passes.
+
+    No set of size < 2 passes.
     """
-    if not 2 <= k <= p:
+    base = sorted({int(x) % p for x in base})
+    if not max(2, len(base)) <= k <= p:
         return None
     words = _member_words(p, r)
-    gen = combinations(range(2, p), k - 2)
+    gen = combinations([x for x in range(p) if x not in base], k - len(base))
+    size = _FIRST_BATCH
     while True:
-        block = list(islice(gen, _SCAN_BATCH))
+        block = list(islice(gen, size))
         if not block:
             return None
-        arr = np.fromiter(chain.from_iterable(block), np.int64, len(block) * (k - 2)).reshape(len(block), k - 2)
+        size = min(2 * size, _SCAN_BATCH)
+        arr = np.fromiter(chain.from_iterable(block), np.int64, len(block) * (k - len(base))).reshape(len(block), -1)
         masks = np.zeros((len(block), p), dtype=np.uint8)
-        masks[:, :2] = 1
+        masks[:, base] = 1
         masks[np.arange(len(block))[:, None], arr] = 1
-        ok = masks_arithmetic_ok(masks, r, p, words)
-        hits = np.nonzero(ok)[0]
+        hits = np.nonzero(masks_arithmetic_ok(masks, r, p, words))[0]
         if hits.size:
-            return np.concatenate(([0, 1], arr[hits[0]]))
+            return np.nonzero(masks[hits[0]])[0]

@@ -125,8 +125,10 @@ def criterion_3_fpstar(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
 def _oracle_min_arithmetic_size(p: int, r: int = 1) -> int:
     """Independent second implementation: plain subset enumeration, no numpy.
 
-    It deliberately scans every k-subset instead of sharing the {0, 1}
-    reduction of `_kernels.scan_combinations`, so it re-certifies that too.
+    It deliberately scans every k-subset and shares neither reduction of
+    `min_arithmetic_set`: not the {-r..r} scan that proves the smaller sizes
+    empty, nor the {0, 1} scan that finds the first set of the least size.
+    So it re-certifies both affine lemmas along with the minimum.
     """
 
     def ok(subset: tuple[int, ...]) -> bool:

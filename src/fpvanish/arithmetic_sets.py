@@ -19,7 +19,7 @@ algorithm in `decomposition` actually consumes.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
@@ -64,60 +64,98 @@ class ArithmeticCheck:
         return self.ok
 
 
-def _progression_ok(members: frozenset[int], p: int, a: int, b: int, lo: int, hi: int) -> bool:
-    return all((a + i * b) % p in members for i in range(lo, hi + 1))
+def _member_array(elements, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The members as a sorted array and as a (p,) membership mask."""
+    mask = np.zeros(p, dtype=bool)
+    mask[[int(x) % p for x in elements]] = True
+    return np.flatnonzero(mask), mask
 
 
-def _witness_for(
-    members: frozenset[int], order: list[int], p: int, r: int, a: int
-) -> Optional[int]:
-    """Smallest valid difference b for element a, or None.
+def _progressions_in(mask: np.ndarray, a: np.ndarray, b: np.ndarray, r: int, p: int) -> np.ndarray:
+    """Where mask[(a + i*b) % p] holds for every i in [1, r], and also for
+    every i in [-r, -1] when a is a member; a broadcasts to the shape of b.
+    The i = 0 term is a itself, a member exactly when it is tested."""
+    ok = np.ones(b.shape, dtype=bool)
+    outside = ~mask[a]
+    up, down = a, a
+    for _ in range(r):
+        up = (up + b) % p
+        down = (down - b) % p
+        ok &= mask[up] & (mask[down] | outside)
+        if not ok.any():
+            break
+    return ok
 
-    Both clauses put a + b in the set, so only the differences b = y - a to
-    members y can be valid; `order` (the sorted members) lists them in
-    ascending order from the first member >= a, wrapping around.
+
+# The verifier's difference array is taken in blocks of at most _BLOCK_ROWS
+# elements.  Its column chunks grow from _FIRST_CELLS to _BLOCK_CELLS
+# entries, so memory stays bounded at any p and a row that closes at its
+# first differences costs few progression tests.
+_BLOCK_ROWS = 1024
+_FIRST_CELLS = 1 << 12
+_BLOCK_CELLS = 1 << 16
+
+
+def _least_differences(order: np.ndarray, mask: np.ndarray, a: np.ndarray, r: int, p: int) -> np.ndarray:
+    """The least valid difference of each element of `a`, 0 where none is.
+
+    Row a's differences to the members, in ascending order, start at the
+    first member >= a and wrap around.  They are taken in column chunks of
+    about `cells` entries over the rows still open, `cells` doubling from
+    _FIRST_CELLS to _BLOCK_CELLS, and a row closes at its first valid
+    difference.
     """
-    lo = -r if a in members else 1
     n = len(order)
-    i = bisect_left(order, a)
-    for j in range(i, i + n):
-        b = (order[j % n] - a) % p
-        if b and _progression_ok(members, p, a, b, lo, r):
-            return b
-    return None
+    least = np.zeros(len(a), dtype=np.int64)
+    first = np.searchsorted(order, a)
+    rows = np.arange(len(a))
+    j, cells = 0, _FIRST_CELLS
+    while rows.size and j < n:
+        cols = np.arange(j, min(n, j + max(1, cells // rows.size)))
+        ra = a[rows, None]
+        diffs = (order[(first[rows, None] + cols) % n] - ra) % p
+        valid = (diffs != 0) & _progressions_in(mask, ra, diffs, r, p)
+        hit = valid.any(axis=1)
+        least[rows[hit]] = diffs[hit, valid[hit].argmax(axis=1)]
+        rows = rows[~hit]
+        j, cells = j + len(cols), min(2 * cells, _BLOCK_CELLS)
+    return least
 
 
 def is_r_arithmetic(elements: Sequence[int] | frozenset[int], r: int, p: int) -> ArithmeticCheck:
-    """Verify the r-arithmetic property, returning witnesses or a failing element."""
+    """Verify the r-arithmetic property, returning witnesses or a failing element.
+
+    Both clauses put a + b in the set, so only the differences b = y - a to
+    members y can be valid.  Each progression term is one lookup in the
+    membership mask over an array of such differences, and the witness of a
+    is the least valid one.  The elements are taken in blocks of
+    _BLOCK_ROWS, and the first block with a failing element ends the check.
+    """
     p = _as_prime(p)
     if not 1 <= r <= p - 1:
         raise ValueError(f"r must lie in [1, p-1], got {r}")
-    members = frozenset(int(x) % p for x in elements)
-    order = sorted(members)
-    witnesses: dict[int, int] = {}
-    for a in range(p):
-        b = _witness_for(members, order, p, r, a)
-        if b is None:
-            return ArithmeticCheck(False, p, r, failing=a)
-        witnesses[a] = b
-    return ArithmeticCheck(True, p, r, witnesses=witnesses)
+    order, mask = _member_array(elements, p)
+    least: list[int] = []
+    for start in range(0, p, _BLOCK_ROWS):
+        block = _least_differences(order, mask, np.arange(start, min(p, start + _BLOCK_ROWS)), r, p)
+        if not block.all():
+            return ArithmeticCheck(False, p, r, failing=start + int(np.argmin(block != 0)))
+        least += block.tolist()
+    return ArithmeticCheck(True, p, r, witnesses=dict(enumerate(least)))
 
 
 def verify_witness_table(
     elements: Sequence[int] | frozenset[int], r: int, p: int, witnesses: dict[int, int]
 ) -> bool:
-    """Check an explicitly supplied witness table in O(p*r) time."""
-    members = frozenset(int(x) % p for x in elements)
-    for a in range(p):
-        if a not in witnesses:
-            return False
-        b = witnesses[a] % p
-        if b == 0:
-            return False
-        lo = -r if a in members else 1
-        if not _progression_ok(members, p, a, b, lo, r):
-            return False
-    return True
+    """Check an explicitly supplied witness table in O(p*r) time: one
+    difference per element, its progression looked up as (p,) arrays."""
+    if any(a not in witnesses for a in range(p)):
+        return False
+    b = np.array([int(witnesses[a]) % p for a in range(p)], dtype=np.int64)
+    if not b.all():
+        return False
+    _, mask = _member_array(elements, p)
+    return bool(_progressions_in(mask, np.arange(p), b, r, p).all())
 
 
 @dataclass(frozen=True)
@@ -130,6 +168,7 @@ class ArithmeticSet:
     witnesses: dict[int, int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "elements", frozenset(int(x) % self.p for x in self.elements))
         if not verify_witness_table(self.elements, self.r, self.p, self.witnesses):
             raise ValueError("witness table does not verify")
 
@@ -141,7 +180,7 @@ class ArithmeticSet:
                 f"set {sorted(set(elements))} is not {r}-arithmetic mod {p}: "
                 f"element {check.failing} has no valid difference"
             )
-        return cls(p, r, frozenset(int(x) % p for x in elements), check.witnesses)
+        return cls(p, r, frozenset(elements), check.witnesses)
 
     @property
     def size(self) -> int:
@@ -172,16 +211,54 @@ class ArithmeticSet:
         }
 
 
+def _first_of_least_size(p: int, r: int, sizes: range) -> Optional[ArithmeticSet]:
+    """The lexicographically first r-arithmetic set of the least size in
+    `sizes` that has one, or None when none of them does.
+
+    Each size is first decided by the scan over the supersets of {-r..r};
+    only the first size with a hit is scanned again over the supersets of
+    {0, 1} for its first set, which must then exist.  The {0, 1} scan is
+    exact too (x -> (x - a)/(y - a) maps members a != y onto 0 and 1), so it
+    alone decides a size whose supersets of {0, 1} fit in its first batch,
+    and the centred scan is skipped there.
+    """
+    centred = range(-r, r + 1)
+    for k in sizes:
+        decided = comb(p - 2, k - 2) <= _kernels._FIRST_BATCH
+        if not decided and _kernels.scan_combinations(p, r, k, centred) is None:
+            continue
+        hit = _kernels.scan_combinations(p, r, k, (0, 1))
+        if hit is not None:
+            return ArithmeticSet.verified([int(x) for x in hit], r, p)
+        if not decided:
+            raise InvariantViolationError(
+                f"an {r}-arithmetic set of size {k} exists in F_{p}, but none contains {{0, 1}}"
+            )
+    return None
+
+
 def min_arithmetic_set(p: int, r: int = 1, p_cap: Optional[int] = None) -> ArithmeticSet:
     """Smallest r-arithmetic subset of F_p by exhaustive search.
 
-    Subsets are enumerated by increasing size starting from the provable
-    lower bound; within a size, lexicographic order on the sorted element
-    list fixes the tie-break.  Only sets containing {0, 1} are scanned:
-    x -> c*x + d (c != 0) preserves r-arithmetic sets, every set of size >= 2
-    is such an image of one containing {0, 1}, and those come first in
-    lexicographic order, so the first of them that passes is the first
-    r-arithmetic set of its size.
+    Sizes are tried in increasing order from the provable lower bound, and
+    the lexicographic order on the sorted element list breaks ties.  Two
+    affine reductions cut the scan; both rest on x -> c*x + d (c != 0)
+    preserving r-arithmetic sets, since it maps the progression a + i*b to
+    (c*a + d) + i*(c*b) with c*b != 0.
+
+      * Existence (the centred lemma): an r-arithmetic set of size k exists
+        iff one containing {-r, ..., r} does.  Take a member a of such a set
+        with its difference b: x -> (x - a)/b maps a to 0 and each a + i*b to
+        i, so the image contains {-r, ..., r} and is r-arithmetic of the same
+        size.  A size below s_r(p) is thus proved empty over the supersets
+        of {-r..r}, C(p - 2r - 1, k - 2r - 1) of them instead of C(p - 2, k - 2).
+      * The first set of the least size: x -> (x - y0)/(y1 - y0) maps a set
+        with members y0 < y1 onto one containing {0, 1}, and the sets
+        containing {0, 1} come first in lexicographic order, so the first of
+        them that passes is the first r-arithmetic set of its size.
+
+    Each size below s_r(p) costs one centred scan; s_r(p) itself costs a
+    centred scan to its first hit and a {0, 1} scan to its first hit.
     """
     p_cap = config.MIN_ARITHMETIC_P_CAP if p_cap is None else p_cap
     if int(p) > p_cap:
@@ -189,11 +266,10 @@ def min_arithmetic_set(p: int, r: int = 1, p_cap: Optional[int] = None) -> Arith
     p = _as_prime(p)
     if not 1 <= r <= p - 1:
         raise ValueError(f"r must lie in [1, p-1], got {r}")
-    for k in range(size_lower_bound(p, r), p + 1):
-        hit = _kernels.scan_combinations(p, r, k)
-        if hit is not None:
-            return ArithmeticSet.verified([int(x) for x in hit], r, p)
-    raise InvariantViolationError("unreachable: the whole field is always r-arithmetic")
+    found = _first_of_least_size(p, r, range(size_lower_bound(p, r), p + 1))
+    if found is None:
+        raise InvariantViolationError("unreachable: the whole field is always r-arithmetic")
+    return found
 
 
 _SMALLEST_SIZE_CACHE: dict[tuple[int, int], int] = {}
@@ -353,10 +429,9 @@ def find_small_arithmetic_set(
     # Exhaust tiny search spaces outright: definitive success or failure.
     total = sum(comb(p, k) for k in range(lb, target + 1))
     if total <= 20_000:
-        for k in range(lb, target + 1):
-            hit = _kernels.scan_combinations(p, r, k)
-            if hit is not None:
-                return ArithmeticSet.verified([int(x) for x in hit], r, p)
+        found = _first_of_least_size(p, r, range(lb, target + 1))
+        if found is not None:
+            return found
         raise SearchBudgetExceededError(
             f"no arithmetic set of size <= {target} exists in F_{p} "
             f"(search space exhausted)"
@@ -386,7 +461,9 @@ def find_small_arithmetic_set(
             # Violations are members only, so a is always a member: swap it
             # out for a random non-member.
             if rng.random() < 0.8:
-                a = bad[rng.integers(len(bad))]
+                # a lone violation needs no draw: integers(1) is 0 and leaves
+                # the generator as it was, so the seeded results stay put
+                a = bad[rng.integers(len(bad))] if len(bad) > 1 else bad[0]
             else:
                 a = members[rng.integers(len(members))]
             new_elt = _kth_non_member(members, int(rng.integers(p - len(members))))

@@ -182,3 +182,22 @@ def arithmetic_violations(members, r: int, p: int) -> list[int]:
     mask = np.zeros(p, dtype=bool)
     mask[list(members)] = True
     return np.nonzero(~element_ok(mask, r, p))[0].tolist()
+
+
+def _valid(members: set, r: int, p: int, a: int, b: int) -> bool:
+    lo = -r if a in members else 1
+    return b % p != 0 and all((a + i * b) % p in members for i in range(lo, r + 1))
+
+
+def difference_ok(members, r: int, p: int, a: int, b: int) -> bool:
+    """The definition for one element and one difference, b taken mod p:
+    b != 0 and a + i*b in the set for |i| <= r (a a member) or 1 <= i <= r."""
+    return _valid({int(x) % p for x in members}, r, p, a, b)
+
+
+def least_differences(members, r: int, p: int):
+    """Yield each element's least valid difference in 1..p-1, or None, trying
+    every b, for a = 0, 1, ..., p-1 (lazily, so a caller may stop early)."""
+    members = {int(x) % p for x in members}
+    for a in range(p):
+        yield next((b for b in range(1, p) if _valid(members, r, p, a, b)), None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpvanish import arithmetic_sets as ar
-from fpvanish.errors import CapExceededError, SearchBudgetExceededError
+from fpvanish.errors import CapExceededError, InvariantViolationError, SearchBudgetExceededError
 
 import reference as ref
 
@@ -53,15 +53,8 @@ class TestVerifier:
 def reference_check(elements, r, p):
     """The definition, scanned in O(p^2 r): every b in 1..p-1 for every a, so
     the witness of each a is its smallest valid difference."""
-    members = frozenset(int(x) % p for x in elements)
     witnesses = {}
-    for a in range(p):
-        lo = -r if a in members else 1
-        b = next(
-            (b for b in range(1, p)
-             if all((a + i * b) % p in members for i in range(lo, r + 1))),
-            None,
-        )
+    for a, b in enumerate(ref.least_differences(elements, r, p)):
         if b is None:
             return ar.ArithmeticCheck(False, p, r, failing=a)
         witnesses[a] = b
@@ -126,6 +119,152 @@ class TestWitnessTables:
             A.out_witness(2)
 
 
+PRIMES_2_TO_61 = [p for p in PRIMES_TO_199 if p <= 61]
+
+
+class TestArrayVerifierEdges:
+    """The array verifier and the table re-check against the definition in
+    tests/reference.py, on the edges of the difference blocks and (p,) arrays."""
+
+    @staticmethod
+    def _agree(elements, r, p):
+        check = ar.is_r_arithmetic(elements, r, p)
+        assert check == reference_check(elements, r, p)
+        if check:
+            assert ar.verify_witness_table(elements, r, p, check.witnesses)
+        return check
+
+    def test_empty_set_fails_at_zero(self):
+        for p in (2, 3, 5, 7, 11):
+            for r in range(1, p):
+                check = self._agree([], r, p)
+                assert not check and check.failing == 0
+
+    def test_every_set_at_p_2_and_3(self):
+        for p in (2, 3):
+            for k in range(p + 1):
+                for elements in combinations(range(p), k):
+                    for r in range(1, p):
+                        self._agree(elements, r, p)
+
+    def test_single_member(self):
+        # a lone member has no other member to take a difference to
+        for p in (2, 3, 5, 7, 13):
+            for x in range(p):
+                for r in (1, p - 1):
+                    assert not self._agree([x], r, p)
+
+    def test_r_is_p_minus_1(self):
+        # a member's progression is then all of F_p: only F_p itself passes
+        for p in (2, 3, 5, 7, 11, 13):
+            rng = np.random.default_rng(p)
+            sets = [list(range(p)), list(range(1, p))] + [
+                rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False).tolist() for _ in range(5)
+            ]
+            for elements in sets:
+                assert bool(self._agree(elements, p - 1, p)) == (len(set(elements)) == p)
+
+    @pytest.mark.parametrize("p", PRIMES_2_TO_61)
+    def test_centred_exponents_to_p_61(self, p):
+        """Every r up to (p - 3)/2: F_p^*, whose witness table has every
+        difference pattern, and random dense sets."""
+        rng = np.random.default_rng([p, 61])
+        for r in range(1, max(1, (p - 3) // 2) + 1):
+            assert self._agree(range(1, p), r, p) or p < 5
+            for _ in range(2):
+                self._agree(rng.choice(p, size=int(rng.integers(p // 2, p)), replace=False).tolist(), r, p)
+
+    @pytest.mark.parametrize("rows, first, cells", [(1, 1, 1), (3, 2, 8), (7, 5, 5), (16, 8, 64)])
+    def test_small_blocks_match_reference(self, monkeypatch, rows, first, cells):
+        """Blocks and growing chunks far smaller than the sets split rows and
+        wrap each element's differences at every boundary, and no chunk
+        passes _BLOCK_CELLS entries unless one column of the open rows does."""
+        monkeypatch.setattr(ar, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(ar, "_FIRST_CELLS", first)
+        monkeypatch.setattr(ar, "_BLOCK_CELLS", cells)
+        sizes, progressions = [], ar._progressions_in
+        monkeypatch.setattr(
+            ar, "_progressions_in",
+            lambda mask, a, b, r, p: b.ndim == 2 and sizes.append(b.size) or progressions(mask, a, b, r, p),
+        )
+        rng = np.random.default_rng([rows, first, cells])
+        for p in (2, 3, 5, 7, 11, 13, 31, 61):
+            for r in (1, 2, 3):
+                if r < p:
+                    self._agree(range(1, p), r, p)
+                    for _ in range(4):
+                        self._agree(rng.choice(p, size=int(rng.integers(0, p + 1)), replace=False).tolist(), r, p)
+        assert max(sizes) <= max(cells, rows)
+
+    def test_blocks_bound_memory_at_large_p(self, monkeypatch):
+        """At p = 100003 no difference array passes _BLOCK_CELLS entries, and
+        the first block with a failing element ends the check."""
+        shapes, progressions = [], ar._progressions_in
+        monkeypatch.setattr(
+            ar, "_progressions_in",
+            lambda mask, a, b, r, p: shapes.append((int(a.max()), b.size)) or progressions(mask, a, b, r, p),
+        )
+        p = 100003
+        check = ar.is_r_arithmetic(range(1, p), 1, p)
+        assert check and max(size for _, size in shapes) <= ar._BLOCK_CELLS
+        # only 1 and -1 lose the difference 1, to 0 outside the set
+        assert {a: b for a, b in check.witnesses.items() if b != 1} == {1: 2, p - 1: 2}
+        shapes.clear()
+        # 0 needs -b in the set, and -b lies above p/2 for every member b
+        check = ar.is_r_arithmetic(range(p // 2), 1, p)
+        assert not check and check.failing == 0
+        assert max(size for _, size in shapes) <= ar._BLOCK_CELLS
+        assert max(a for a, _ in shapes) < ar._BLOCK_ROWS
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 61])
+    def test_corrupted_tables_rejected(self, p):
+        """A missing key, a difference that is 0 mod p and a wrong difference
+        are each caught at every element, for members and non-members."""
+        small = (ar.min_arithmetic_set(p) if p <= 31 else ar.find_small_arithmetic_set(p, seed=1)).elements
+        for members, r in ((range(1, p), max(1, (p - 3) // 2)), (small, 1)):
+            table = ar.is_r_arithmetic(members, r, p).witnesses
+            assert ar.verify_witness_table(members, r, p, table)
+            # witnesses are read mod p
+            assert ar.verify_witness_table(members, r, p, {a: b + 3 * p for a, b in table.items()})
+            wrong_in = wrong_out = 0
+            for a in range(p):
+                missing = {x: b for x, b in table.items() if x != a}
+                assert not ar.verify_witness_table(members, r, p, missing)
+                for zero in (0, p, -2 * p):
+                    assert not ar.verify_witness_table(members, r, p, {**table, a: zero})
+                wrong = [b for b in range(1, p) if not ref.difference_ok(members, r, p, a, b)]
+                for b in wrong[:2] + wrong[-1:]:
+                    assert not ar.verify_witness_table(members, r, p, {**table, a: b})
+                if a in set(members):
+                    wrong_in += len(wrong)
+                else:
+                    wrong_out += len(wrong)
+            assert wrong_in and (wrong_out or r == (p - 3) // 2)
+
+
+class TestArithmeticSetResidues:
+    """Elements are reduced mod p on construction, as the witnesses are."""
+
+    def test_duplicate_residue_collapses(self):
+        w = ar.is_r_arithmetic([0, 1, 2, 3], 1, 5).witnesses
+        A = ar.ArithmeticSet(5, 1, frozenset({0, 1, 2, 3, 8}), w)
+        assert A.size == 4 and A.sorted_elements() == [0, 1, 2, 3]
+        assert A.to_dict()["elements"] == [0, 1, 2, 3]
+
+    def test_unreduced_members_answer_for_their_residues(self):
+        w = ar.is_r_arithmetic([0, 1, 2, 3], 1, 5).witnesses
+        A = ar.ArithmeticSet(5, 1, frozenset({5, 6, 7, 8}), w)
+        assert A.elements == frozenset({0, 1, 2, 3})
+        assert A.in_witness(0) == w[0] and A.in_witness(5) == w[0]
+        assert A.out_witness(4) == w[4]
+        with pytest.raises(KeyError):
+            A.out_witness(0)
+
+    def test_verified_reduces_too(self):
+        A = ar.ArithmeticSet.verified([5, 6, 7, 8, 13], 1, 5)
+        assert A.sorted_elements() == [0, 1, 2, 3]
+
+
 class TestMinimization:
     @pytest.mark.parametrize("p,size", sorted(MIN_SIZES.items()))
     def test_frozen_minimum_sizes(self, p, size):
@@ -164,6 +303,46 @@ class TestMinimization:
     )
     def test_pinned_minimum_sets(self, p, elements):
         assert ar.min_arithmetic_set(p).sorted_elements() == elements
+
+    @pytest.mark.parametrize("p, r, lower, least", [(23, 1, 6, 7), (13, 2, 5, 10)])
+    def test_centred_scans_below_the_minimum(self, monkeypatch, p, r, lower, least):
+        """Sizes from the lower bound to s_r(p) are decided by scans over the
+        supersets of {-r..r}; the {0, 1} scan runs once, at s_r(p)."""
+        calls, scan = [], ar._kernels.scan_combinations
+        monkeypatch.setattr(
+            ar._kernels, "scan_combinations",
+            lambda p, r, k, base: calls.append((k, tuple(base))) or scan(p, r, k, base),
+        )
+        assert ar.min_arithmetic_set(p, r).size == least
+        centred = tuple(range(-r, r + 1))
+        assert calls == [(k, centred) for k in range(lower, least + 1)] + [(least, (0, 1))]
+
+    @pytest.mark.parametrize("p, calls", [(5, [(4, (0, 1))]), (7, [(4, (0, 1)), (5, (0, 1))])])
+    def test_first_batch_sizes_skip_the_centred_scan(self, monkeypatch, p, calls):
+        """Where the supersets of {0, 1} fit in the first batch, the {0, 1}
+        scan alone decides the size."""
+        seen, scan = [], ar._kernels.scan_combinations
+        monkeypatch.setattr(
+            ar._kernels, "scan_combinations",
+            lambda p, r, k, base: seen.append((k, tuple(base))) or scan(p, r, k, base),
+        )
+        assert ar.min_arithmetic_set(p).size == MIN_SIZES[p]
+        assert seen == calls
+        seen.clear()
+        with pytest.raises(SearchBudgetExceededError, match="search space exhausted"):
+            ar.find_small_arithmetic_set(7, target=4)
+        assert seen == [(4, (0, 1))]
+
+    def test_missing_first_set_is_an_invariant_violation(self, monkeypatch):
+        scan = ar._kernels.scan_combinations
+        monkeypatch.setattr(
+            ar._kernels, "scan_combinations",
+            lambda p, r, k, base: None if tuple(base) == (0, 1) else scan(p, r, k, base),
+        )
+        with pytest.raises(InvariantViolationError):
+            ar.min_arithmetic_set(11)
+        with pytest.raises(InvariantViolationError):
+            ar.find_small_arithmetic_set(11)
 
     def test_larger_r_needs_longer_progressions(self):
         # any r-arithmetic set has at least min(2r+1, p) elements
@@ -210,6 +389,16 @@ class TestSmallSetSearch:
     def test_budget_exhaustion_is_loud(self):
         with pytest.raises(SearchBudgetExceededError):
             ar.find_small_arithmetic_set(151, seed=0, budget=3)
+
+    def test_single_violation_draws_nothing(self):
+        """The repair loop takes bad[0] for a lone violation instead of
+        bad[rng.integers(1)]; that keeps the seeded results only while
+        integers(1) returns 0 without advancing the generator."""
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            state = rng.bit_generator.state
+            assert rng.integers(1) == 0
+            assert rng.bit_generator.state == state
 
     def test_requires_p_at_least_5(self):
         with pytest.raises(ValueError):

@@ -100,6 +100,9 @@ PINNED_MIN = {
     (7, 2): ([0, 1, 2, 3, 4, 5], "932604f0cc80eb44cc29961d23165be6955771a83ab083ee602b891d636122cc"),
     (11, 2): ([0, 1, 2, 3, 4, 5, 6, 7, 8], "d628f94b829c00c2524c976f01b4d4f88753737e5269b18f8ab6dd29c881aef9"),
     (13, 2): ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], "536f90ce75ff1181315557c14a928012044614749afdc1f3a1c749ebb08b9359"),
+    (17, 2): ([0, 1, 2, 3, 4, 5, 7, 8, 12, 13, 15], "c733339d9ed7e4f5fe8cb5b9650cbb1897e4bd684e7423585514acbd801609ab"),
+    (19, 2): ([0, 1, 2, 3, 4, 5, 6, 7, 9, 12, 14, 17], "49877227dd79a9ed22ad9bbff43a5a800bb4e7402f22cef6e3447523ef032492"),
+    (23, 2): ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 19], "00c05eea3a67dc6614e115d07dca0fd75bf0967369cc8c4842c9fddd0a170934"),
     (5, 3): ([0, 1, 2, 3, 4], "dbd42a4d957bf7a706895a61799b128d291d8d5bf0d86525d554afb9086d508c"),
     (7, 3): ([0, 1, 2, 3, 4, 5, 6], "90bdf058064d9df8ffc350f4345986e4cd5085babc84f3d78d72ed2dfe27a4a6"),
     (11, 3): ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], "fcbb14272b560a6f38a29b5f9e55b31214173fd21ba4e490b16b44bb33bfb7a6"),
@@ -130,6 +133,14 @@ class TestArithmeticSetCommand:
         assert payload["verdict"] is True
         assert payload["version"] == 1
         assert payload["size"] == 10
+
+    def test_verify_fpstar_at_large_p(self, capsys):
+        # the verifier's difference blocks keep memory bounded at any p
+        code, out, _ = run_cli(capsys, "arithmetic-set", "--p", "100003", "--set", "1..100002")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] is True
+        assert payload["size"] == 100002
 
     def test_min_search(self, capsys):
         code, out, _ = run_cli(capsys, "arithmetic-set", "--p", "5", "--min")

@@ -352,29 +352,51 @@ class TestArithmeticVerifier:
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_scan_finds_first_lexicographic_set(self, p):
-        got = K.scan_combinations(p, 1, 4)
+        got = K.scan_combinations(p, 1, 4, (0, 1))
         assert (None if got is None else list(got)) == _first_passing(p, 1, 4)
 
 
 PRIMES_TO_19 = [2, 3, 5, 7, 11, 13, 17, 19]
+SCAN_CASES = [(p, 1) for p in PRIMES_TO_19] + [(p, r) for r in (2, 3) for p in PRIMES_TO_19 if p <= 13 and r < p]
 
 
 class TestNormalisedScan:
-    """scan_combinations tries only the sets containing {0, 1}; its answers
-    must equal a scan over every k-subset, hits and None alike."""
+    """scan_combinations tries only the supersets of its base.  Over {0, 1}
+    its answers must equal a scan over every k-subset, hits and None alike;
+    over {-r..r} its verdicts must."""
 
-    @pytest.mark.parametrize(
-        "p, r",
-        [(p, 1) for p in PRIMES_TO_19]
-        + [(p, r) for r in (2, 3) for p in PRIMES_TO_19 if p <= 13 and r < p],
-    )
+    @pytest.mark.parametrize("p, r", SCAN_CASES)
     def test_matches_full_enumeration(self, p, r):
         for k in range(p + 1):
-            got = K.scan_combinations(p, r, k)
+            got = K.scan_combinations(p, r, k, (0, 1))
             assert (None if got is None else [int(x) for x in got]) == _first_passing(p, r, k), k
 
+    @pytest.mark.parametrize("p, r", SCAN_CASES)
+    def test_centred_scan_decides_existence(self, p, r):
+        """Over the supersets of {-r..r}, a hit exists exactly when some
+        k-subset passes, and it holds {-r..r}."""
+        centred = {i % p for i in range(-r, r + 1)}
+        for k in range(p + 1):
+            got = K.scan_combinations(p, r, k, range(-r, r + 1))
+            assert (got is not None) == (_first_passing(p, r, k) is not None), k
+            if got is not None:
+                members = [int(x) for x in got]
+                assert len(members) == k and centred <= set(members)
+                assert is_r_arithmetic(members, r, p)
+
     def test_size_above_p(self):
-        assert K.scan_combinations(5, 1, 6) is None
+        assert K.scan_combinations(5, 1, 6, (0, 1)) is None
+        assert K.scan_combinations(5, 1, 6, range(-1, 2)) is None
+
+    def test_size_below_the_base(self):
+        assert K.scan_combinations(13, 2, 4, range(-2, 3)) is None
+
+    def test_batches_grow_to_the_cap(self, monkeypatch):
+        # no 6-subset of F_23 passes, so all C(21, 4) = 5985 rows are scanned
+        rows, verify = [], K.masks_arithmetic_ok
+        monkeypatch.setattr(K, "masks_arithmetic_ok", lambda *a: rows.append(len(a[0])) or verify(*a))
+        assert K.scan_combinations(23, 1, 6, (0, 1)) is None
+        assert rows == [32, 64, 128, 256, 512, 1024, K._SCAN_BATCH, 5985 - 4064]
 
     @pytest.mark.parametrize("p,r,k", [(23, 1, 6), (19, 2, 6)])
     def test_progression_words_built_once_per_scan(self, monkeypatch, p, r, k):
@@ -383,5 +405,5 @@ class TestNormalisedScan:
         build, verify = K._progression_words, K.masks_arithmetic_ok
         monkeypatch.setattr(K, "_progression_words", lambda *a: words.append(a) or build(*a))
         monkeypatch.setattr(K, "masks_arithmetic_ok", lambda *a: batches.append(a) or verify(*a))
-        assert K.scan_combinations(p, r, k) is None
+        assert K.scan_combinations(p, r, k, (0, 1)) is None
         assert len(batches) >= 2 and len(words) == 1
