@@ -25,7 +25,6 @@ from .fp_core import (
     FpMultiset,
     FpVector,
     _combination,
-    _rank,
     coords_array,
     enumerate_vectors,
     rref_mod_p,
@@ -253,19 +252,12 @@ def criterion_6_descent(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
 def criterion_7_additive_basis(seed: int = DEFAULT_SEED) -> tuple[int, str, bool, str]:
     """Basis-union decomposition with constrained coefficients, both regimes."""
     rng = np.random.default_rng(seed + 7)
-
-    def random_basis(p: int, n: int) -> list[list[int]]:
-        while True:
-            M = rng.integers(0, p, size=(n, n)).tolist()
-            if _rank(p, n, M) == n:
-                return M
-
     checked = failed = 0
     raised: set[str] = set()
     # Regime (i): p = 5, coefficients from a 4-element arithmetic set.
     A5 = ar.min_arithmetic_set(5)
     for n in (1, 2, 3):
-        bases = [random_basis(5, n) for _ in range(5)]
+        bases = [lm.random_invertible(5, n, rng) for _ in range(5)]
         plan = dc.DecompositionPlan(5, n, bases, A5, 1)
         if n <= 2:
             targets = list(enumerate_vectors(5, n))
@@ -287,7 +279,7 @@ def criterion_7_additive_basis(seed: int = DEFAULT_SEED) -> tuple[int, str, bool
     # Regime (ii): p = 11, 3 bases, everywhere-nonzero coefficients.
     A11 = ar.ArithmeticSet.verified(range(1, 11), 4, 11)
     for n in (1, 2):
-        bases = [random_basis(11, n) for _ in range(3)]
+        bases = [lm.random_invertible(11, n, rng) for _ in range(3)]
         plan = dc.DecompositionPlan(11, n, bases, A11, 4)
         for w in enumerate_vectors(11, n):
             checked += 1

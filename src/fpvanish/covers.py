@@ -21,6 +21,7 @@ from .errors import CapExceededError, InvariantViolationError, PreconditionError
 from .fp_core import (
     FpVector,
     _rank,
+    check_ring_cap,
     enumerate_vectors,
     hyperplane_masks,
     is_irredundant_mask_cover,
@@ -310,8 +311,9 @@ class CosetCover:
 
     @classmethod
     def _trusted(cls, group: AbelianGroup, cosets: tuple[tuple[Subgroup, int], ...]) -> "CosetCover":
-        """A cover of cosets the cover engine built from `group` itself, which
-        already hold what __post_init__ checks; skips that re-check."""
+        """A cover of cosets the cover engine built from the subgroups of
+        `group` itself, which already hold what __post_init__ checks; skips
+        that re-check."""
         C = object.__new__(cls)
         object.__setattr__(C, "group", group)
         object.__setattr__(C, "cosets", cosets)
@@ -412,12 +414,8 @@ def _all_cosets(group: AbelianGroup, subgroup_pool: Sequence[Subgroup]) -> list[
     """Distinct cosets (subgroup, canonical rep, mask), canonically ordered.
 
     Each representative is the least element not yet covered by an earlier
-    coset of the same subgroup, so it is its coset's minimum.  The pool is
-    checked to live in `group` here, once, so CosetCover._trusted may skip
-    that check on every cover built from these cosets.
+    coset of the same subgroup, so it is its coset's minimum.
     """
-    if any(H.group is not group for H in subgroup_pool):
-        raise ValueError("all cosets must live in the same group")
     out = []
     full = group.full_mask
     for H in subgroup_pool:
@@ -591,16 +589,13 @@ def _cover_dfs(
         del dfs  # dfs reaches itself through its closure cell; break that cycle
 
 
-def enumerate_irredundant_covers(
-    group: AbelianGroup, max_size: int, subgroup_pool: Optional[Sequence[Subgroup]] = None
-) -> Iterator[CosetCover]:
+def enumerate_irredundant_covers(group: AbelianGroup, max_size: int) -> Iterator[CosetCover]:
     """All irredundant covers up to the size bound, each once.
 
     No cover repeats because the search bans every tried candidate from its
     later siblings (exclusion branching), not because repeats are filtered.
     """
-    pool = group.subgroups() if subgroup_pool is None else list(subgroup_pool)
-    cosets = _all_cosets(group, pool)
+    cosets = _all_cosets(group, group.subgroups())
     masks = [c[2] for c in cosets]
     pairs = [(H, rep) for H, rep, _ in cosets]
     for chosen in _cover_dfs(masks, group.full_mask, max_size, None):
@@ -647,10 +642,14 @@ def phi_pn_maximal(p: int, n: int, cap: Optional[int] = None) -> tuple[int, Cose
     """Minimum efficient cover size of the elementary abelian group F_p^n.
 
     The result is checked against the arithmetic-set lower bound
-    s^k >= p^n before returning.
+    s^k >= p^n before returning.  n and p^n are checked before the group is
+    built, so a p^n past `cap` never builds its p^n-bit masks.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    check_ring_cap(p, n, config.GROUP_ORDER_CAP if cap is None else cap)
     cover = find_efficient_cover(AbelianGroup((p,) * n), cap)
     if cover is None:
         raise InvariantViolationError(f"F_{p}^{n} has no efficient cover")

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from . import config
 from .errors import CapExceededError, InvariantViolationError
+
+T = TypeVar("T")
 
 
 # Miller-Rabin with the first thirteen prime bases has no false positive below
@@ -357,21 +359,46 @@ def is_irredundant_mask_cover(masks: Sequence[int], full: int) -> bool:
     return seen == full and all(m & ~twice for m in masks)
 
 
-def shrink_mask_cover(masks: Sequence[int], full: int) -> list[int]:
-    """Kept indices, ascending, of a one-pass greedy shrink of a cover.
+# ---------------------------------------------------------------------------
+# One-pass greedy irredundance, for F_p products and for covers alike.
 
-    Visiting indices in ascending order, each mask is dropped when the
-    others still cover `full`.  At each visit the masks still to come are
-    all kept, so the union of the others is the kept union so far OR the
-    suffix union of what follows.
+
+def _greedy_keep(
+    m: int, ctx: T, extend: Callable[[T, Sequence[int]], T], dead: Callable[[T], bool]
+) -> list[int]:
+    """Kept indices, ascending, of the one-pass greedy removal of items 0..m-1.
+
+    Item i is dropped iff its context, the kept items before i folded with
+    every item after i, is dead.  `ctx` is the empty context, `extend(ctx,
+    indices)` folds those items into a context, and `dead` must be monotone:
+    folding more items into a dead context leaves it dead.  Then one pass
+    suffices, as an item that could not be dropped never becomes droppable
+    after later drops.  Over F_p the fold is a binomial product and dead is
+    zero; for a cover the fold is OR and dead is the full mask.
+
+    The contexts come from a divide-and-conquer pass, `_greedy_split`.  Each
+    recursion level folds at most m items, so the pass folds at most
+    m*ceil(log2 m) of them and holds ceil(log2 m) + 1 contexts, not the m^2
+    of rebuilding the context for every item.
     """
-    suffix = [0] * (len(masks) + 1)
-    for i in range(len(masks) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-    kept = []
-    before = 0
-    for i, m in enumerate(masks):
-        if before | suffix[i + 1] != full:
-            kept.append(i)
-            before |= m
-    return kept
+    keep = [False] * m
+    if m:
+        _greedy_split(keep, 0, m, ctx, extend, dead)
+    return [i for i, k in enumerate(keep) if k]
+
+
+def _greedy_split(keep: list[bool], lo: int, hi: int, ctx: T, extend, dead) -> None:
+    """Decide keep[lo:hi] given ctx = (kept items of [0, lo)) folded with (all items of [hi, m)).
+
+    The left half folds in all of [mid, hi), and the right half, once the
+    left is decided, the kept items of [lo, mid).  A dead context drops its
+    whole range.
+    """
+    if dead(ctx):
+        return
+    if hi - lo == 1:
+        keep[lo] = True
+        return
+    mid = (lo + hi) // 2
+    _greedy_split(keep, lo, mid, extend(ctx, range(mid, hi)), extend, dead)
+    _greedy_split(keep, mid, hi, extend(ctx, [i for i in range(lo, mid) if keep[i]]), extend, dead)

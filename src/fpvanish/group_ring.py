@@ -12,10 +12,7 @@ value ever wraps and the narrow tables are as exact as Python integers.
 
 Vanishing products are built factor by factor; multiplying by (1 - w^t g^v)
 is one shifted subtraction over the dense table, so a product over a multiset
-V costs O(|V| r p^n) instead of general convolution.  Greedy irredundant
-extraction and the irredundance check share their partial products by
-divide and conquer: m entries cost at most m*ceil(log2 m) binomial
-multiplies, not the m^2 of rebuilding the product for every removal.
+V costs O(|V| r p^n) instead of general convolution.
 
 Over F_p a product of more than n(p-1) binomials (1 - g^v) is zero, so
 _fp_product returns zero without multiplying once r|V| > n(p-1).  Proof:
@@ -38,6 +35,8 @@ from . import _kernels, config
 from .errors import CapExceededError, InvariantViolationError, PreconditionError
 from .fp_core import (
     FpMultiset,
+    FpVector,
+    _greedy_keep,
     check_ring_cap,
     coords_array,
     coords_matrix,
@@ -132,46 +131,16 @@ def _greedy_irredundant_indices(
 ) -> list[int]:
     """One-pass greedy removal of coordinate tuples in index order; returns the kept indices.
 
-    Entry i is dropped iff its context, the product over the kept entries
-    before i and every entry after i, is zero.  One pass suffices: supersets
-    of vanishing multisets vanish, so an entry that could not be removed
-    never becomes removable after later removals.
-
-    The contexts come from a divide-and-conquer pass, `_greedy_solve`.
-    Each recursion level costs at most m binomial multiplies, so the pass
-    takes at most m*ceil(log2 m) of them and holds ceil(log2 m) + 1 tables.
+    Entry i is dropped iff the product over the kept entries before i and
+    every entry after i is zero (`fp_core._greedy_keep`); supersets of
+    vanishing multisets vanish, so one pass suffices.
     """
-    keep = [False] * len(entries)
-    if entries:
-        _greedy_solve(entries, r, p, n, keep, 0, len(entries), _fp_unit(p, n, cap))
-    return [i for i, k in enumerate(keep) if k]
-
-
-def _greedy_solve(
-    entries: Sequence[tuple[int, ...]],
-    r: int,
-    p: int,
-    n: int,
-    keep: list[bool],
-    lo: int,
-    hi: int,
-    ctx: np.ndarray,
-) -> None:
-    """Decide keep[lo:hi] given ctx = (kept entries of [0, lo)) * (all entries of [hi, m)).
-
-    The left half adds all of [mid, hi) to ctx, and the right half, once the
-    left is decided, adds the kept entries of [lo, mid).  A zero context drops
-    its whole range.
-    """
-    if not ctx.any():
-        return
-    if hi - lo == 1:
-        keep[lo] = True
-        return
-    mid = (lo + hi) // 2
-    _greedy_solve(entries, r, p, n, keep, lo, mid, _times_binomials(ctx, entries[mid:hi], r, p, n))
-    kept_left = [entries[i] for i in range(lo, mid) if keep[i]]
-    _greedy_solve(entries, r, p, n, keep, mid, hi, _times_binomials(ctx, kept_left, r, p, n))
+    return _greedy_keep(
+        len(entries),
+        _fp_unit(p, n, cap),
+        lambda table, idx: _times_binomials(table, [entries[i] for i in idx], r, p, n),
+        lambda table: not table.any(),
+    )
 
 
 def is_fp_irredundant(V: FpMultiset, r: int = 1) -> bool:
@@ -240,14 +209,6 @@ def _check_twist_cap(p: int, m: int, cap: Optional[int]) -> int:
     return total
 
 
-def twist_from_index(p: int, m: int, idx: int) -> TwistAssignment:
-    out = []
-    for _ in range(m):
-        out.append(idx % p)
-        idx //= p
-    return tuple(reversed(out))
-
-
 def _check_cover_work(p: int, n: int, total: int) -> int:
     """Cap the p^|V| * p^n covering-table work of the cover oracles; returns p^n."""
     size = check_ring_cap(p, n)
@@ -263,7 +224,7 @@ def _check_cover_work(p: int, n: int, total: int) -> int:
 def cover_twist_verdicts(V: FpMultiset, cap: Optional[int] = None) -> np.ndarray:
     """Boolean verdicts over all p^|V| twists: does the hyperplane family cover?
 
-    Twist index encoding matches twist_from_index (entry 0 most significant),
+    Twist index encoding matches FpVector.from_index (entry 0 most significant),
     so position of the first True is the lexicographically least witness.
     A (p^n, p^i) table of the points the first i hyperplanes miss grows by
     one twist axis per entry: missed[x, t_0..t_i] = missed[x, t_0..t_(i-1)]
@@ -289,7 +250,7 @@ def product_twist_verdicts(V: FpMultiset, r: int = 1, cap: Optional[int] = None)
     coefficient-major (p-1, p^n, p^k) table holds the product of the last k
     entries under each of their twists, and the next entry multiplies it
     once per twist t, as a new most significant twist axis (so entry 0 is
-    most significant, as in twist_from_index).  Entry 0's p products are
+    most significant, as in FpVector.from_index).  Entry 0's p products are
     reduced to their verdicts one at a time, so the (p-1, p^n, p^|V|) table
     of all products never exists; the cap still counts its cells.  The
     tables hold the `_coef_dtype` width for 3 * 2^(r|V|): int8 while
@@ -336,7 +297,7 @@ def is_c_vanishing(V: FpMultiset, r: int = 1, cap: Optional[int] = None) -> Opti
     hits = np.nonzero(cover_twist_verdicts(V, cap))[0]
     if hits.size == 0:
         return None
-    witness = twist_from_index(V.p, V.size, int(hits[0]))
+    witness = FpVector.from_index(V.p, V.size, int(hits[0])).coords
     if binomial_product_cyc(V, witness, r).any():
         raise InvariantViolationError("cover-oracle witness failed exact-product certification")
     return witness

@@ -12,7 +12,9 @@ that makes failures impossible once s^(kr) < p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import or_
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -22,11 +24,11 @@ from .errors import InvariantViolationError, PreconditionError
 from .fp_core import (
     FpVector,
     _as_prime,
+    _greedy_keep,
     _rank,
     check_ring_cap,
     coords_matrix,
     hyperplane_masks,
-    shrink_mask_cover,
 )
 
 
@@ -145,12 +147,10 @@ def failure_certificate(S: ChoiceSystem, cap: Optional[int] = None) -> CoverCert
     normals = [S.matrices[i][j] for i, j, _ in triples]
     masks = hyperplane_masks(p, n, normals, [t for _, _, t in triples], cap)
     full = (1 << p**n) - 1
-    union = 0
-    for m in masks:
-        union |= m
-    if union != full:
+    union = lambda seen, idx: reduce(or_, map(masks.__getitem__, idx), seen)
+    if union(0, range(len(masks))) != full:
         raise InvariantViolationError("forbidden hyperplanes fail to cover despite no witness")
-    kept = [triples[u] for u in shrink_mask_cover(masks, full)]
+    kept = [triples[u] for u in _greedy_keep(len(masks), 0, union, lambda seen: seen == full)]
     instance = HyperplaneCoverInstance(
         p,
         n,

@@ -269,11 +269,6 @@ class TestEngineCovers:
         assert cv.phi_exact(G) == phi
         assert calls == [] and len(want) > 10
 
-    def test_foreign_subgroup_pool_refused(self, z2sq):
-        other = cv.AbelianGroup((2, 2))
-        with pytest.raises(ValueError, match="same group"):
-            next(cv.enumerate_irredundant_covers(z2sq, 3, other.subgroups()))
-
 
 def random_mask_pool(rng, width: int, size: int) -> list[int]:
     """Random masks of `width` bits with a duplicate, the full mask and the empty one mixed in."""
@@ -410,6 +405,20 @@ class TestPhi:
         assert cv.phi_pn_maximal(2, 2)[0] == 3
         assert cv.phi_pn_maximal(2, 1)[0] == 2
         assert cv.phi_pn_maximal(3, 2)[0] == 4
+
+    @pytest.mark.parametrize("p,n", [(2, 0), (3, -1), (5, 0)])
+    def test_maximal_refuses_trivial_dimension(self, p, n):
+        with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+            cv.phi_pn_maximal(p, n)
+
+    @pytest.mark.parametrize("p,n", [(2, 5), (2, 27), (3, 10**9), (1000003, 2)])
+    def test_maximal_cap_before_group(self, monkeypatch, p, n):
+        # refused on p and n alone: no group, hence no p^n-bit mask, is built
+        monkeypatch.setattr(cv, "AbelianGroup", None)
+        with pytest.raises(CapExceededError, match=rf"^p\^n = {p}\^{n}( = \d+)? exceeds cap 16$"):
+            cv.phi_pn_maximal(p, n)
+        with pytest.raises(CapExceededError, match="exceeds cap 8"):
+            cv.phi_pn_maximal(3, 2, cap=8)
 
     def test_maximal_bound_holds(self):
         for p, n in ((2, 2), (2, 3), (3, 2)):

@@ -230,7 +230,8 @@ class TestBitmaskCovers:
                 trial = [j for j in kept if j != i]
                 if _union([masks[j] for j in trial]) == full:
                     kept = trial
-            got = fc.shrink_mask_cover(masks, full)
+            union = lambda seen, idx: seen | _union([masks[j] for j in idx])
+            got = fc._greedy_keep(len(masks), 0, union, lambda seen: seen == full)
             assert got == kept
             assert fc.is_irredundant_mask_cover([masks[j] for j in got], full)
 

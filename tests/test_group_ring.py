@@ -448,7 +448,7 @@ class TestComplexVanishing:
             b = gr.cover_twist_verdicts(V)
             assert np.array_equal(a, b)
             hits = np.nonzero(a)[0]
-            want = gr.twist_from_index(p, V.size, int(hits[0])) if hits.size else None
+            want = FpVector.from_index(p, V.size, int(hits[0])).coords if hits.size else None
             assert gr.is_c_vanishing(V) == want
 
     def test_exponent_does_not_change_complex_vanishing(self, rng):
@@ -615,7 +615,7 @@ def _irredundant_twist_reference(V: FpMultiset):
     size = p**n
     ips = (coords_matrix(p, n) @ coords_array(V).T) % p
     for idx in range(p**m):
-        t = gr.twist_from_index(p, m, idx)
+        t = FpVector.from_index(p, m, idx).coords
         masks = [ips[:, i] == ((-t[i]) % p) for i in range(m)]
         counts = np.zeros(size, dtype=np.int64)
         for mk in masks:

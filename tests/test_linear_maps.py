@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -148,3 +151,42 @@ class TestCertificateReference:
                     kept = trial
             assert list(lm.failure_certificate(S).triples) == kept
         assert made >= 10
+
+
+def _failing_systems(seed: int, count: int) -> list[lm.ChoiceSystem]:
+    """Seeded choice systems with no witness, over p <= 7 and p^n <= 400."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        p = int(rng.choice([2, 3, 5, 7]))
+        n = int(rng.integers(1, 4))
+        k = int(rng.integers(1, 5))
+        if p**n > 400:
+            continue
+        mats = [lm.random_invertible(p, n, rng) for _ in range(k)]
+        X = [[[v for v in range(p) if rng.random() < 0.45] or [0] for _ in range(n)] for _ in range(k)]
+        S = lm.ChoiceSystem(p, mats, X)
+        if lm.find_witness(S) is None:
+            out.append(S)
+    return out
+
+
+# The triples of 99 seeded failing systems (657 triples in all), pinned
+# before the bitmask greedy moved onto fp_core._greedy_keep.
+PINNED_CERTIFICATES_SHA256 = "6665ee5bcfcf938f4649a57ae91a1cf8525e4facc736af91104b0c8732fc3dc2"
+
+
+class TestCertificatePins:
+    def test_first_triples(self):
+        got = [[list(t) for t in lm.failure_certificate(S).triples] for S in _failing_systems(2021, 4)]
+        assert got == [
+            [[1, 0, 0], [2, 0, 1]],
+            [[2, 0, 1], [3, 0, 0]],
+            [[2, 2, 1], [3, 0, 0], [3, 0, 1], [3, 2, 1], [3, 2, 2]],
+            [[0, 0, 2], [1, 0, 0], [1, 0, 2], [1, 0, 4], [2, 0, 4]],
+        ]
+
+    def test_triples_digest(self):
+        triples = [[list(map(int, t)) for t in lm.failure_certificate(S).triples] for S in _failing_systems(2021, 99)]
+        assert sum(map(len, triples)) == 657
+        assert hashlib.sha256(json.dumps(triples).encode()).hexdigest() == PINNED_CERTIFICATES_SHA256
